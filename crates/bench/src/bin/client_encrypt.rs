@@ -1,10 +1,14 @@
 //! `client_encrypt` ablation: where does the client's index-vector
 //! encryption time go, and what do multi-core and precomputation buy?
 //!
-//! Four strategies over the same batch of 0/1 index plaintexts:
+//! Five strategies over the same batch of 0/1 index plaintexts:
 //!
-//! * **sequential** — `encrypt_batch`, one fresh `r^N mod N²` per element
-//!   on one core (the paper's client as written);
+//! * **sequential** — `PaillierPublicKey::encrypt_batch`, one fresh
+//!   `r^N mod N²` per element on one core (the paper's client as written,
+//!   and the path of anyone holding only `N`);
+//! * **keypair** — `PaillierKeypair::encrypt` per element on one core,
+//!   the `SumClient` path: the same ciphertexts, with `r^N` built from
+//!   the secret factors by the CRT;
 //! * **parallel** — `encrypt_batch_parallel` across all host cores;
 //! * **pool** — §3.3 preprocessing: a `RandomizerPool` filled offline
 //!   (sequentially), then the cheap online `(1+mN)·r^N` multiply per
@@ -53,6 +57,7 @@ env: PPS_NS=comma,separated,sizes overrides the n sweep";
 struct Row {
     n: usize,
     sequential_secs: f64,
+    keypair_secs: f64,
     parallel_secs: f64,
     pool_fill_secs: f64,
     pool_online_secs: f64,
@@ -130,8 +135,6 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(0x2004_c11e);
     let kp = PaillierKeypair::generate(key_bits, &mut rng).expect("keygen");
     let key = kp.public.clone();
-    // The keypair moves into the client now; only the public half is
-    // needed for the sweep.
     let client = SumClient::new(kp);
 
     // Latency histograms accumulated across the whole sweep: one sample
@@ -148,6 +151,12 @@ fn main() {
         let ms: Vec<Uint> = (0..n).map(|i| Uint::from_u64((i % 2) as u64)).collect();
 
         let (seq_cts, sequential_secs) = time(|| key.encrypt_batch(&ms, &mut rng).expect("seq"));
+        let (owner_cts, keypair_secs) = time(|| {
+            ms.iter()
+                .map(|m| client.keypair().encrypt(m, &mut rng).expect("keypair"))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(seq_cts.len(), owner_cts.len());
         let (par_cts, parallel_secs) = time(|| {
             parallel_encryptor
                 .encrypt_batch(&ms, &mut rng)
@@ -173,16 +182,20 @@ fn main() {
         let row = Row {
             n,
             sequential_secs,
+            keypair_secs,
             parallel_secs,
             pool_fill_secs,
             pool_online_secs,
             parallel_pool_fill_secs,
         };
         println!(
-            "n = {:>6}: sequential {:>8.3}s | parallel({} thr) {:>8.3}s ({:.2}x) | \
+            "n = {:>6}: sequential {:>8.3}s | keypair {:>8.3}s ({:.2}x) | \
+             parallel({} thr) {:>8.3}s ({:.2}x) | \
              pool fill {:>8.3}s + online {:>7.3}s | parallel fill {:>8.3}s ({:.2}x)",
             row.n,
             row.sequential_secs,
+            row.keypair_secs,
+            row.sequential_secs / row.keypair_secs.max(1e-9),
             threads,
             row.parallel_secs,
             row.sequential_secs / row.parallel_secs.max(1e-9),
@@ -230,6 +243,11 @@ fn row_json(r: &Row) -> JsonValue {
     JsonValue::object()
         .field("n", r.n)
         .field("sequential_secs", r.sequential_secs)
+        .field("keypair_secs", r.keypair_secs)
+        .field(
+            "keypair_speedup",
+            r.sequential_secs / r.keypair_secs.max(1e-9),
+        )
         .field("parallel_secs", r.parallel_secs)
         .field(
             "parallel_speedup",

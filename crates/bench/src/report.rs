@@ -103,6 +103,9 @@ fn client_encrypt_headlines(doc: &JsonValue) -> Vec<String> {
         row.get("sequential_secs").and_then(JsonValue::as_f64),
     ) {
         out.push(format!("n={n}: sequential encrypt {seq:.2} s"));
+        if let Some(owner) = row.get("keypair_secs").and_then(JsonValue::as_f64) {
+            out.push(format!("n={n}: keypair encrypt {owner:.2} s"));
+        }
         if let Some(speedup) = row.get("parallel_speedup").and_then(JsonValue::as_f64) {
             out.push(format!("n={n}: parallel speedup {speedup:.2}x"));
         }

@@ -18,11 +18,11 @@
 //! assert_eq!(r, Uint::one()); // Fermat
 //! ```
 
-use crate::error::BignumError;
-use crate::uint::Uint;
+use std::borrow::Cow;
 
-/// Window size (bits) for fixed-window exponentiation.
-const WINDOW_BITS: usize = 4;
+use crate::error::BignumError;
+use crate::multiexp_plan::FixedExponentPlan;
+use crate::uint::Uint;
 
 /// Precomputed context for arithmetic modulo a fixed odd modulus.
 #[derive(Clone, Debug)]
@@ -45,6 +45,18 @@ pub struct Montgomery {
 /// mixed accidentally.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MontElem(Uint);
+
+impl MontElem {
+    /// The normalized limbs: at most `k`, fewer when the top ones are zero.
+    pub(crate) fn limbs(&self) -> &[u64] {
+        self.0.limbs()
+    }
+
+    /// Wraps a kernel result, which is already below the modulus.
+    pub(crate) fn from_limbs(limbs: Vec<u64>) -> Self {
+        MontElem(Uint::from_limbs(limbs))
+    }
+}
 
 // Compile-time audit: both the parallel server fold
 // (`Montgomery::multi_pow_parallel`) and the client's parallel encryption
@@ -96,16 +108,22 @@ impl Montgomery {
         &self.n
     }
 
+    /// Limb count `k` of the modulus; `R = 2^(64·k)`, and every operand
+    /// of the fixed-width kernel is exactly `k` limbs.
+    pub(crate) fn width(&self) -> usize {
+        self.limbs
+    }
+
     /// Converts an ordinary value (reduced mod `n` first) into Montgomery
     /// form.
     pub fn to_mont(&self, v: &Uint) -> MontElem {
         let reduced = v.rem_of(&self.n).expect("modulus != 0");
-        MontElem(self.redc_mul(&reduced, &self.r2_mod_n))
+        MontElem(self.product(&reduced, &self.r2_mod_n))
     }
 
     /// Converts back from Montgomery form to an ordinary value in `[0, n)`.
     pub fn from_mont(&self, v: &MontElem) -> Uint {
-        self.redc_mul(&v.0, &Uint::one())
+        self.product(&v.0, &Uint::one())
     }
 
     /// The Montgomery form of 1.
@@ -115,12 +133,12 @@ impl Montgomery {
 
     /// Montgomery product of two elements.
     pub fn mul(&self, a: &MontElem, b: &MontElem) -> MontElem {
-        MontElem(self.redc_mul(&a.0, &b.0))
+        MontElem(self.product(&a.0, &b.0))
     }
 
     /// Montgomery square.
     pub fn square(&self, a: &MontElem) -> MontElem {
-        MontElem(self.redc_mul(&a.0, &a.0))
+        MontElem(self.product(&a.0, &a.0))
     }
 
     /// `base^exp mod n` using 4-bit fixed-window exponentiation.
@@ -134,108 +152,97 @@ impl Montgomery {
 
     /// Exponentiation with a base already in Montgomery form; the result
     /// stays in Montgomery form. Useful when chaining many operations.
+    ///
+    /// Recodes `exp` and runs the one window loop,
+    /// [`FixedExponentPlan::pow_mont`]; callers with a fixed exponent keep
+    /// the plan instead.
     pub fn pow_mont(&self, base: &MontElem, exp: &Uint) -> MontElem {
-        if exp.is_zero() {
-            return self.one();
-        }
-        // Precompute base^0 .. base^(2^w - 1).
-        let table_len = 1usize << WINDOW_BITS;
-        let mut table = Vec::with_capacity(table_len);
-        table.push(self.one());
-        table.push(base.clone());
-        for i in 2..table_len {
-            table.push(self.mul(&table[i - 1], base));
-        }
-
-        let bits = exp.bit_len();
-        let top_window = bits.div_ceil(WINDOW_BITS);
-        let mut acc = self.one();
-        let mut started = false;
-        for w in (0..top_window).rev() {
-            if started {
-                for _ in 0..WINDOW_BITS {
-                    acc = self.square(&acc);
-                }
-            }
-            let mut digit = 0usize;
-            for b in 0..WINDOW_BITS {
-                let bit_index = w * WINDOW_BITS + b;
-                if exp.bit(bit_index) {
-                    digit |= 1 << b;
-                }
-            }
-            if digit != 0 {
-                acc = if started {
-                    self.mul(&acc, &table[digit])
-                } else {
-                    table[digit].clone()
-                };
-                started = true;
-            } else if started {
-                // Nothing to multiply for an all-zero window.
-            }
-        }
-        if !started {
-            self.one()
-        } else {
-            acc
-        }
+        FixedExponentPlan::new(exp).pow_mont(self, base)
     }
 
-    /// Core REDC: computes `a·b·R⁻¹ mod n` for `a, b < n`.
-    ///
-    /// Implementation: full product then `limbs` rounds of single-limb
-    /// Montgomery reduction (the "coarsely integrated" form, simple and
-    /// fast enough for <= 4096-bit operands).
-    fn redc_mul(&self, a: &Uint, b: &Uint) -> Uint {
+    /// `a·b·R⁻¹ mod n` for normalized `a, b < n` as a new value: widens
+    /// the operands to `k` limbs and runs [`Montgomery::mont_mul`] on one
+    /// `k + 1`-limb buffer, which then becomes the result.
+    fn product(&self, a: &Uint, b: &Uint) -> Uint {
         let k = self.limbs;
-        // t = a * b, laid out in a fixed 2k+1 buffer.
-        let mut t = vec![0u64; 2 * k + 1];
-        for (i, &al) in a.limbs().iter().enumerate() {
-            if al == 0 {
-                continue;
-            }
-            let mut carry = 0u64;
-            for (j, &bl) in b.limbs().iter().enumerate() {
-                let p = al as u128 * bl as u128 + t[i + j] as u128 + carry as u128;
-                t[i + j] = p as u64;
-                carry = (p >> 64) as u64;
-            }
-            let mut idx = i + b.limbs().len();
-            while carry != 0 {
-                let (s, c) = t[idx].overflowing_add(carry);
-                t[idx] = s;
-                carry = c as u64;
-                idx += 1;
-            }
-        }
+        let (a, b) = (widen(a, k), widen(b, k));
+        let mut t = vec![0u64; k + 1];
+        self.mont_mul(&a, &b, &mut t);
+        t.truncate(k);
+        Uint::from_limbs(t)
+    }
 
-        let nl = self.n.limbs();
-        for i in 0..k {
-            let m = t[i].wrapping_mul(self.n_prime);
-            if m == 0 {
-                continue;
+    /// The fixed-width CIOS kernel (Montgomery multiplication with the
+    /// reduction interleaved: one limb of `b` per round, and each round's
+    /// `a·bᵢ` and `m·n` chains fused into one pass): leaves
+    /// `a·b·R⁻¹ mod n` in `t[..k]`.
+    ///
+    /// `a` and `b` are exactly `k` limbs and below `n`; `t` is `k + 1`
+    /// limbs of caller-owned scratch whose contents are overwritten. Each
+    /// round keeps `t < 2n`, so the carry word `t[k]` is 0 or 1; it is set
+    /// only when `n` is within a factor two of `R`.
+    ///
+    /// # Panics
+    /// When a buffer has the wrong length (a caller bug).
+    pub(crate) fn mont_mul(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let k = self.limbs;
+        assert!(
+            a.len() == k && b.len() == k && t.len() == k + 1,
+            "Montgomery kernel buffers must be k, k and k + 1 limbs"
+        );
+        let n = &self.n.limbs()[..k];
+        t.fill(0);
+        for &bi in b {
+            // t = (t + a·bi + m·n) / W with W = 2^64 and m chosen so the
+            // low limb cancels; `c1` carries the a·bi chain, `c2` the m·n
+            // chain.
+            let s = u128::from(a[0]) * u128::from(bi) + u128::from(t[0]);
+            let m = (s as u64).wrapping_mul(self.n_prime);
+            let mut c1 = (s >> 64) as u64;
+            let s = u128::from(m) * u128::from(n[0]) + u128::from(s as u64);
+            let mut c2 = (s >> 64) as u64;
+            for j in 1..k {
+                let s = u128::from(a[j]) * u128::from(bi) + u128::from(t[j]) + u128::from(c1);
+                c1 = (s >> 64) as u64;
+                let s = u128::from(m) * u128::from(n[j]) + u128::from(s as u64) + u128::from(c2);
+                c2 = (s >> 64) as u64;
+                t[j - 1] = s as u64;
             }
-            let mut carry = 0u64;
-            for (j, &njl) in nl.iter().enumerate() {
-                let p = m as u128 * njl as u128 + t[i + j] as u128 + carry as u128;
-                t[i + j] = p as u64;
-                carry = (p >> 64) as u64;
-            }
-            let mut idx = i + nl.len();
-            while carry != 0 {
-                let (s, c) = t[idx].overflowing_add(carry);
-                t[idx] = s;
-                carry = c as u64;
-                idx += 1;
+            let s = u128::from(t[k]) + u128::from(c1) + u128::from(c2);
+            t[k - 1] = s as u64;
+            t[k] = (s >> 64) as u64;
+        }
+        // t < 2n: one conditional subtraction. When the carry word is
+        // set, the borrow out of the low k limbs cancels it.
+        let below_n = t[k] == 0
+            && t[..k]
+                .iter()
+                .rev()
+                .zip(n.iter().rev())
+                .find(|(x, y)| x != y)
+                .is_some_and(|(x, y)| x < y);
+        if !below_n {
+            let mut borrow = false;
+            for (tj, &nj) in t[..k].iter_mut().zip(n) {
+                let (d, b1) = tj.overflowing_sub(nj);
+                let (d, b2) = d.overflowing_sub(u64::from(borrow));
+                *tj = d;
+                borrow = b1 | b2;
             }
         }
+    }
+}
 
-        let mut out = Uint::from_limbs(t[k..].to_vec());
-        if out >= self.n {
-            out = &out - &self.n;
-        }
-        out
+/// `v`'s limbs zero-extended to exactly `k` (borrowed when already `k`
+/// wide, as almost every value modulo a cryptographic modulus is).
+fn widen(v: &Uint, k: usize) -> Cow<'_, [u64]> {
+    let limbs = v.limbs();
+    if limbs.len() == k {
+        Cow::Borrowed(limbs)
+    } else {
+        let mut wide = vec![0u64; k];
+        wide[..limbs.len()].copy_from_slice(limbs);
+        Cow::Owned(wide)
     }
 }
 

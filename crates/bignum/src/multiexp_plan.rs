@@ -274,13 +274,12 @@ impl MultiExpPlan {
 /// The recoded window digits of one **fixed** exponent, built once per
 /// key so repeated `baseᵏ` calls (the client's `r^N` randomizer path)
 /// skip the exponent bit-scan that [`Montgomery::pow_mont`] redoes on
-/// every call. The per-call cost that remains — the 16-entry base-power
-/// table and the square/multiply chain — is inherent, because the base
-/// changes every call (fixed-*exponent*, not fixed-*base*,
-/// precomputation).
+/// every call. The per-call cost that remains — the base-power table and
+/// the square/multiply chain — is inherent, because the base changes
+/// every call (fixed-*exponent*, not fixed-*base*, precomputation).
 ///
-/// Produces bit-identical results to [`Montgomery::pow_mont`] with the
-/// same exponent.
+/// This is the crate's only window loop: [`Montgomery::pow_mont`] builds
+/// a throwaway plan and calls [`FixedExponentPlan::pow_mont`].
 ///
 /// # Examples
 ///
@@ -327,38 +326,65 @@ impl FixedExponentPlan {
         self.digits.len()
     }
 
+    /// The Montgomery products one [`FixedExponentPlan::pow_mont`]
+    /// performs: the base-power table up to the largest digit, four
+    /// squarings per window after the first, and one multiplication per
+    /// nonzero window after the first. A host-independent work count.
+    pub fn products(&self) -> usize {
+        let Some((_, rest)) = self.digits.split_first() else {
+            return 0;
+        };
+        let multiplies = rest.iter().filter(|&&d| d != 0).count();
+        self.top_digit() - 1 + BASE_WINDOW_BITS * rest.len() + multiplies
+    }
+
+    /// The largest window digit: the per-call table holds
+    /// `base^1 ..= base^top_digit`. Zero only for the empty schedule.
+    fn top_digit(&self) -> usize {
+        self.digits.iter().copied().max().map_or(0, usize::from)
+    }
+
     /// `base^exp` with the base already in Montgomery form; the result
     /// stays in Montgomery form.
+    ///
+    /// Runs on buffers allocated once per call: the powers
+    /// `base^1 ..= base^max_digit` (the base is fresh every call), the
+    /// accumulator and the kernel's scratch, each `k + 1` limbs so a
+    /// product lands in place and the accumulator swaps with the scratch.
     pub fn pow_mont(&self, ctx: &Montgomery, base: &MontElem) -> MontElem {
-        if self.digits.is_empty() {
+        let Some((&first, rest)) = self.digits.split_first() else {
             return ctx.one();
+        };
+        let k = ctx.width();
+        let stride = k + 1;
+        let top = self.top_digit();
+        let mut buf = vec![0u64; (top + 2) * stride];
+        let (table, work) = buf.split_at_mut(top * stride);
+        let base = base.limbs();
+        table[..base.len()].copy_from_slice(base);
+        // table[(d - 1) * stride..][..k] holds base^d.
+        for d in 1..top {
+            let (done, next) = table.split_at_mut(d * stride);
+            ctx.mont_mul(
+                &done[(d - 1) * stride..][..k],
+                &done[..k],
+                &mut next[..stride],
+            );
         }
-        // Per-call base-power table (the base is fresh every call).
-        let table_len = 1usize << BASE_WINDOW_BITS;
-        let mut table = Vec::with_capacity(table_len);
-        table.push(ctx.one());
-        table.push(base.clone());
-        for i in 2..table_len {
-            table.push(ctx.mul(&table[i - 1], base));
-        }
-        let mut acc: Option<MontElem> = None;
-        for &d in &self.digits {
-            if let Some(a) = acc.take() {
-                let mut sq = a;
-                for _ in 0..BASE_WINDOW_BITS {
-                    sq = ctx.square(&sq);
-                }
-                acc = Some(if d != 0 {
-                    ctx.mul(&sq, &table[d as usize])
-                } else {
-                    sq
-                });
-            } else {
-                // First digit is nonzero by construction (trimmed).
-                acc = Some(table[d as usize].clone());
+        let (mut acc, mut scratch) = work.split_at_mut(stride);
+        let power = |d: u8| &table[(usize::from(d) - 1) * stride..][..k];
+        acc[..k].copy_from_slice(power(first));
+        for &d in rest {
+            for _ in 0..BASE_WINDOW_BITS {
+                ctx.mont_mul(&acc[..k], &acc[..k], scratch);
+                std::mem::swap(&mut acc, &mut scratch);
+            }
+            if d != 0 {
+                ctx.mont_mul(&acc[..k], power(d), scratch);
+                std::mem::swap(&mut acc, &mut scratch);
             }
         }
-        acc.unwrap_or_else(|| ctx.one())
+        MontElem::from_limbs(acc[..k].to_vec())
     }
 
     /// `base^exp mod n` for an ordinary base; the result is ordinary.

@@ -2,12 +2,38 @@
 //! oracle, division reconstruction, modular-arithmetic laws, and codec
 //! round trips over arbitrary-size operands.
 
-use pps_bignum::{crt_combine, Montgomery, Uint};
+use pps_bignum::{crt_combine, FixedExponentPlan, Montgomery, Uint};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary Uint of up to `max_limbs` limbs.
 fn uint(max_limbs: usize) -> impl Strategy<Value = Uint> {
     prop::collection::vec(any::<u64>(), 0..=max_limbs).prop_map(Uint::from_limbs)
+}
+
+/// Strategy: an odd modulus of 1..=`max_limbs` limbs whose top limb is
+/// `u64::MAX`. Such a modulus is within a factor two of `R`, so the
+/// Montgomery kernel's running value often reaches `R` and its carry
+/// word is live.
+fn top_limb_max_modulus(max_limbs: usize) -> impl Strategy<Value = Uint> {
+    prop::collection::vec(any::<u64>(), 0..max_limbs).prop_map(|mut limbs| {
+        limbs.push(u64::MAX);
+        limbs[0] |= 1;
+        Uint::from_limbs(limbs)
+    })
+}
+
+/// Checks `Montgomery::{mul, pow}` and `FixedExponentPlan::pow` against
+/// the generic `mod_mul` / `mod_pow` for one modulus and operand set.
+fn kernel_agrees(m: &Uint, a: &Uint, b: &Uint, exp: &Uint) -> Result<(), TestCaseError> {
+    let ctx = Montgomery::new(m.clone()).unwrap();
+    let product = ctx.from_mont(&ctx.mul(&ctx.to_mont(a), &ctx.to_mont(b)));
+    prop_assert_eq!(product, a.mod_mul(b, m).unwrap());
+    let square = ctx.from_mont(&ctx.square(&ctx.to_mont(a)));
+    prop_assert_eq!(square, a.mod_mul(a, m).unwrap());
+    let want = a.mod_pow(exp, m).unwrap();
+    prop_assert_eq!(ctx.pow(a, exp).unwrap(), want.clone());
+    prop_assert_eq!(FixedExponentPlan::new(exp).pow(&ctx, a), want);
+    Ok(())
 }
 
 proptest! {
@@ -179,6 +205,52 @@ proptest! {
         let ctx = Montgomery::new(m.clone()).unwrap();
         let got = ctx.from_mont(&ctx.mul(&ctx.to_mont(&a), &ctx.to_mont(&b)));
         prop_assert_eq!(got, a.mod_mul(&b, &m).unwrap());
+    }
+
+    // --- Montgomery kernel edge cases ---
+
+    #[test]
+    fn kernel_top_limb_max_modulus(
+        m in top_limb_max_modulus(5),
+        a in uint(5),
+        b in uint(5),
+        exp in uint(2),
+    ) {
+        kernel_agrees(&m, &a, &b, &exp)?;
+    }
+
+    #[test]
+    fn kernel_one_limb_modulus(m in 3u64.., a in any::<u64>(), b in any::<u64>(), exp in any::<u64>()) {
+        let m = Uint::from_u64(m | 1);
+        kernel_agrees(&m, &Uint::from_u64(a), &Uint::from_u64(b), &Uint::from_u64(exp))?;
+    }
+
+    #[test]
+    fn kernel_operands_shorter_than_modulus(
+        m in uint(5),
+        a in uint(2),
+        b in uint(2),
+        exp in uint(1),
+    ) {
+        prop_assume!(m.is_odd() && m.limbs().len() >= 3);
+        kernel_agrees(&m, &a, &b, &exp)?;
+    }
+
+    #[test]
+    fn kernel_bases_at_least_modulus(m in uint(3), extra in uint(3), exp in uint(2)) {
+        prop_assume!(m.is_odd() && m.bit_len() >= 2);
+        // n, n + extra and n·(extra + 1): all reduce before the kernel.
+        for base in [m.clone(), &m + &extra, &m * &(&extra + &Uint::one())] {
+            kernel_agrees(&m, &base, &m, &exp)?;
+        }
+    }
+
+    #[test]
+    fn kernel_exponents_zero_and_one(m in uint(4), a in uint(4)) {
+        prop_assume!(m.is_odd() && m.bit_len() >= 2);
+        for exp in [Uint::zero(), Uint::one()] {
+            kernel_agrees(&m, &a, &a, &exp)?;
+        }
     }
 
     // --- inverse really inverts ---

@@ -13,6 +13,8 @@
 //! import, which keeps the format minimal and forward-compatible.
 
 use pps_bignum::Uint;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::error::CryptoError;
 use crate::paillier::{PaillierKeypair, PaillierPublicKey, PaillierSecretKey};
@@ -85,8 +87,9 @@ impl PaillierSecretKey {
     ///
     /// # Errors
     /// [`CryptoError::Decode`] on structural problems;
-    /// [`CryptoError::KeyGeneration`] if the primes do not form a valid
-    /// keypair.
+    /// [`CryptoError::KeyGeneration`] if a factor is not prime (the
+    /// key owner's CRT encryption is correct only for primes) or the
+    /// primes do not form a valid keypair.
     pub fn keypair_from_bytes(bytes: &[u8]) -> Result<PaillierKeypair, CryptoError> {
         let rest = bytes
             .strip_prefix(SECRET_MAGIC)
@@ -96,6 +99,14 @@ impl PaillierSecretKey {
         let q = get_uint(&mut rest)?;
         if !rest.is_empty() {
             return Err(CryptoError::Decode("trailing bytes in secret key"));
+        }
+        // Random Miller–Rabin bases, so a crafted composite cannot aim at
+        // a known witness set.
+        let mut rng = StdRng::from_entropy();
+        if !p.is_prime(&mut rng) || !q.is_prime(&mut rng) {
+            return Err(CryptoError::KeyGeneration(
+                "secret key factor is not prime".into(),
+            ));
         }
         PaillierKeypair::from_primes(p, q)
     }
@@ -145,6 +156,21 @@ mod tests {
         let mut trailing = kp.public.to_bytes();
         trailing.push(0);
         assert!(PaillierPublicKey::from_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn composite_factor_rejected_on_import() {
+        // 15 = 3·5 passes every check `from_primes` makes, so only the
+        // primality test keeps it out of a loaded key.
+        let (p, q) = (Uint::from_u64(65_537), Uint::from_u64(15));
+        assert!(PaillierKeypair::from_primes(p.clone(), q.clone()).is_ok());
+        let mut bytes = SECRET_MAGIC.to_vec();
+        put_uint(&mut bytes, &p);
+        put_uint(&mut bytes, &q);
+        assert!(matches!(
+            PaillierSecretKey::keypair_from_bytes(&bytes),
+            Err(CryptoError::KeyGeneration(_))
+        ));
     }
 
     #[test]

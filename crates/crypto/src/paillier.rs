@@ -16,9 +16,11 @@
 //! against each other.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use pps_bignum::{Crt2, FixedExponentPlan, Montgomery, MultiExpPlan, Uint};
+use pps_bignum::{BignumError, Crt2, FixedExponentPlan, Montgomery, MultiExpPlan, Uint};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -44,6 +46,87 @@ fn split_rng_streams(rng: &mut dyn RngCore, chunks: usize) -> Vec<StdRng> {
             StdRng::from_seed(seed)
         })
         .collect()
+}
+
+/// Draws one `r^N mod N²` randomizer from the given stream.
+pub(crate) type Sampler<'a> = dyn Fn(&mut dyn RngCore) -> Result<Uint, CryptoError> + Sync + 'a;
+
+/// One chunk of a parallel batch: its index range and its own stream.
+type ChunkWork<'a, T> =
+    dyn Fn(Range<usize>, &mut StdRng) -> Result<Vec<T>, CryptoError> + Sync + 'a;
+
+/// Runs `work` over `len` items in the deterministic layout behind every
+/// parallel batch: up to `threads` contiguous chunks (fewer when a chunk
+/// would hold under [`MIN_ENCRYPTIONS_PER_THREAD`] items), each with its
+/// own stream-split CSPRNG, spread over at most
+/// [`crate::host_parallelism`] scoped workers. `on_chunk`, when given,
+/// receives each chunk's wall time. Results come back in input order.
+///
+/// Seeds are drawn per *chunk*, before any spawning, so the output
+/// depends only on (rng state, threads, len), never on scheduling or on
+/// how many OS threads actually run. Spawning more workers than cores
+/// used to *lose* to the sequential path (oversubscribed workers fight
+/// for the same cores), so surplus chunks run on the existing workers,
+/// in chunk order.
+fn run_chunked<T: Send>(
+    len: usize,
+    threads: usize,
+    rng: &mut dyn RngCore,
+    on_chunk: Option<&(dyn Fn(Duration) + Sync)>,
+    work: &ChunkWork<'_, T>,
+) -> Result<Vec<T>, CryptoError> {
+    let wanted = threads.max(1).min(len / MIN_ENCRYPTIONS_PER_THREAD).max(1);
+    let chunk = len.div_ceil(wanted).max(1);
+    let ranges: Vec<Range<usize>> = (0..len)
+        .step_by(chunk)
+        .map(|start| start..(start + chunk).min(len))
+        .collect();
+    let mut streams = split_rng_streams(rng, ranges.len());
+    let timed = |range: &Range<usize>, stream: &mut StdRng| {
+        let start = Instant::now();
+        let result = work(range.clone(), stream);
+        if let Some(observe) = on_chunk {
+            observe(start.elapsed());
+        }
+        result
+    };
+    let workers = ranges.len().min(crate::parallel::host_parallelism());
+    let groups: Vec<Result<Vec<Vec<T>>, CryptoError>> = if workers <= 1 {
+        vec![ranges
+            .iter()
+            .zip(streams.iter_mut())
+            .map(|(r, s)| timed(r, s))
+            .collect()]
+    } else {
+        let timed = &timed;
+        let per_worker = ranges.len().div_ceil(workers);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = ranges
+                .chunks(per_worker)
+                .zip(streams.chunks_mut(per_worker))
+                .map(|(group, group_streams)| {
+                    s.spawn(move || {
+                        group
+                            .iter()
+                            .zip(group_streams.iter_mut())
+                            .map(|(r, stream)| timed(r, stream))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("encryption worker panicked"))
+                .collect()
+        })
+    };
+    let mut out = Vec::with_capacity(len);
+    for group in groups {
+        for part in group? {
+            out.extend(part);
+        }
+    }
+    Ok(out)
 }
 
 /// Smallest supported modulus size. 512 matches the paper; anything below
@@ -89,26 +172,72 @@ pub struct Ciphertext(pub(crate) Uint);
 
 /// A Paillier secret key, with CRT acceleration state.
 pub struct PaillierSecretKey {
-    /// Prime factor `p`.
-    p: Uint,
-    /// Prime factor `q`.
-    q: Uint,
     /// `λ = lcm(p-1, q-1)` — kept for the reference (non-CRT) decryption.
     lambda: Uint,
     /// `μ = (L(g^λ mod N²))⁻¹ mod N` — reference decryption.
     mu: Uint,
-    /// Montgomery context over `p²`.
-    mont_p2: Montgomery,
-    /// Montgomery context over `q²`.
-    mont_q2: Montgomery,
-    /// `hp = L_p(g^{p-1} mod p²)⁻¹ mod p`.
-    hp: Uint,
-    /// `hq = L_q(g^{q-1} mod q²)⁻¹ mod q`.
-    hq: Uint,
-    /// CRT recombination over (p, q).
+    /// Per-prime state for `p` and `q`, in that order.
+    factors: [PrimeFactor; 2],
+    /// CRT recombination over (p, q), for decryption.
     crt: Crt2,
+    /// CRT recombination over (p², q²), for the randomizer.
+    crt_squares: Crt2,
     /// The matching public key.
     public: PaillierPublicKey,
+}
+
+/// What the key owner precomputes for one prime factor `s` of `N = s·t`:
+/// CRT decryption works modulo `s²`, and so does the randomizer sampler.
+struct PrimeFactor {
+    /// Montgomery context over `s`.
+    mont_s: Montgomery,
+    /// Montgomery context over `s²`.
+    mont_s2: Montgomery,
+    /// `h = L_s(g^{s-1} mod s²)⁻¹ mod s`.
+    h: Uint,
+    /// `t mod (s − 1)`, recoded: `r^t ≡ r^(t mod (s−1)) (mod s)` by Fermat.
+    cofactor: FixedExponentPlan,
+    /// `s`, recoded: `x^s mod s²` depends only on `x mod s`, since
+    /// `(x + js)^s ≡ x^s (mod s²)`.
+    lift: FixedExponentPlan,
+}
+
+impl PrimeFactor {
+    /// The state for the prime `s` with cofactor `t` and generator `g`.
+    fn new(s: &Uint, t: &Uint, g: &Uint) -> Result<Self, CryptoError> {
+        let s1 = s - &Uint::one();
+        let mont_s = Montgomery::new(s.clone()).map_err(keygen_error)?;
+        let mont_s2 = Montgomery::new(s.square()).map_err(keygen_error)?;
+        let gs = mont_s2.pow(g, &s1)?;
+        let h = l_function(&gs, s)?
+            .mod_inverse(s)
+            .map_err(|_| CryptoError::KeyGeneration("no CRT decryption constant".into()))?;
+        Ok(PrimeFactor {
+            cofactor: FixedExponentPlan::new(&t.rem_of(&s1)?),
+            lift: FixedExponentPlan::new(s),
+            mont_s,
+            mont_s2,
+            h,
+        })
+    }
+
+    /// The prime `s`.
+    fn prime(&self) -> &Uint {
+        self.mont_s.modulus()
+    }
+
+    /// `m mod s` for the ciphertext `c`: `L_s(c^{s-1} mod s²)·h mod s`.
+    fn decrypt(&self, c: &Uint) -> Result<Uint, CryptoError> {
+        let s = self.prime();
+        let cs = self.mont_s2.pow(c, &(s - &Uint::one()))?;
+        Ok(l_function(&cs, s)?.mod_mul(&self.h, s)?)
+    }
+
+    /// `r^N mod s²` from `r mod s`: `((r mod s)^(t mod (s−1)) mod s)^s`.
+    fn randomizer(&self, r_mod_s: &Uint) -> Uint {
+        let r_to_t = self.cofactor.pow(&self.mont_s, r_mod_s);
+        self.lift.pow(&self.mont_s2, &r_to_t)
+    }
 }
 
 /// A freshly generated Paillier keypair.
@@ -162,7 +291,9 @@ impl PaillierKeypair {
     }
 
     /// Builds a keypair from two distinct primes (used by tests with tiny
-    /// fixed primes, and by `generate`).
+    /// fixed primes, by `generate`, and by key import, which checks
+    /// primality first). Primality is not checked here:
+    /// [`PaillierKeypair::encrypt`] is correct only for prime factors.
     ///
     /// # Errors
     /// [`CryptoError::KeyGeneration`] when the primes are equal or violate
@@ -173,8 +304,7 @@ impl PaillierKeypair {
         }
         let n = &p * &q;
         let n_squared = n.square();
-        let mont = Montgomery::new(n_squared.clone())
-            .map_err(|e| CryptoError::KeyGeneration(e.to_string()))?;
+        let mont = Montgomery::new(n_squared.clone()).map_err(keygen_error)?;
         let half_n = n.shr(1);
         let n_plan = FixedExponentPlan::new(&n);
         let public = PaillierPublicKey {
@@ -197,37 +327,63 @@ impl PaillierKeypair {
             .mod_inverse(&n)
             .map_err(|_| CryptoError::KeyGeneration("gcd(N, λ) != 1".into()))?;
 
-        // CRT decryption constants.
-        let p2 = p.square();
-        let q2 = q.square();
-        let mont_p2 = Montgomery::new(p2).map_err(|e| CryptoError::KeyGeneration(e.to_string()))?;
-        let mont_q2 = Montgomery::new(q2).map_err(|e| CryptoError::KeyGeneration(e.to_string()))?;
+        // CRT decryption and randomizer constants.
         let g = n.add_u64(1);
-        let gp = mont_p2.pow(&g, &p1).map_err(CryptoError::from)?;
-        let gq = mont_q2.pow(&g, &q1).map_err(CryptoError::from)?;
-        let hp = l_function(&gp, &p)?
-            .mod_inverse(&p)
-            .map_err(|_| CryptoError::KeyGeneration("no hp inverse".into()))?;
-        let hq = l_function(&gq, &q)?
-            .mod_inverse(&q)
-            .map_err(|_| CryptoError::KeyGeneration("no hq inverse".into()))?;
-        let crt = Crt2::new(p.clone(), q.clone())
-            .map_err(|e| CryptoError::KeyGeneration(e.to_string()))?;
+        let factors = [PrimeFactor::new(&p, &q, &g)?, PrimeFactor::new(&q, &p, &g)?];
+        let crt = Crt2::new(p, q).map_err(keygen_error)?;
+        let crt_squares = Crt2::new(
+            factors[0].mont_s2.modulus().clone(),
+            factors[1].mont_s2.modulus().clone(),
+        )
+        .map_err(keygen_error)?;
 
         let secret = PaillierSecretKey {
-            p,
-            q,
             lambda,
             mu,
-            mont_p2,
-            mont_q2,
-            hp,
-            hq,
+            factors,
             crt,
+            crt_squares,
             public: public.clone(),
         };
         Ok(PaillierKeypair { public, secret })
     }
+
+    /// Encrypts `m ∈ [0, N)` as [`PaillierPublicKey::encrypt`] does — the
+    /// same RNG draws and the same ciphertext, bit for bit — but builds
+    /// `r^N mod N²` from the factors: exponentiations modulo `p`, `p²`,
+    /// `q` and `q²` and one CRT step, about a third of the limb-weighted
+    /// Montgomery work of the public `r^N` at 512 bits. The querier holds
+    /// the keypair, so this is its path.
+    ///
+    /// # Errors
+    /// [`CryptoError::PlaintextOutOfRange`] when `m >= N`.
+    pub fn encrypt(&self, m: &Uint, rng: &mut dyn RngCore) -> Result<Ciphertext, CryptoError> {
+        let rn = self.secret.sample_randomizer(rng)?;
+        self.public.encrypt_with_randomizer(m, &rn)
+    }
+
+    /// [`PaillierPublicKey::encrypt_batch_parallel`] with the key owner's
+    /// sampler: the same chunk layout and stream-split seeds, and so the
+    /// same ciphertexts.
+    ///
+    /// # Errors
+    /// As [`PaillierKeypair::encrypt`], on the first failing element.
+    pub fn encrypt_batch_parallel(
+        &self,
+        ms: &[Uint],
+        threads: usize,
+        rng: &mut dyn RngCore,
+    ) -> Result<Vec<Ciphertext>, CryptoError> {
+        self.public
+            .encrypt_chunked(ms, threads, rng, None, &|stream: &mut dyn RngCore| {
+                self.secret.sample_randomizer(stream)
+            })
+    }
+}
+
+/// A bignum failure while deriving key material.
+fn keygen_error(e: BignumError) -> CryptoError {
+    CryptoError::KeyGeneration(e.to_string())
 }
 
 /// `L(u) = (u - 1) / d`, defined when `u ≡ 1 (mod d)`.
@@ -411,65 +567,30 @@ impl PaillierPublicKey {
         ms: &[Uint],
         threads: usize,
         rng: &mut dyn RngCore,
-        on_chunk: Option<&(dyn Fn(std::time::Duration) + Sync)>,
+        on_chunk: Option<&(dyn Fn(Duration) + Sync)>,
     ) -> Result<Vec<Ciphertext>, CryptoError> {
-        let wanted = threads
-            .max(1)
-            .min(ms.len() / MIN_ENCRYPTIONS_PER_THREAD.max(1))
-            .max(1);
-        let chunk = ms.len().div_ceil(wanted).max(1);
-        // Seeds are drawn per *chunk*, before any spawning, so the
-        // ciphertext stream depends only on (rng state, threads), never
-        // on scheduling or on how many OS threads actually run below.
-        let mut streams = split_rng_streams(rng, ms.len().div_ceil(chunk));
-        let timed_chunk = |mc: &[Uint], stream: &mut StdRng| {
-            let start = std::time::Instant::now();
-            let result = self.encrypt_batch(mc, stream);
-            if let Some(observe) = on_chunk {
-                observe(start.elapsed());
-            }
-            result
-        };
-        // Oversubscription clamp: spawn at most one worker per core;
-        // surplus chunks run on the existing workers, in chunk order.
-        let workers = streams.len().min(crate::parallel::host_parallelism());
-        if workers <= 1 {
-            let mut out = Vec::with_capacity(ms.len());
-            for (mc, stream) in ms.chunks(chunk).zip(streams.iter_mut()) {
-                out.extend(timed_chunk(mc, stream)?);
-            }
-            return Ok(out);
-        }
-        let timed_chunk = &timed_chunk;
-        let chunk_slices: Vec<&[Uint]> = ms.chunks(chunk).collect();
-        let per_worker = chunk_slices.len().div_ceil(workers);
-        let group_results: Vec<Result<Vec<Vec<Ciphertext>>, CryptoError>> =
-            std::thread::scope(|s| {
-                let handles: Vec<_> = chunk_slices
-                    .chunks(per_worker)
-                    .zip(streams.chunks_mut(per_worker))
-                    .map(|(group, group_streams)| {
-                        s.spawn(move || {
-                            group
-                                .iter()
-                                .zip(group_streams.iter_mut())
-                                .map(|(mc, stream)| timed_chunk(mc, stream))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("encryption worker panicked"))
-                    .collect()
-            });
-        let mut out = Vec::with_capacity(ms.len());
-        for group in group_results {
-            for chunk_cts in group? {
-                out.extend(chunk_cts);
-            }
-        }
-        Ok(out)
+        self.encrypt_chunked(ms, threads, rng, on_chunk, &|stream: &mut dyn RngCore| {
+            self.sample_randomizer(stream)
+        })
+    }
+
+    /// The chunked encryption behind both parallel paths: `sample` draws
+    /// each `r^N mod N²` (the public exponentiation, or the key owner's
+    /// CRT sampler), everything else is shared.
+    pub(crate) fn encrypt_chunked(
+        &self,
+        ms: &[Uint],
+        threads: usize,
+        rng: &mut dyn RngCore,
+        on_chunk: Option<&(dyn Fn(Duration) + Sync)>,
+        sample: &Sampler<'_>,
+    ) -> Result<Vec<Ciphertext>, CryptoError> {
+        run_chunked(ms.len(), threads, rng, on_chunk, &|range, stream| {
+            ms[range]
+                .iter()
+                .map(|m| self.encrypt_with_randomizer(m, &sample(stream)?))
+                .collect()
+        })
     }
 
     /// Draws `count` precomputed `r^N mod N²` randomizer factors across
@@ -486,58 +607,9 @@ impl PaillierPublicKey {
         threads: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Uint>, CryptoError> {
-        let wanted = threads
-            .max(1)
-            .min(count / MIN_ENCRYPTIONS_PER_THREAD.max(1))
-            .max(1);
-        let chunk = count.div_ceil(wanted).max(1);
-        let mut streams = split_rng_streams(rng, count.div_ceil(chunk));
-        let sample_chunk = |len: usize, stream: &mut StdRng| -> Result<Vec<Uint>, CryptoError> {
-            (0..len).map(|_| self.sample_randomizer(stream)).collect()
-        };
-        let mut lens = vec![chunk; count / chunk];
-        if !count.is_multiple_of(chunk) {
-            lens.push(count % chunk);
-        }
-        // Same oversubscription clamp as `encrypt_batch_parallel`: the
-        // chunk/seed layout above is already fixed, so capping spawned
-        // threads never changes the randomizer stream.
-        let workers = streams.len().min(crate::parallel::host_parallelism());
-        if workers <= 1 {
-            let mut out = Vec::with_capacity(count);
-            for (&len, stream) in lens.iter().zip(streams.iter_mut()) {
-                out.extend(sample_chunk(len, stream)?);
-            }
-            return Ok(out);
-        }
-        let sample_chunk = &sample_chunk;
-        let per_worker = lens.len().div_ceil(workers);
-        let group_results: Vec<Result<Vec<Vec<Uint>>, CryptoError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = lens
-                .chunks(per_worker)
-                .zip(streams.chunks_mut(per_worker))
-                .map(|(group, group_streams)| {
-                    s.spawn(move || {
-                        group
-                            .iter()
-                            .zip(group_streams.iter_mut())
-                            .map(|(&len, stream)| sample_chunk(len, stream))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("randomizer worker panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(count);
-        for group in group_results {
-            for chunk_rs in group? {
-                out.extend(chunk_rs);
-            }
-        }
-        Ok(out)
+        run_chunked(count, threads, rng, None, &|range, stream| {
+            range.map(|_| self.sample_randomizer(stream)).collect()
+        })
     }
 
     /// Homomorphic addition: `E(a) ⊞ E(b) = E(a + b mod N)`.
@@ -717,6 +789,31 @@ impl PaillierPublicKey {
         Ok(Ciphertext(raw.clone()))
     }
 
+    /// Validates a batch of received values, accepting and rejecting
+    /// exactly as [`PaillierPublicKey::validate`] on each would, with one
+    /// gcd for the whole batch: a prime factor of `N` divides the product
+    /// of the values modulo `N²` exactly when it divides one of them. Two
+    /// Montgomery products per value replace a gcd per value.
+    ///
+    /// # Errors
+    /// The error [`PaillierPublicKey::validate`] gives for the first
+    /// failing value: a failing batch is validated value by value.
+    pub fn validate_batch(&self, raws: Vec<Uint>) -> Result<Vec<Ciphertext>, CryptoError> {
+        let mont = &self.inner.mont;
+        if raws
+            .iter()
+            .all(|raw| !raw.is_zero() && raw < &self.inner.n_squared)
+        {
+            let product = raws
+                .iter()
+                .fold(mont.one(), |acc, raw| mont.mul(&acc, &mont.to_mont(raw)));
+            if mont.from_mont(&product).gcd(&self.inner.n).is_one() {
+                return Ok(raws.into_iter().map(Ciphertext).collect());
+            }
+        }
+        raws.iter().map(|raw| self.validate(raw)).collect()
+    }
+
     /// Interprets a decrypted value in `[0, N)` as signed, mapping the
     /// upper half of the message space to negative numbers. Needed when
     /// blinded values may wrap around `N`.
@@ -808,7 +905,32 @@ impl PaillierSecretKey {
 
     /// The prime factors `(p, q)` — used by the key-serialization module.
     pub(crate) fn primes(&self) -> (&Uint, &Uint) {
-        (&self.p, &self.q)
+        (self.factors[0].prime(), self.factors[1].prime())
+    }
+
+    /// Draws `r` exactly as [`Uint::random_coprime`] does for `N` and
+    /// returns `r^N mod N²` — bit-identical to
+    /// [`PaillierPublicKey::sample_randomizer`] from the same RNG state,
+    /// but built from the factors: one exponentiation modulo `p` and one
+    /// modulo `p²` per prime (a quarter and half of the `N²` width), then
+    /// the CRT over `(p², q²)`.
+    ///
+    /// For prime `p` and `q`, `gcd(r, N) = 1` exactly when neither
+    /// divides `r`, so the two remainders replace the gcd test and the
+    /// rejection loop consumes the same draws.
+    ///
+    /// # Errors
+    /// Propagates bignum errors (none for a valid key).
+    pub(crate) fn sample_randomizer(&self, rng: &mut dyn RngCore) -> Result<Uint, CryptoError> {
+        let [fp, fq] = &self.factors;
+        loop {
+            let r = Uint::random_range(rng, &Uint::one(), self.public.n())?;
+            let (rp, rq) = (r.rem_of(fp.prime())?, r.rem_of(fq.prime())?);
+            if !rp.is_zero() && !rq.is_zero() {
+                let (xp, xq) = (fp.randomizer(&rp), fq.randomizer(&rq));
+                return Ok(self.crt_squares.combine(&xp, &xq)?);
+            }
+        }
     }
 
     /// Decrypts via the CRT over `p²`/`q²` (the fast path).
@@ -816,13 +938,8 @@ impl PaillierSecretKey {
     /// # Errors
     /// [`CryptoError::InvalidCiphertext`] for values outside `Z*_{N²}`.
     pub fn decrypt(&self, c: &Ciphertext) -> Result<Uint, CryptoError> {
-        let p1 = &self.p - &Uint::one();
-        let q1 = &self.q - &Uint::one();
-        let cp = self.mont_p2.pow(&c.0, &p1)?;
-        let cq = self.mont_q2.pow(&c.0, &q1)?;
-        let mp = l_function(&cp, &self.p)?.mod_mul(&self.hp, &self.p)?;
-        let mq = l_function(&cq, &self.q)?.mod_mul(&self.hq, &self.q)?;
-        Ok(self.crt.combine(&mp, &mq)?)
+        let [fp, fq] = &self.factors;
+        Ok(self.crt.combine(&fp.decrypt(&c.0)?, &fq.decrypt(&c.0)?)?)
     }
 
     /// Reference decryption `m = L(c^λ mod N²)·μ mod N`; used in tests to
@@ -1219,6 +1336,29 @@ mod tests {
         assert!(
             oversubscribed <= sequential * 2,
             "oversubscribed parallel path took {oversubscribed:?} vs sequential {sequential:?}"
+        );
+    }
+
+    #[test]
+    fn crt_randomizer_does_a_third_of_the_public_work() {
+        // Host-independent work gate: Montgomery products weighted by
+        // limbs² (the kernel's cost per product). At 512 bits the public
+        // schedule is ≈ 641 products at 16 limbs; the CRT sampler is, per
+        // prime, ≈ 325 at 4 limbs plus ≈ 325 at 8 limbs — a ratio ≈ 0.32.
+        let kp = PaillierKeypair::generate(512, &mut StdRng::seed_from_u64(512)).unwrap();
+        let cost = |plan: &FixedExponentPlan, ctx: &Montgomery| {
+            plan.products() * ctx.modulus().limbs().len().pow(2)
+        };
+        let public = cost(&kp.public.inner.n_plan, &kp.public.inner.mont);
+        let crt: usize = kp
+            .secret
+            .factors
+            .iter()
+            .map(|f| cost(&f.cofactor, &f.mont_s) + cost(&f.lift, &f.mont_s2))
+            .sum();
+        assert!(
+            crt * 100 <= public * 35,
+            "CRT sampler work {crt} vs public {public} (limb²-weighted products)"
         );
     }
 

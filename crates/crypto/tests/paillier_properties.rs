@@ -3,14 +3,18 @@
 //!
 //! A single 128-bit keypair is generated once (key generation dominates
 //! runtime) and shared across all cases.
+//!
+//! The parity cases check the key owner's CRT sampler
+//! (`PaillierKeypair::encrypt`) against the public-key path it replaces:
+//! equal ciphertexts and equal RNG end states from equally seeded RNGs.
 
 use std::sync::OnceLock;
 
 use pps_bignum::Uint;
-use pps_crypto::PaillierKeypair;
+use pps_crypto::{CryptoError, PaillierKeypair};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn keypair() -> &'static PaillierKeypair {
     static KP: OnceLock<PaillierKeypair> = OnceLock::new();
@@ -18,6 +22,127 @@ fn keypair() -> &'static PaillierKeypair {
         let mut rng = StdRng::seed_from_u64(0xdecaf);
         PaillierKeypair::generate(128, &mut rng).unwrap()
     })
+}
+
+/// One key per shape the parity cases cover: 64 to 512 bits, odd and
+/// even widths, one- and multi-limb factors, the fixed 65 537 · 65 539
+/// key of the unit tests, and a toy 7 · 11 key whose draws hit a factor
+/// about one time in five, so the rejection loop runs.
+fn parity_keys() -> &'static [PaillierKeypair] {
+    static KEYS: OnceLock<Vec<PaillierKeypair>> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(0x0c27);
+        let mut keys: Vec<PaillierKeypair> = [64, 65, 127, 128, 256, 512]
+            .iter()
+            .map(|&bits| PaillierKeypair::generate(bits, &mut rng).unwrap())
+            .collect();
+        for (p, q) in [(65_537, 65_539), (7, 11)] {
+            keys.push(PaillierKeypair::from_primes(Uint::from_u64(p), Uint::from_u64(q)).unwrap());
+        }
+        keys
+    })
+}
+
+/// `m` reduced into the key's message space.
+fn plaintext(kp: &PaillierKeypair, m: u64) -> Uint {
+    Uint::from_u64(m).rem_of(kp.public.n()).unwrap()
+}
+
+#[test]
+fn keypair_encrypt_rejects_out_of_range_after_the_same_draws() {
+    for kp in parity_keys() {
+        let n = kp.public.n();
+        let (mut owner, mut public) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        assert!(matches!(
+            kp.encrypt(n, &mut owner),
+            Err(CryptoError::PlaintextOutOfRange)
+        ));
+        assert!(kp.public.encrypt(n, &mut public).is_err());
+        assert_eq!(
+            owner.next_u64(),
+            public.next_u64(),
+            "{} bits",
+            kp.public.key_bits()
+        );
+    }
+}
+
+#[test]
+fn keypair_parallel_batches_are_bit_identical() {
+    for kp in parity_keys() {
+        let ms: Vec<Uint> = (0..13u64)
+            .map(|i| plaintext(kp, i * 0x9e37_79b9 + 1))
+            .collect();
+        for threads in [1usize, 2, 4] {
+            let (mut owner, mut public) = (StdRng::seed_from_u64(17), StdRng::seed_from_u64(17));
+            let got = kp.encrypt_batch_parallel(&ms, threads, &mut owner).unwrap();
+            let want = kp
+                .public
+                .encrypt_batch_parallel(&ms, threads, &mut public)
+                .unwrap();
+            let bits = kp.public.key_bits();
+            assert_eq!(got, want, "{bits} bits, {threads} threads");
+            assert_eq!(
+                owner.next_u64(),
+                public.next_u64(),
+                "{bits} bits, {threads} threads"
+            );
+            for (ct, m) in got.iter().zip(&ms) {
+                assert_eq!(&kp.secret.decrypt(ct).unwrap(), m);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn keypair_encrypt_is_bit_identical(m in any::<u64>(), seed in any::<u64>()) {
+        for kp in parity_keys() {
+            let m = plaintext(kp, m);
+            let (mut owner, mut public) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let got = kp.encrypt(&m, &mut owner).unwrap();
+            let want = kp.public.encrypt(&m, &mut public).unwrap();
+            prop_assert_eq!((kp.public.key_bits(), &got), (kp.public.key_bits(), &want));
+            prop_assert_eq!(owner.next_u64(), public.next_u64());
+            prop_assert_eq!(kp.secret.decrypt(&got).unwrap(), m);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `validate_batch` accepts exactly the batches whose every value
+    /// `validate` accepts, and otherwise returns the error of the first
+    /// failing value. Random values below `N²` share a factor with the
+    /// toy 7 · 11 key's `N` about one time in five; one value of each
+    /// batch may be replaced by 0, `N²`, `N` or a ciphertext.
+    #[test]
+    fn validate_batch_agrees_with_validate(
+        seed in any::<u64>(),
+        len in 1usize..12,
+        slot in any::<usize>(),
+        kind in 0u8..5,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for kp in parity_keys() {
+            let pk = &kp.public;
+            let mut raws: Vec<Uint> = (0..len)
+                .map(|_| Uint::random_below(&mut rng, pk.n_squared()).unwrap())
+                .collect();
+            raws[slot % len] = match kind {
+                0 => Uint::zero(),
+                1 => pk.n_squared().clone(),
+                2 => pk.n().clone(),
+                3 => pk.encrypt(&plaintext(kp, seed), &mut rng).unwrap().raw().clone(),
+                _ => raws[slot % len].clone(),
+            };
+            let want: Result<Vec<_>, CryptoError> = raws.iter().map(|r| pk.validate(r)).collect();
+            prop_assert_eq!(pk.validate_batch(raws), want);
+        }
+    }
 }
 
 proptest! {

@@ -17,6 +17,10 @@ use crate::error::ProtocolError;
 use crate::messages::{Hello, IndexBatch, MsgType, Product};
 
 /// Where the client's encrypted index weights come from.
+///
+/// The fresh sources encrypt with the querier's keypair
+/// ([`PaillierKeypair::encrypt`]): the same ciphertexts as the public
+/// key's encryption, with `r^N` built from the secret factors.
 pub enum IndexSource<'a> {
     /// Encrypt each weight online with fresh randomness (§3.1; the cost
     /// the paper identifies as the bottleneck).
@@ -47,9 +51,8 @@ impl IndexSource<'_> {
         weight: u64,
     ) -> Result<Ciphertext, ProtocolError> {
         match self {
-            IndexSource::Fresh(rng) => Ok(keypair.public.encrypt(&Uint::from_u64(weight), *rng)?),
+            IndexSource::Fresh(rng) => Ok(keypair.encrypt(&Uint::from_u64(weight), *rng)?),
             IndexSource::FreshParallel { rng, threads } => Ok(keypair
-                .public
                 .encrypt_batch_parallel(&[Uint::from_u64(weight)], *threads, *rng)?
                 .pop()
                 .expect("one ciphertext per plaintext")),
@@ -75,7 +78,7 @@ impl IndexSource<'_> {
         match self {
             IndexSource::FreshParallel { rng, threads } => {
                 let ms: Vec<Uint> = weights.iter().map(|&w| Uint::from_u64(w)).collect();
-                Ok(keypair.public.encrypt_batch_parallel(&ms, *threads, *rng)?)
+                Ok(keypair.encrypt_batch_parallel(&ms, *threads, *rng)?)
             }
             _ => weights.iter().map(|&w| self.produce(keypair, w)).collect(),
         }

@@ -50,6 +50,11 @@ impl CostModel {
     /// Rescales to the paper's 2 GHz Pentium-III / C++ testbed by
     /// measuring this machine's Paillier encryption throughput against
     /// the paper's implied 12 ms/encryption.
+    ///
+    /// The measurement times [`PaillierPublicKey::encrypt`], the paper's
+    /// per-encryption algorithm (a full-width `r^N mod N²`). The querier
+    /// encrypts with its keypair's faster CRT sampler, so the rescaled
+    /// columns show that gain instead of absorbing it into the factor.
     pub fn paper_cpp(key: &PaillierPublicKey, rng: &mut dyn RngCore) -> Self {
         let measured = measure_encrypt_secs(key, rng);
         CostModel {

@@ -210,7 +210,8 @@ impl IndexBatch {
     }
 
     /// Decodes and *validates* each ciphertext (membership in `Z*_{N²}`,
-    /// i.e. `0 < c < N²` with `gcd(c, N) = 1`).
+    /// i.e. `0 < c < N²` with `gcd(c, N) = 1`), with one gcd for the whole
+    /// batch ([`PaillierPublicKey::validate_batch`]).
     ///
     /// # Errors
     /// * [`ProtocolError::Transport`] ([`TransportError::Malformed`]) on
@@ -238,12 +239,10 @@ impl IndexBatch {
         if p.remaining() != body {
             return Err(TransportError::Malformed("batch length mismatch").into());
         }
-        let mut ciphertexts = Vec::with_capacity(count);
-        for _ in 0..count {
-            let bytes = p.copy_to_bytes(w);
-            let ct = Ciphertext::from_bytes(&bytes, key)?;
-            ciphertexts.push(ct);
-        }
+        let raws = (0..count)
+            .map(|_| Uint::from_bytes_be(&p.copy_to_bytes(w)))
+            .collect();
+        let ciphertexts = key.validate_batch(raws)?;
         Ok(IndexBatch { seq, ciphertexts })
     }
 }

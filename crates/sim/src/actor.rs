@@ -12,6 +12,7 @@
 //! [`SessionFlow`]: pps_protocol::SessionFlow
 
 use bytes::Bytes;
+use pps_bignum::Uint;
 use pps_protocol::messages::{Hello, IndexBatch, ShardHello};
 use pps_protocol::SumClient;
 use rand::rngs::StdRng;
@@ -140,7 +141,7 @@ pub fn build_script(
     for (seq, chunk) in weights.chunks(scenario.batch_size).enumerate() {
         let cts = chunk
             .iter()
-            .map(|&w| public.encrypt_u64(w, rng))
+            .map(|&w| client.keypair().encrypt(&Uint::from_u64(w), rng))
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| SimError(format!("encrypt: {e}")))?;
         let frame = IndexBatch {
