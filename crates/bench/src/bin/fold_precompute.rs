@@ -20,6 +20,13 @@
 //! navigates. Every fold is oracle-checked: the result is decrypted and
 //! compared against the plaintext selected sum.
 //!
+//! Whole-vector folds pick 8- or 12-bit windows, but a server folds
+//! one `IndexBatch` at a time. The `serving` rows therefore stream a
+//! query of n = 2000 rows through a `ServerSession` in batches of 100
+//! rows (`pps query`'s default), 10 rows and 1 row (a short last
+//! batch), under the paper's `Incremental` loop and under the default
+//! strategy, and report the median of several replays of each.
+//!
 //! To keep the runtime dominated by the thing being measured (the
 //! fold), the index vector is encrypted with **one shared randomizer**
 //! `r^N` — valid ciphertexts, cheap to mint. This is a bench-only
@@ -39,11 +46,20 @@ use std::time::Instant;
 use pps_bignum::{MultiExpPlan, Uint};
 use pps_crypto::{Ciphertext, PaillierKeypair};
 use pps_obs::JsonValue;
+use pps_protocol::messages::{Hello, IndexBatch, Product};
+use pps_protocol::{Database, FoldStrategy, ServerSession};
+use pps_transport::Frame;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The server-side sweep: n = 10,000 and 100,000 database rows.
 const DEFAULT_NS: &[usize] = &[10_000, 100_000];
+
+/// The serving rows: rows per query, rows per `IndexBatch` (`pps
+/// query`'s default first), and replays per strategy.
+const SERVING_N: usize = 2000;
+const SERVING_BATCHES: &[usize] = &[100, 10, 3, 2, 1];
+const SERVING_REPLAYS: usize = 9;
 
 /// Effective window widths swept for the precomputed plan.
 const WINDOW_SWEEP: &[usize] = &[4, 8, 12];
@@ -65,6 +81,26 @@ struct Row {
     plan_build_secs: f64,
     plan_table_bytes: usize,
     window_sweep: Vec<WindowPoint>,
+}
+
+/// One strategy's replays of the streamed query: medians of the fold
+/// time (`ServerStats::compute`) and of the session's wall time, which
+/// adds batch decoding and validation.
+struct ServingPoint {
+    strategy: FoldStrategy,
+    fold_secs: f64,
+    session_secs: f64,
+}
+
+struct Serving {
+    batch: usize,
+    window_bits: usize,
+    points: Vec<ServingPoint>,
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -226,9 +262,110 @@ fn main() {
         rows.push(row);
     }
 
-    let json = render_json(key_bits, &rows);
+    let serving: Vec<Serving> = SERVING_BATCHES
+        .iter()
+        .map(|&batch| serving_row(&kp, &rn, batch))
+        .collect();
+    for s in &serving {
+        for p in &s.points {
+            println!(
+                "serving n = {SERVING_N} in {}-row batches, {:?}: fold {:.4}s, session {:.4}s",
+                s.batch, p.strategy, p.fold_secs, p.session_secs
+            );
+        }
+    }
+
+    let json = render_json(key_bits, &rows, &serving);
     std::fs::write(&out_path, &json).expect("write results");
     println!("\nwrote {out_path}");
+}
+
+/// Streams one n = [`SERVING_N`] query in `batch`-row batches through a
+/// `ServerSession` under `Incremental` and under the default strategy,
+/// alternating the two, and oracle-checks every product.
+fn serving_row(kp: &PaillierKeypair, rn: &Uint, batch: usize) -> Serving {
+    let key = &kp.public;
+    let values = database_values(SERVING_N);
+    let db = Database::new(values.clone()).expect("database");
+    let oracle: u128 = values.iter().step_by(2).map(|&x| u128::from(x)).sum();
+    let hello = Hello {
+        modulus: key.n().clone(),
+        total: SERVING_N as u64,
+        batch_size: batch as u32,
+        trace: None,
+    }
+    .encode()
+    .expect("hello");
+    let batches: Vec<Frame> = (0..SERVING_N)
+        .step_by(batch)
+        .enumerate()
+        .map(|(seq, first)| {
+            IndexBatch {
+                seq: seq as u64,
+                ciphertexts: (first..(first + batch).min(SERVING_N))
+                    .map(|i| {
+                        key.encrypt_with_randomizer(&Uint::from_u64(u64::from(i % 2 == 0)), rn)
+                            .expect("encrypt")
+                    })
+                    .collect(),
+            }
+            .encode(key)
+            .expect("batch")
+        })
+        .collect();
+    let strategies = [FoldStrategy::Incremental, FoldStrategy::default()];
+    let mut samples = vec![(Vec::new(), Vec::new()); strategies.len()];
+    for _ in 0..SERVING_REPLAYS {
+        for (strategy, (folds, sessions)) in strategies.iter().zip(&mut samples) {
+            let mut session = ServerSession::with_fold(&db, *strategy);
+            let start = Instant::now();
+            session.on_frame(&hello).expect("hello accepted");
+            let mut reply = None;
+            for frame in &batches {
+                reply = session.on_frame(frame).expect("batch accepted");
+            }
+            sessions.push(start.elapsed().as_secs_f64());
+            folds.push(session.stats().compute.as_secs_f64());
+            let product = Product::decode(&reply.expect("product"), key).expect("product");
+            let sum = kp.secret.decrypt(&product.ciphertext).expect("decrypt");
+            assert_eq!(
+                sum.to_u128(),
+                Some(oracle),
+                "{strategy:?} serving fold disagrees with the oracle"
+            );
+        }
+    }
+    Serving {
+        batch,
+        window_bits: MultiExpPlan::build(&values).window_bits_for(batch),
+        points: strategies
+            .iter()
+            .zip(samples)
+            .map(|(&strategy, (folds, sessions))| ServingPoint {
+                strategy,
+                fold_secs: median(folds),
+                session_secs: median(sessions),
+            })
+            .collect(),
+    }
+}
+
+fn serving_json(s: &Serving) -> JsonValue {
+    JsonValue::object()
+        .field("n", SERVING_N)
+        .field("batch", s.batch)
+        .field("replays", SERVING_REPLAYS)
+        .field("chosen_window_bits", s.window_bits)
+        .field(
+            "strategies",
+            JsonValue::array(s.points.iter().map(|p| {
+                JsonValue::object()
+                    .field("strategy", format!("{:?}", p.strategy))
+                    .field("fold_secs", p.fold_secs)
+                    .field("fold_ns_per_row", p.fold_secs * 1e9 / SERVING_N as f64)
+                    .field("session_secs", p.session_secs)
+            })),
+        )
 }
 
 fn row_json(r: &Row) -> JsonValue {
@@ -260,7 +397,7 @@ fn row_json(r: &Row) -> JsonValue {
 
 /// The results file, serialized through the workspace's one JSON writer
 /// (`pps_obs::JsonValue` — the workspace deliberately carries no serde).
-fn render_json(key_bits: usize, rows: &[Row]) -> String {
+fn render_json(key_bits: usize, rows: &[Row], serving: &[Serving]) -> String {
     pps_bench::report::envelope(
         "fold_precompute",
         JsonValue::object().field("key_bits", key_bits).field(
@@ -270,5 +407,9 @@ fn render_json(key_bits: usize, rows: &[Row]) -> String {
         ),
     )
     .field("rows", JsonValue::array(rows.iter().map(row_json)))
+    .field(
+        "serving",
+        JsonValue::array(serving.iter().map(serving_json)),
+    )
     .render_pretty()
 }

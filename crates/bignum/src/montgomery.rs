@@ -117,8 +117,38 @@ impl Montgomery {
     /// Converts an ordinary value (reduced mod `n` first) into Montgomery
     /// form.
     pub fn to_mont(&self, v: &Uint) -> MontElem {
-        let reduced = v.rem_of(&self.n).expect("modulus != 0");
-        MontElem(self.product(&reduced, &self.r2_mod_n))
+        MontElem(self.product(&self.reduced(v), &self.r2_mod_n))
+    }
+
+    /// Writes the Montgomery form of `v` (reduced mod `n` first, as
+    /// [`Montgomery::to_mont`] does) into the `k`-limb `out` with one
+    /// kernel product by `R²`; `scratch` is the kernel's `k + 1` limbs.
+    pub(crate) fn to_mont_into(&self, v: &Uint, out: &mut [u64], scratch: &mut [u64]) {
+        let k = self.limbs;
+        let v = self.reduced(v);
+        let limbs = v.limbs();
+        out[..limbs.len()].copy_from_slice(limbs);
+        out[limbs.len()..].fill(0);
+        self.mont_mul(out, &widen(&self.r2_mod_n, k), scratch);
+        out.copy_from_slice(&scratch[..k]);
+    }
+
+    /// `a·b·R⁻¹ mod n` for ordinary values, each reduced mod `n` first:
+    /// one Montgomery product with no conversion in or out. A chain of
+    /// these starting from 1 over `m` values yields their product times
+    /// `R^{-m}`; as `n` is odd, `R` is a unit mod `n`, so the result
+    /// shares exactly the plain product's common factors with `n`.
+    pub fn mul_reduce(&self, a: &Uint, b: &Uint) -> Uint {
+        self.product(&self.reduced(a), &self.reduced(b))
+    }
+
+    /// `v` itself when already below `n`, else `v mod n`.
+    fn reduced<'a>(&self, v: &'a Uint) -> Cow<'a, Uint> {
+        if v < &self.n {
+            Cow::Borrowed(v)
+        } else {
+            Cow::Owned(v.rem_of(&self.n).expect("modulus != 0"))
+        }
     }
 
     /// Converts back from Montgomery form to an ordinary value in `[0, n)`.

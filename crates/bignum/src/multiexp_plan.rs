@@ -48,7 +48,7 @@ const MAX_WINDOW_BITS: usize = 16;
 /// computed once and reused by every fold over that database.
 ///
 /// Build with [`MultiExpPlan::build`]; evaluate a batch with
-/// [`MultiExpPlan::fold_range`] / [`MultiExpPlan::fold_range_mont`].
+/// [`MultiExpPlan::fold_range`].
 ///
 /// # Examples
 ///
@@ -142,48 +142,48 @@ impl MultiExpPlan {
     /// Folds `Π basesᵢ^{x_{start+i}} mod n` for ordinary bases, using
     /// the cost-model window width. The result is an ordinary value.
     ///
+    /// Each base is converted straight into the fold's limb stripe with
+    /// one Montgomery product (a base `≥ n` is reduced first), so the
+    /// caller can hand over borrowed values — the server passes its
+    /// batch's ciphertexts without copying them.
+    ///
     /// # Errors
     /// [`BignumError::ValueTooLarge`] when `start + bases.len()`
     /// exceeds the plan's row count.
-    pub fn fold_range(
+    pub fn fold_range<'a, I>(
         &self,
         ctx: &Montgomery,
-        bases: &[Uint],
+        bases: I,
         start: usize,
-    ) -> Result<Uint, BignumError> {
-        let mont: Vec<MontElem> = bases.iter().map(|b| ctx.to_mont(b)).collect();
-        let m = self.fold_range_mont(ctx, &mont, start)?;
-        Ok(ctx.from_mont(&m))
+    ) -> Result<Uint, BignumError>
+    where
+        I: IntoIterator<Item = &'a Uint>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let bases = bases.into_iter();
+        let window_bits = self.window_bits_for(bases.len());
+        self.fold_range_with_window(ctx, bases, start, window_bits)
     }
 
-    /// As [`MultiExpPlan::fold_range`] with bases already in Montgomery
-    /// form; the result stays in Montgomery form (the server hot path).
-    ///
-    /// # Errors
-    /// [`BignumError::ValueTooLarge`] when the range falls outside the
-    /// plan.
-    pub fn fold_range_mont(
-        &self,
-        ctx: &Montgomery,
-        bases: &[MontElem],
-        start: usize,
-    ) -> Result<MontElem, BignumError> {
-        self.fold_range_mont_with_window(ctx, bases, start, self.window_bits_for(bases.len()))
-    }
-
-    /// As [`MultiExpPlan::fold_range_mont`] but with a caller-forced
+    /// As [`MultiExpPlan::fold_range`] but with a caller-forced
     /// effective window width (the bench's window-width sweep).
     ///
     /// # Errors
     /// [`BignumError::ValueTooLarge`] on a bad range or a width that is
     /// not a positive multiple of 4 up to 16.
-    pub fn fold_range_mont_with_window(
+    pub fn fold_range_with_window<'a, I>(
         &self,
         ctx: &Montgomery,
-        bases: &[MontElem],
+        bases: I,
         start: usize,
         window_bits: usize,
-    ) -> Result<MontElem, BignumError> {
+    ) -> Result<Uint, BignumError>
+    where
+        I: IntoIterator<Item = &'a Uint>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let bases = bases.into_iter();
+        let len = bases.len();
         if window_bits == 0
             || !window_bits.is_multiple_of(BASE_WINDOW_BITS)
             || window_bits > MAX_WINDOW_BITS
@@ -193,37 +193,74 @@ impl MultiExpPlan {
                 capacity_bits: MAX_WINDOW_BITS,
             });
         }
-        if start
-            .checked_add(bases.len())
-            .filter(|&e| e <= self.rows)
-            .is_none()
-        {
+        if start.checked_add(len).filter(|&e| e <= self.rows).is_none() {
             return Err(BignumError::ValueTooLarge {
-                bits: start.saturating_add(bases.len()),
+                bits: start.saturating_add(len),
                 capacity_bits: self.rows,
             });
         }
+        let k = ctx.width();
+        let mut stripe = vec![0u64; len * k];
+        let mut scratch = vec![0u64; k + 1];
+        for (slot, base) in stripe.chunks_exact_mut(k).zip(bases) {
+            ctx.to_mont_into(base, slot, &mut scratch);
+        }
+        Ok(ctx.from_mont(&self.fold_stripe(ctx, &stripe, start, window_bits)))
+    }
+
+    /// The bucket fold over `stripe`, a flat run of `k`-limb bases in
+    /// Montgomery form for rows `start..`, with a checked width and range.
+    ///
+    /// Every product is one [`Montgomery::mont_mul`] on buffers allocated
+    /// once per call: the `2^w − 1` buckets share one arena of `k`-limb
+    /// slots with an occupancy flag each, and the accumulator, the running
+    /// suffix product, the bucket sum and the kernel's scratch are
+    /// `k + 1`-limb buffers that swap by reference, so a product lands in
+    /// the scratch and becomes the operand it replaced.
+    fn fold_stripe(
+        &self,
+        ctx: &Montgomery,
+        stripe: &[u64],
+        start: usize,
+        window_bits: usize,
+    ) -> MontElem {
+        let k = ctx.width();
+        let stride = k + 1;
         // How many stored 4-bit digits merge into one effective window.
         let merge = window_bits / BASE_WINDOW_BITS;
         let eff_windows = self.windows.div_ceil(merge);
-        let mut acc: Option<MontElem> = None;
-        let mut buckets: Vec<Option<MontElem>> = vec![None; 1usize << window_bits];
+        let top = (1usize << window_bits) - 1;
+        // buckets[(d - 1) * k..][..k] holds the product of the bases whose
+        // current digit is d, once filled[d - 1] is set.
+        let mut buckets = vec![0u64; top * k];
+        let mut filled = vec![false; top];
+        let mut work = vec![0u64; 4 * stride];
+        let (mut acc, rest) = work.split_at_mut(stride);
+        let (mut running, rest) = rest.split_at_mut(stride);
+        let (mut sum, mut scratch) = rest.split_at_mut(stride);
+        let mut acc_set = false;
         for ew in (0..eff_windows).rev() {
-            if acc.is_some() {
+            if acc_set {
                 for _ in 0..window_bits {
-                    acc = acc.map(|a| ctx.square(&a));
+                    ctx.mont_mul(&acc[..k], &acc[..k], scratch);
+                    std::mem::swap(&mut acc, &mut scratch);
                 }
             }
             // Scatter: one multiplication per base with a nonzero digit.
             let mut any = false;
-            for (i, base) in bases.iter().enumerate() {
+            for (i, base) in stripe.chunks_exact(k).enumerate() {
                 let d = self.effective_digit(start + i, ew, merge);
-                if d != 0 {
-                    any = true;
-                    buckets[d] = Some(match buckets[d].take() {
-                        Some(v) => ctx.mul(&v, base),
-                        None => base.clone(),
-                    });
+                if d == 0 {
+                    continue;
+                }
+                any = true;
+                let bucket = &mut buckets[(d - 1) * k..][..k];
+                if filled[d - 1] {
+                    ctx.mont_mul(bucket, base, scratch);
+                    bucket.copy_from_slice(&scratch[..k]);
+                } else {
+                    bucket.copy_from_slice(base);
+                    filled[d - 1] = true;
                 }
             }
             if !any {
@@ -231,30 +268,25 @@ impl MultiExpPlan {
             }
             // Shared bucket reduction: Π_d bucket[d]^d via the running
             // suffix product (Pippenger), ≈ 2·2^w muls for the whole
-            // batch. `take()` drains the buckets for the next window.
-            let mut running: Option<MontElem> = None;
-            let mut sum: Option<MontElem> = None;
-            for d in (1..buckets.len()).rev() {
-                if let Some(b) = buckets[d].take() {
-                    running = Some(match running.take() {
-                        Some(r) => ctx.mul(&r, &b),
-                        None => b,
-                    });
+            // batch. Clearing the flags drains the buckets for the next
+            // window.
+            let (mut running_set, mut sum_set) = (false, false);
+            for d in (1..=top).rev() {
+                if std::mem::take(&mut filled[d - 1]) {
+                    let bucket = &buckets[(d - 1) * k..][..k];
+                    accumulate(ctx, &mut running, &mut running_set, bucket, &mut scratch);
                 }
-                if let Some(r) = &running {
-                    sum = Some(match sum.take() {
-                        Some(s) => ctx.mul(&s, r),
-                        None => r.clone(),
-                    });
+                if running_set {
+                    accumulate(ctx, &mut sum, &mut sum_set, &running[..k], &mut scratch);
                 }
             }
-            acc = match (acc, sum) {
-                (Some(a), Some(s)) => Some(ctx.mul(&a, &s)),
-                (None, s) => s,
-                (a, None) => a,
-            };
+            accumulate(ctx, &mut acc, &mut acc_set, &sum[..k], &mut scratch);
         }
-        Ok(acc.unwrap_or_else(|| ctx.one()))
+        if acc_set {
+            MontElem::from_limbs(acc[..k].to_vec())
+        } else {
+            ctx.one()
+        }
     }
 
     /// Merges `merge` adjacent stored 4-bit digits of `row` into the
@@ -268,6 +300,26 @@ impl MultiExpPlan {
             d |= (self.digits[w * self.rows + row] as usize) << (BASE_WINDOW_BITS * shift);
         }
         d
+    }
+}
+
+/// `dst ← dst · src` in Montgomery form, or `dst ← src` while `set` is
+/// false (`dst` still stands for the identity, which is never multiplied
+/// in). The product lands in `scratch`, which then swaps with `dst`.
+fn accumulate<'b>(
+    ctx: &Montgomery,
+    dst: &mut &'b mut [u64],
+    set: &mut bool,
+    src: &[u64],
+    scratch: &mut &'b mut [u64],
+) {
+    let k = src.len();
+    if *set {
+        ctx.mont_mul(&dst[..k], src, scratch);
+        std::mem::swap(dst, scratch);
+    } else {
+        dst[..k].copy_from_slice(src);
+        *set = true;
     }
 }
 
@@ -448,15 +500,15 @@ mod tests {
         let c = ctx(192, 5);
         let mut rng = StdRng::seed_from_u64(6);
         let exps: Vec<u64> = (0..40).map(|_| rng.gen::<u32>() as u64).collect();
-        let bases: Vec<MontElem> = (0..40)
-            .map(|_| c.to_mont(&Uint::random_below(&mut rng, c.modulus()).unwrap()))
+        let bases: Vec<Uint> = (0..40)
+            .map(|_| Uint::random_below(&mut rng, c.modulus()).unwrap())
             .collect();
         let plan = MultiExpPlan::build(&exps);
         let exps_u: Vec<Uint> = exps.iter().map(|&x| Uint::from_u64(x)).collect();
-        let want = c.multi_pow_mont(&bases, &exps_u);
+        let want = c.multi_pow(&bases, &exps_u);
         for w in [4usize, 8, 12, 16] {
             assert_eq!(
-                plan.fold_range_mont_with_window(&c, &bases, 0, w).unwrap(),
+                plan.fold_range_with_window(&c, &bases, 0, w).unwrap(),
                 want,
                 "window={w}"
             );
@@ -500,10 +552,10 @@ mod tests {
     fn bad_window_width_rejected() {
         let c = ctx(128, 10);
         let plan = MultiExpPlan::build(&[1, 2, 3]);
-        let bases = [c.to_mont(&Uint::from_u64(5))];
+        let bases = [Uint::from_u64(5)];
         for w in [0usize, 3, 5, 20] {
             assert!(
-                plan.fold_range_mont_with_window(&c, &bases, 0, w).is_err(),
+                plan.fold_range_with_window(&c, &bases, 0, w).is_err(),
                 "window={w}"
             );
         }

@@ -2,7 +2,7 @@
 //! oracle, division reconstruction, modular-arithmetic laws, and codec
 //! round trips over arbitrary-size operands.
 
-use pps_bignum::{crt_combine, FixedExponentPlan, Montgomery, Uint};
+use pps_bignum::{crt_combine, FixedExponentPlan, Montgomery, MultiExpPlan, Uint};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary Uint of up to `max_limbs` limbs.
@@ -34,6 +34,31 @@ fn kernel_agrees(m: &Uint, a: &Uint, b: &Uint, exp: &Uint) -> Result<(), TestCas
     prop_assert_eq!(ctx.pow(a, exp).unwrap(), want.clone());
     prop_assert_eq!(FixedExponentPlan::new(exp).pow(&ctx, a), want);
     Ok(())
+}
+
+/// Checks `MultiExpPlan::fold_range` (at the cost model's width) and
+/// `MultiExpPlan::fold_range_with_window` at every width against
+/// `Montgomery::multi_pow`, for one modulus and `(base, exponent)` rows.
+fn fold_agrees(m: &Uint, rows: &[(Uint, u64)]) -> Result<(), TestCaseError> {
+    let ctx = Montgomery::new(m.clone()).unwrap();
+    let (bases, exps): (Vec<Uint>, Vec<u64>) = rows.iter().cloned().unzip();
+    let plan = MultiExpPlan::build(&exps);
+    let want = ctx.multi_pow(
+        &bases,
+        &exps.iter().map(|&x| Uint::from_u64(x)).collect::<Vec<_>>(),
+    );
+    prop_assert_eq!(plan.fold_range(&ctx, &bases, 0).unwrap(), want.clone());
+    for width in [4, 8, 12, 16] {
+        let got = plan.fold_range_with_window(&ctx, &bases, 0, width).unwrap();
+        prop_assert_eq!((width, got), (width, want.clone()));
+    }
+    Ok(())
+}
+
+/// Strategy: 1..`max` rows of a base of up to `limbs` limbs and a 32-bit
+/// exponent.
+fn batch(limbs: usize, max: usize) -> impl Strategy<Value = Vec<(Uint, u64)>> {
+    prop::collection::vec((uint(limbs), any::<u32>().prop_map(u64::from)), 1..max)
 }
 
 proptest! {
@@ -277,5 +302,69 @@ proptest! {
             &[p, q],
         ).unwrap();
         prop_assert_eq!(got, x);
+    }
+}
+
+proptest! {
+    // A 16-bit window reduces up to 2^16 buckets per window, so these
+    // run fewer cases than the kernel properties above.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // --- the plan's bucket fold agrees with Straus ---
+
+    #[test]
+    fn fold_top_limb_max_modulus(m in top_limb_max_modulus(4), rows in batch(4, 8)) {
+        fold_agrees(&m, &rows)?;
+    }
+
+    #[test]
+    fn fold_one_limb_modulus(m in 3u64.., rows in batch(1, 8)) {
+        fold_agrees(&Uint::from_u64(m | 1), &rows)?;
+    }
+
+    #[test]
+    fn fold_bases_shorter_than_modulus(m in uint(5), rows in batch(2, 8)) {
+        prop_assume!(m.is_odd() && m.limbs().len() >= 3);
+        fold_agrees(&m, &rows)?;
+    }
+
+    #[test]
+    fn fold_bases_at_least_modulus(m in uint(3), rows in batch(3, 8)) {
+        prop_assume!(m.is_odd() && m.bit_len() >= 2);
+        let rows: Vec<_> = rows.into_iter().map(|(extra, x)| (&m + &extra, x)).collect();
+        fold_agrees(&m, &rows)?;
+    }
+
+    #[test]
+    fn fold_one_base(m in top_limb_max_modulus(3), base in uint(3), x in any::<u32>()) {
+        fold_agrees(&m, &[(base, u64::from(x))])?;
+    }
+
+    #[test]
+    fn fold_rows_sharing_digits(
+        m in uint(3),
+        pool in prop::collection::vec(any::<u32>(), 1..3),
+        picks in prop::collection::vec((uint(3), any::<usize>()), 2..10),
+    ) {
+        prop_assume!(m.is_odd() && m.bit_len() >= 2);
+        // Every exponent comes from a pool of one or two, so rows share
+        // their digit in every window and buckets multiply.
+        let rows: Vec<_> = picks
+            .into_iter()
+            .map(|(base, i)| (base, u64::from(pool[i % pool.len()])))
+            .collect();
+        fold_agrees(&m, &rows)?;
+    }
+
+    #[test]
+    fn fold_all_zero_window(m in uint(3), rows in batch(3, 8)) {
+        prop_assume!(m.is_odd() && m.bit_len() >= 2);
+        // Bits 16..24 are clear in every exponent: two empty 4-bit
+        // windows and one empty 8-bit window between nonzero ones.
+        let rows: Vec<_> = rows
+            .into_iter()
+            .map(|(base, x)| (base, x & !0x00ff_0000 | 0x0100_0001))
+            .collect();
+        fold_agrees(&m, &rows)?;
     }
 }

@@ -255,13 +255,13 @@ pps — private selected-sum queries over TCP
 
 USAGE:
   pps serve  --data FILE | --random N   [--listen ADDR] [--max-sessions K]
-             [--fold incremental|multiexp|parallel|precomputed]
+             [--fold precomputed|incremental|multiexp|parallel]
              [--max-concurrent K] [--admission queue|refuse] [--session-timeout SECS] [--shutdown-after SECS]
              [--engine threaded|event] [--workers W]
              [--metrics-addr HOST:PORT] [--resume-ttl SECS] [--resume-capacity K]
              [--slow-query-ms MS]
   pps shard-serve  (same flags as serve; serves one horizontal partition
-             as a shard worker; --fold defaults to precomputed)
+             as a shard worker)
   pps query  --addr ADDR | --shards A1,A2,... --select i,j,k [--key-bits B | --key FILE] [--batch SIZE]
              [--client-threads T|auto] [--retries N] [--trace json|pretty]
              [--shard-obs O1,O2,...]
@@ -278,8 +278,9 @@ Serve hardening: --max-concurrent caps simultaneously active sessions
 (excess connections queue, or are refused with --admission refuse);
 --session-timeout bounds each session's wall clock (0 disables every
 deadline); --shutdown-after drains and exits gracefully after N seconds.
---fold precomputed digit-decomposes every database row once (~8 bytes
-per row) into a plan shared by all sessions, shard legs, and resumes.
+--fold precomputed (the default) digit-decomposes every database row
+once (~8 bytes per row) into a plan shared by all sessions, shard legs,
+and resumes; incremental is the paper's per-row loop.
 --engine event multiplexes every connection over one reactor thread
 plus --workers W protocol-step workers (default: host parallelism,
 capped at 8) instead of one thread per connection; the wire format is
@@ -373,11 +374,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 )));
             }
             let fold = match get("fold").as_deref() {
-                // A shard worker serves one fixed partition for its
-                // whole lifetime, so the per-database plan always
-                // amortizes: precomputed is its default.
-                None if sub == "shard-serve" => FoldStrategy::Precomputed,
-                None | Some("incremental") => FoldStrategy::Incremental,
+                None => FoldStrategy::default(),
+                Some("incremental") => FoldStrategy::Incremental,
                 Some("multiexp") => FoldStrategy::MultiExp,
                 Some("parallel") => FoldStrategy::ParallelMultiExp,
                 Some("precomputed") => FoldStrategy::Precomputed,
@@ -1477,8 +1475,16 @@ mod tests {
         }
         match parse_args(&args("serve --random 8")).unwrap() {
             Command::Serve { fold, .. } => {
-                assert_eq!(fold, FoldStrategy::Incremental, "serve default unchanged")
+                assert_eq!(
+                    fold,
+                    FoldStrategy::Precomputed,
+                    "serve defaults to the plan"
+                )
             }
+            other => panic!("{other:?}"),
+        }
+        match parse_args(&args("serve --random 8 --fold incremental")).unwrap() {
+            Command::Serve { fold, .. } => assert_eq!(fold, FoldStrategy::Incremental),
             other => panic!("{other:?}"),
         }
         assert!(parse_args(&args("serve")).is_err(), "needs a data source");

@@ -710,10 +710,9 @@ impl PaillierPublicKey {
         plan: &MultiExpPlan,
         start: usize,
     ) -> Result<Ciphertext, CryptoError> {
-        let bases: Vec<Uint> = cts.iter().map(|c| c.0.clone()).collect();
         Ok(Ciphertext(plan.fold_range(
             &self.inner.mont,
-            &bases,
+            cts.iter().map(Ciphertext::raw),
             start,
         )?))
     }
@@ -732,10 +731,12 @@ impl PaillierPublicKey {
         start: usize,
         window_bits: usize,
     ) -> Result<Ciphertext, CryptoError> {
-        let ctx = &self.inner.mont;
-        let bases: Vec<_> = cts.iter().map(|c| ctx.to_mont(&c.0)).collect();
-        let folded = plan.fold_range_mont_with_window(ctx, &bases, start, window_bits)?;
-        Ok(Ciphertext(ctx.from_mont(&folded)))
+        Ok(Ciphertext(plan.fold_range_with_window(
+            &self.inner.mont,
+            cts.iter().map(Ciphertext::raw),
+            start,
+            window_bits,
+        )?))
     }
 
     /// Homomorphic negation: `E(a) ↦ E(N - a) = E(-a mod N)`.
@@ -792,8 +793,10 @@ impl PaillierPublicKey {
     /// Validates a batch of received values, accepting and rejecting
     /// exactly as [`PaillierPublicKey::validate`] on each would, with one
     /// gcd for the whole batch: a prime factor of `N` divides the product
-    /// of the values modulo `N²` exactly when it divides one of them. Two
-    /// Montgomery products per value replace a gcd per value.
+    /// of the values modulo `N²` exactly when it divides one of them. One
+    /// Montgomery product per value ([`Montgomery::mul_reduce`]) replaces
+    /// a gcd per value; the chain's result is that product up to a power
+    /// of `R = 2^(64k)`, a unit mod `N`, so its gcd with `N` is the same.
     ///
     /// # Errors
     /// The error [`PaillierPublicKey::validate`] gives for the first
@@ -806,8 +809,8 @@ impl PaillierPublicKey {
         {
             let product = raws
                 .iter()
-                .fold(mont.one(), |acc, raw| mont.mul(&acc, &mont.to_mont(raw)));
-            if mont.from_mont(&product).gcd(&self.inner.n).is_one() {
+                .fold(Uint::one(), |acc, raw| mont.mul_reduce(&acc, raw));
+            if product.gcd(&self.inner.n).is_one() {
                 return Ok(raws.into_iter().map(Ciphertext).collect());
             }
         }

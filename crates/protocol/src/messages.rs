@@ -239,9 +239,7 @@ impl IndexBatch {
         if p.remaining() != body {
             return Err(TransportError::Malformed("batch length mismatch").into());
         }
-        let raws = (0..count)
-            .map(|_| Uint::from_bytes_be(&p.copy_to_bytes(w)))
-            .collect();
+        let raws = p.chunk().chunks_exact(w).map(Uint::from_bytes_be).collect();
         let ciphertexts = key.validate_batch(raws)?;
         Ok(IndexBatch { seq, ciphertexts })
     }

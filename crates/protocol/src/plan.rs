@@ -22,6 +22,7 @@ use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
 use pps_bignum::MultiExpPlan;
+use pps_obs::Gauge;
 
 use crate::data::Database;
 use crate::obs::FoldPlanObs;
@@ -36,6 +37,19 @@ struct Entry {
     /// the *same* allocation as the database being looked up.
     db: Weak<Database>,
     plan: Arc<MultiExpPlan>,
+    /// The `pps_fold_plan_bytes` gauge of the registry that built the
+    /// plan: it counts the table's bytes until the entry leaves the
+    /// cache, whichever server's lookup sweeps or evicts it.
+    bytes: Option<Arc<Gauge>>,
+}
+
+impl Entry {
+    /// Returns the table's bytes to the gauge that counted them.
+    fn release(&self) {
+        if let Some(gauge) = &self.bytes {
+            gauge.add(-(self.plan.table_bytes() as i64));
+        }
+    }
 }
 
 /// A bounded LRU cache mapping live `Arc<Database>` handles to their
@@ -75,19 +89,20 @@ impl FoldPlanCache {
     ///
     /// When `obs` is provided, a build increments
     /// `pps_fold_plan_builds_total`, records its duration in
-    /// `pps_fold_plan_build_seconds`, and adjusts the
-    /// `pps_fold_plan_bytes` gauge (including evictions); a cache hit
-    /// increments `pps_fold_plan_hits_total`.
+    /// `pps_fold_plan_build_seconds`, and adds the table's bytes to
+    /// `pps_fold_plan_bytes`; a cache hit increments
+    /// `pps_fold_plan_hits_total`. The bytes stay on the building
+    /// registry's gauge until the entry is swept or evicted, whichever
+    /// caller's lookup does it.
     pub fn get_or_build(&self, db: &Arc<Database>, obs: Option<&FoldPlanObs>) -> Arc<MultiExpPlan> {
         let key = Arc::as_ptr(db) as usize;
         let mut entries = self.entries.lock().expect("plan cache poisoned");
 
         // Drop entries whose database died; their address may be reused.
-        let mut freed: i64 = 0;
         entries.retain(|e| {
             let live = e.db.upgrade().is_some();
             if !live {
-                freed += e.plan.table_bytes() as i64;
+                e.release();
             }
             live
         });
@@ -101,7 +116,6 @@ impl FoldPlanCache {
             entries.push(entry); // move to most-recently-used
             if let Some(obs) = obs {
                 obs.hits.inc();
-                obs.bytes.add(-freed);
             }
             return plan;
         }
@@ -109,21 +123,20 @@ impl FoldPlanCache {
         let start = Instant::now();
         let plan = Arc::new(MultiExpPlan::build(db.values()));
         let built = start.elapsed();
-        let mut delta = plan.table_bytes() as i64 - freed;
         if entries.len() >= self.capacity {
-            let evicted = entries.remove(0);
-            delta -= evicted.plan.table_bytes() as i64;
+            entries.remove(0).release();
+        }
+        if let Some(obs) = obs {
+            obs.builds.inc();
+            obs.build_seconds.record_duration(built);
+            obs.bytes.add(plan.table_bytes() as i64);
         }
         entries.push(Entry {
             key,
             db: Arc::downgrade(db),
             plan: Arc::clone(&plan),
+            bytes: obs.map(|o| Arc::clone(&o.bytes)),
         });
-        if let Some(obs) = obs {
-            obs.builds.inc();
-            obs.build_seconds.record_duration(built);
-            obs.bytes.add(delta);
-        }
         plan
     }
 
@@ -208,6 +221,22 @@ mod tests {
         // d2 was evicted: looking it up again rebuilds.
         cache.get_or_build(&d2, Some(&obs));
         assert_eq!(obs.builds.get(), 4);
+    }
+
+    #[test]
+    fn bytes_are_released_on_the_registry_that_built_the_plan() {
+        let cache = FoldPlanCache::new(4);
+        let (reg_a, reg_b) = (Registry::new(), Registry::new());
+        let (obs_a, obs_b) = (FoldPlanObs::new(&reg_a), FoldPlanObs::new(&reg_b));
+        let a = db(vec![1, 2, 3, 4]);
+        assert_eq!(cache.get_or_build(&a, Some(&obs_a)).table_bytes(), 4);
+        drop(a);
+        // B's lookup sweeps A's dead entry: the bytes leave A's gauge.
+        let b = db(vec![5, 6]);
+        let plan = cache.get_or_build(&b, Some(&obs_b));
+        assert_eq!(obs_a.bytes.get(), 0);
+        assert_eq!(obs_b.bytes.get(), plan.table_bytes() as i64);
+        assert_eq!(plan.table_bytes(), 2);
     }
 
     #[test]

@@ -81,11 +81,24 @@ pub struct FoldCheckpoint {
     pub blinding: Option<pps_bignum::Uint>,
 }
 
+/// Shortest batch [`FoldStrategy::Precomputed`] folds through its plan;
+/// a shorter one takes the paper's per-row loop. The plan's bucket
+/// reduction costs about the largest digit in products per window
+/// however short the batch: one row with a 32-bit value takes ≈ 90
+/// products through the plan and ≈ 55 through its own exponentiation.
+/// Measured at 512-bit keys, the plan takes 1.81× the per-row loop's
+/// time at 1 row, 1.17× at 2 and 0.98× at 3 (DESIGN.md, fold plan).
+/// Both folds give the same product bytes.
+const PLANNED_FOLD_MIN_ROWS: usize = 3;
+
 /// How the server folds a batch of `E(I_i)` into its running product.
+///
+/// Every strategy produces the same product bytes, so the choice never
+/// shows on the wire, in checkpoints or in shard blinding.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FoldStrategy {
-    /// Element by element: `acc ← acc · E(I_i)^{x_i}` — the paper's loop.
-    #[default]
+    /// Element by element: `acc ← acc · E(I_i)^{x_i}` — the paper's loop,
+    /// kept as the reference the other strategies are checked against.
     Incremental,
     /// Whole-batch Straus multi-exponentiation with a shared squaring
     /// chain — 2–3× faster for the protocol's 32-bit exponents.
@@ -102,7 +115,12 @@ pub enum FoldStrategy {
     /// sessions, shard workers, and resumed checkpoints, so each batch
     /// pays ≈ one modular multiplication per base per window plus a
     /// shared bucket-reduction chain. Decrypts identically to the other
-    /// strategies.
+    /// strategies. The default: every `TcpServer` bound with
+    /// `FoldStrategy::default()` (`pps serve`, `pps shard-serve`) folds
+    /// through the plan its fold-plan cache holds for the database. A
+    /// batch of one or two rows takes the paper's per-row loop, which is
+    /// cheaper at that length.
+    #[default]
     Precomputed,
 }
 
@@ -134,13 +152,17 @@ pub struct ServerSession<'db> {
 }
 
 impl<'db> ServerSession<'db> {
-    /// Creates a session over `db`.
+    /// Creates a session over `db` that folds with the paper's loop,
+    /// [`FoldStrategy::Incremental`]: the in-process paper runners, the
+    /// local client run and `pps-stats` measure the protocol as the paper
+    /// states it. Serving runtimes choose a strategy with
+    /// [`ServerSession::with_fold`] or [`ServerSession::with_fold_plan`].
     pub fn new(db: &'db Database) -> Self {
         ServerSession {
             db,
             state: State::AwaitHello,
             stats: ServerStats::default(),
-            fold: FoldStrategy::default(),
+            fold: FoldStrategy::Incremental,
             plan: None,
             blinding: None,
         }
@@ -493,7 +515,13 @@ impl<'db> ServerSession<'db> {
         *next_seq += 1;
 
         let start = Instant::now();
-        match self.fold {
+        let fold = match self.fold {
+            FoldStrategy::Precomputed if batch.ciphertexts.len() < PLANNED_FOLD_MIN_ROWS => {
+                FoldStrategy::Incremental
+            }
+            fold => fold,
+        };
+        match fold {
             FoldStrategy::Incremental => {
                 // The paper's server inner loop: for each received E(I_i),
                 // raise to the database value x_i and fold into the
@@ -513,7 +541,7 @@ impl<'db> ServerSession<'db> {
                     .iter()
                     .map(|&x| pps_bignum::Uint::from_u64(x))
                     .collect();
-                let threads = self.fold.threads();
+                let threads = fold.threads();
                 let folded = if threads > 1 {
                     key.fold_product_parallel(&batch.ciphertexts, &weights, threads)?
                 } else {
@@ -1185,6 +1213,15 @@ mod tests {
                 "checkpoint under {first:?} resumed under {second:?}"
             );
         }
+    }
+
+    #[test]
+    fn serving_defaults_to_the_plan_while_new_keeps_the_papers_loop() {
+        let (_, db, _) = setup();
+        assert_eq!(FoldStrategy::default(), FoldStrategy::Precomputed);
+        let s = ServerSession::new(&db);
+        assert_eq!(s.fold, FoldStrategy::Incremental);
+        assert!(s.fold_plan().is_none());
     }
 
     #[test]
