@@ -1,11 +1,10 @@
-//! `server_throughput`: sessions/sec and tail latency for the two
-//! server engines — thread-per-connection vs the event-driven
-//! orchestrator — at matched load.
+//! `server_throughput`: sessions/sec and tail latency for the
+//! thread-per-connection server runtime under closed-loop load.
 //!
-//! Both engines serve the same campaign: `--sessions` total loopback
-//! sessions driven `--concurrency` at a time, every session replaying
-//! one pre-encoded query (one small Paillier key, one `Hello`, one
-//! `IndexBatch`). The reply is therefore bitwise identical across
+//! The campaign: `--sessions` total loopback sessions driven
+//! `--concurrency` at a time, every session replaying one pre-encoded
+//! query (one small Paillier key, one `Hello`, one `IndexBatch`).
+//! The reply is therefore bitwise identical across
 //! sessions: a warm-up session decrypts it against the plaintext
 //! selected sum (the oracle), and every other session byte-compares
 //! its `Product` against that reference — a throughput number only
@@ -28,15 +27,13 @@ use std::time::{Duration, Instant};
 
 use pps_obs::JsonValue;
 use pps_protocol::messages::{Hello, IndexBatch, MsgType};
-use pps_protocol::{
-    AggregateStats, Database, FoldStrategy, Selection, ServeEngine, SumClient, TcpServer,
-};
+use pps_protocol::{AggregateStats, Database, FoldStrategy, Selection, SumClient, TcpServer};
 use pps_transport::{Frame, TcpWire, Wire};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const USAGE: &str = "usage: server_throughput [--sessions N] [--concurrency C] \
-[--key-bits B] [--workers W] [--small] [--out PATH]
+[--key-bits B] [--small] [--out PATH]
   --small  CI profile: 400 sessions, 100 concurrent";
 
 /// One pre-encoded query and the decryption oracle that validates its
@@ -49,8 +46,7 @@ struct Campaign {
     expected_sum: u128,
 }
 
-struct EngineRow {
-    engine: &'static str,
+struct Row {
     wall_secs: f64,
     sessions_per_sec: f64,
     p50_ms: f64,
@@ -81,26 +77,14 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx]
 }
 
-/// One engine's campaign: `sessions` total, `concurrency` in flight.
-fn run_engine(
-    engine: ServeEngine,
-    name: &'static str,
-    db_rows: &[u64],
-    campaign: &Campaign,
-    sessions: usize,
-    concurrency: usize,
-    workers: Option<usize>,
-) -> EngineRow {
-    let mut server = TcpServer::bind(
+/// The campaign: `sessions` total, `concurrency` in flight.
+fn run_campaign(db_rows: &[u64], campaign: &Campaign, sessions: usize, concurrency: usize) -> Row {
+    let server = TcpServer::bind(
         Arc::new(Database::new(db_rows.to_vec()).expect("db")),
         "127.0.0.1:0",
         FoldStrategy::Incremental,
     )
-    .expect("bind")
-    .with_engine(engine);
-    if let Some(w) = workers {
-        server = server.with_workers(w);
-    }
+    .expect("bind");
     let addr = server.local_addr().expect("addr");
     let server_thread = std::thread::spawn(move || server.serve(Some(sessions)));
 
@@ -117,11 +101,7 @@ fn run_engine(
         let product = wire.recv().expect("product");
         assert_eq!(product.msg_type, MsgType::Product as u8);
         let (sum, _) = campaign.client.decrypt_product(&product).expect("decrypt");
-        assert_eq!(
-            sum.to_u128().unwrap(),
-            campaign.expected_sum,
-            "{name}: oracle sum"
-        );
+        assert_eq!(sum.to_u128().unwrap(), campaign.expected_sum, "oracle sum");
         (ack.encoded_len(), product.encode().to_vec())
     };
 
@@ -139,19 +119,18 @@ fn run_engine(
         for (mut s, began) in chunk {
             read_exactly(&mut s, hello_ack_len);
             let got = read_exactly(&mut s, product_bytes.len());
-            assert_eq!(got, product_bytes, "{name}: product mismatch");
+            assert_eq!(got, product_bytes, "product mismatch");
             latencies_ms.push(began.elapsed().as_secs_f64() * 1e3);
             completed += 1;
         }
     }
     let wall = start.elapsed();
     let stats = server_thread.join().expect("server thread");
-    assert_eq!(stats.sessions, sessions, "{name}: every session completed");
-    assert_eq!(stats.failed + stats.refused + stats.evicted, 0, "{name}");
+    assert_eq!(stats.sessions, sessions, "every session completed");
+    assert_eq!(stats.failed + stats.refused + stats.evicted, 0);
 
     latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    EngineRow {
-        engine: name,
+    Row {
         wall_secs: wall.as_secs_f64(),
         sessions_per_sec: sessions as f64 / wall.as_secs_f64(),
         p50_ms: percentile(&latencies_ms, 0.50),
@@ -165,7 +144,6 @@ fn main() {
     let mut sessions = 10_000usize;
     let mut concurrency = 1_000usize;
     let mut key_bits = 128usize;
-    let mut workers: Option<usize> = None;
     let mut out_path = String::from("BENCH_server_throughput.json");
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -185,7 +163,6 @@ fn main() {
             "--sessions" => sessions = parse(grab("--sessions")),
             "--concurrency" => concurrency = parse(grab("--concurrency")),
             "--key-bits" => key_bits = parse(grab("--key-bits")),
-            "--workers" => workers = Some(parse(grab("--workers"))),
             "--small" => {
                 sessions = 400;
                 concurrency = 100;
@@ -210,7 +187,7 @@ fn main() {
 
     println!(
         "server_throughput: {sessions} sessions, {concurrency} concurrent, \
-         key = {key_bits} bits, both engines"
+         key = {key_bits} bits"
     );
 
     // Pre-encode the query once; every session replays these bytes.
@@ -252,46 +229,24 @@ fn main() {
         expected_sum,
     };
 
-    let mut rows = Vec::new();
-    for (engine, name) in [
-        (ServeEngine::Threaded, "threaded"),
-        (ServeEngine::Event, "event"),
-    ] {
-        let row = run_engine(
-            engine,
-            name,
-            &db_rows,
-            &campaign,
-            sessions,
-            concurrency,
-            workers,
-        );
-        println!(
-            "{:>9}: {:>8.1} sessions/s over {:>6.2}s | p50 {:>7.2} ms, p95 {:>7.2} ms, \
-             p99 {:>7.2} ms | peak_active {}",
-            row.engine,
-            row.sessions_per_sec,
-            row.wall_secs,
-            row.p50_ms,
-            row.p95_ms,
-            row.p99_ms,
-            row.stats.peak_active,
-        );
-        rows.push(row);
-    }
+    let row = run_campaign(&db_rows, &campaign, sessions, concurrency);
+    println!(
+        "{:.1} sessions/s over {:.2}s | p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms | \
+         peak_active {}",
+        row.sessions_per_sec,
+        row.wall_secs,
+        row.p50_ms,
+        row.p95_ms,
+        row.p99_ms,
+        row.stats.peak_active,
+    );
 
-    let json = render_json(sessions, concurrency, key_bits, workers, &rows);
+    let json = render_json(sessions, concurrency, key_bits, &row);
     std::fs::write(&out_path, &json).expect("write results");
     println!("\nwrote {out_path}");
 }
 
-fn render_json(
-    sessions: usize,
-    concurrency: usize,
-    key_bits: usize,
-    workers: Option<usize>,
-    rows: &[EngineRow],
-) -> String {
+fn render_json(sessions: usize, concurrency: usize, key_bits: usize, row: &Row) -> String {
     pps_bench::report::envelope(
         "server_throughput",
         JsonValue::object()
@@ -299,29 +254,24 @@ fn render_json(
             .field("concurrency", concurrency)
             .field("key_bits", key_bits)
             .field(
-                "workers",
-                workers.map_or_else(|| "auto".to_string(), |w| w.to_string()),
-            )
-            .field(
                 "note",
-                "matched load, loopback; every session's product is byte-checked against \
+                "closed-loop load, loopback; every session's product is byte-checked against \
                  a decrypted oracle reply; latency is client-side connect-to-product under load",
             ),
     )
     .field(
-        "engines",
-        JsonValue::array(rows.iter().map(|r| {
+        "rows",
+        JsonValue::array(std::iter::once(
             JsonValue::object()
-                .field("engine", r.engine)
-                .field("wall_secs", r.wall_secs)
-                .field("sessions_per_sec", r.sessions_per_sec)
-                .field("p50_ms", r.p50_ms)
-                .field("p95_ms", r.p95_ms)
-                .field("p99_ms", r.p99_ms)
-                .field("peak_active", r.stats.peak_active)
-                .field("queued", r.stats.queued)
-                .field("sessions_completed", r.stats.sessions)
-        })),
+                .field("wall_secs", row.wall_secs)
+                .field("sessions_per_sec", row.sessions_per_sec)
+                .field("p50_ms", row.p50_ms)
+                .field("p95_ms", row.p95_ms)
+                .field("p99_ms", row.p99_ms)
+                .field("peak_active", row.stats.peak_active)
+                .field("queued", row.stats.queued)
+                .field("sessions_completed", row.stats.sessions),
+        )),
     )
     .render_pretty()
 }

@@ -12,7 +12,7 @@
 //!   "bench": "shard_speedup",
 //!   "host_parallelism": 8,
 //!   "meta": { "key_bits": 512, "note": "...", ... },
-//!   ...payload (rows / engines / histograms)...
+//!   ...payload (rows / histograms)...
 //! }
 //! ```
 //!
@@ -134,16 +134,14 @@ fn fold_precompute_headlines(doc: &JsonValue) -> Vec<String> {
 }
 
 fn server_throughput_headlines(doc: &JsonValue) -> Vec<String> {
-    let Some(engines) = doc.get("engines").and_then(JsonValue::as_array) else {
+    let Some(rows) = doc.get("rows").and_then(JsonValue::as_array) else {
         return Vec::new();
     };
-    engines
-        .iter()
-        .filter_map(|e| {
-            let name = e.get("engine")?.as_str()?;
-            let rate = e.get("sessions_per_sec").and_then(JsonValue::as_f64)?;
-            let p99 = e.get("p99_ms").and_then(JsonValue::as_f64)?;
-            Some(format!("{name}: {rate:.0} sessions/s, p99 {p99:.0} ms"))
+    rows.iter()
+        .filter_map(|r| {
+            let rate = r.get("sessions_per_sec").and_then(JsonValue::as_f64)?;
+            let p99 = r.get("p99_ms").and_then(JsonValue::as_f64)?;
+            Some(format!("{rate:.0} sessions/s, p99 {p99:.0} ms"))
         })
         .collect()
 }
@@ -231,10 +229,9 @@ mod tests {
         let legacy = JsonValue::object()
             .field("bench", "server_throughput")
             .field(
-                "engines",
+                "rows",
                 JsonValue::array(std::iter::once(
                     JsonValue::object()
-                        .field("engine", "event")
                         .field("sessions_per_sec", 290.0)
                         .field("p99_ms", 6100.0),
                 )),

@@ -22,6 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::net::ToSocketAddrs;
 use std::path::Path;
 use std::time::Duration;
@@ -31,9 +32,9 @@ use pps_obs::{names, JsonValue, MetricsServer, Registry, TraceBuffer, TraceConte
 use pps_protocol::{
     fetch_trace, run_multiclient, run_multidb, run_multidb_blinded, run_sharded_query,
     run_sharded_query_traced, run_tcp_query_observed, run_tcp_query_with_retry, Admission,
-    Database, FoldStrategy, Partition, QueryObs, ResumptionConfig, RunReport, Selection,
-    ServeEngine, ServerObs, SessionEvent, SessionLimits, ShardQueryConfig, SumClient,
-    TcpQueryConfig, TcpServer, TraceTimeline,
+    Database, FoldStrategy, Partition, QueryObs, ResumptionConfig, RunReport, Selection, ServerObs,
+    SessionEvent, SessionLimits, ShardQueryConfig, SumClient, TcpQueryConfig, TcpServer,
+    TraceTimeline,
 };
 use pps_transport::{LinkProfile, RetryPolicy};
 use rand::rngs::StdRng;
@@ -89,11 +90,6 @@ pub enum Command {
         max_concurrent: Option<usize>,
         /// What to do with connections over the `max_concurrent` cap.
         admission: Admission,
-        /// Which runtime drives accepted connections.
-        engine: ServeEngine,
-        /// Event-engine worker-pool size (None = host parallelism,
-        /// capped at 8). Ignored by the threaded engine.
-        workers: Option<usize>,
         /// Whole-session wall-clock budget in seconds (0 = no limits at
         /// all, None = defaults).
         session_timeout: Option<u64>,
@@ -162,11 +158,9 @@ pub enum Command {
     SimRun {
         /// Scenario name from the registry (`pps sim list`).
         scenario: String,
-        /// Campaign seed; same (scenario, seed, engine) replays the
-        /// campaign bit-identically.
+        /// Campaign seed; same (scenario, seed) replays the campaign
+        /// bit-identically.
         seed: u64,
-        /// Deterministic service-scheduling model.
-        engine: pps_sim::SimEngine,
         /// Rescale the scenario's population to roughly this many
         /// clients (None = the registry's full population).
         population: Option<usize>,
@@ -257,7 +251,6 @@ USAGE:
   pps serve  --data FILE | --random N   [--listen ADDR] [--max-sessions K]
              [--fold precomputed|incremental|multiexp|parallel]
              [--max-concurrent K] [--admission queue|refuse] [--session-timeout SECS] [--shutdown-after SECS]
-             [--engine threaded|event] [--workers W]
              [--metrics-addr HOST:PORT] [--resume-ttl SECS] [--resume-capacity K]
              [--slow-query-ms MS]
   pps shard-serve  (same flags as serve; serves one horizontal partition
@@ -266,8 +259,7 @@ USAGE:
              [--client-threads T|auto] [--retries N] [--trace json|pretty]
              [--shard-obs O1,O2,...]
   pps trace dump --obs HOST:PORT --id HEX [--format jsonl|pretty|chrome]
-  pps sim run  --scenario NAME [--seed S] [--engine threaded|event]
-               [--population N]
+  pps sim run  --scenario NAME [--seed S] [--population N]
   pps sim list
   pps multiclient --data FILE | --random N [--k K] [--key-bits B]
   pps multidb     --data FILE | --random N [--k K] [--blinded] [--key-bits B]
@@ -281,10 +273,6 @@ deadline); --shutdown-after drains and exits gracefully after N seconds.
 --fold precomputed (the default) digit-decomposes every database row
 once (~8 bytes per row) into a plan shared by all sessions, shard legs,
 and resumes; incremental is the paper's per-row loop.
---engine event multiplexes every connection over one reactor thread
-plus --workers W protocol-step workers (default: host parallelism,
-capped at 8) instead of one thread per connection; the wire format is
-identical, so clients cannot tell the engines apart.
 Serve telemetry: --metrics-addr exposes GET /metrics (Prometheus text
 format: session lifecycle counters, wire bytes, per-phase latency
 histograms) and GET /healthz (JSON) while the server runs.
@@ -319,19 +307,59 @@ Simulation campaigns: pps sim run drives a named population-scale
 scenario (pps sim list) through the deterministic discrete-event
 harness — real protocol state machines over a simulated network with
 the paper's two link profiles — and checks the invariant oracle; the
-same --scenario/--seed/--engine triple replays any campaign
-bit-identically, and every reported violation carries that repro
-command. Exit status 1 when any invariant breaks.
+same --scenario/--seed pair replays any campaign bit-identically, and
+every reported violation carries that repro command. Exit status 1
+when any invariant breaks.
 ";
+
+/// The `--name [value]` pairs after a subcommand. Every lookup marks
+/// the name as read, so a flag the subcommand never reads — a
+/// misspelling, or an option that no longer exists — is reported by
+/// [`Flags::first_unread`] instead of being silently ignored.
+struct Flags {
+    pairs: Vec<(String, Option<String>, Cell<bool>)>,
+}
+
+impl Flags {
+    /// Whether `--name` was given, marking it as read.
+    fn has(&self, name: &str) -> bool {
+        let mut found = false;
+        for (key, _, read) in &self.pairs {
+            if key == name {
+                read.set(true);
+                found = true;
+            }
+        }
+        found
+    }
+
+    /// The value given with `--name`, marking it as read.
+    fn get(&self, name: &str) -> Option<String> {
+        self.has(name);
+        self.pairs
+            .iter()
+            .find(|(key, _, _)| key == name)
+            .and_then(|(_, value, _)| value.clone())
+    }
+
+    /// The first flag no lookup has read.
+    fn first_unread(&self) -> Option<&str> {
+        self.pairs
+            .iter()
+            .find(|(_, _, read)| !read.get())
+            .map(|(key, _, _)| key.as_str())
+    }
+}
 
 /// Parses command-line arguments (without the program name).
 ///
 /// # Errors
-/// [`CliError`] with usage text for any malformed invocation.
+/// [`CliError`] with usage text for any malformed invocation, including
+/// a flag the subcommand does not take.
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut it = args.iter();
     let sub = it.next().map(String::as_str).unwrap_or("help");
-    let mut opts: Vec<(String, Option<String>)> = Vec::new();
+    let mut flags = Flags { pairs: Vec::new() };
     let mut rest: Vec<&String> = it.collect();
     // `trace` and `sim` take an action word before their flags
     // (pps trace dump ..., pps sim run ...).
@@ -351,14 +379,21 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             .filter(|v| !v.starts_with("--"))
             .map(|v| v.to_string());
         i += 1 + v.is_some() as usize;
-        opts.push((k.to_string(), v));
+        flags.pairs.push((k.to_string(), v, Cell::new(false)));
     }
-    let get = |name: &str| {
-        opts.iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.clone())
-    };
+    let command = parse_command(sub, action.as_deref(), &flags)?;
+    match flags.first_unread() {
+        Some(name) => Err(CliError::usage(format!(
+            "{sub}: unrecognized flag --{name}\n{USAGE}"
+        ))),
+        None => Ok(command),
+    }
+}
 
+/// Builds the [`Command`] for subcommand `sub` (and its action word, for
+/// `trace` and `sim`) from its flags.
+fn parse_command(sub: &str, action: Option<&str>, flags: &Flags) -> Result<Command, CliError> {
+    let get = |name: &str| flags.get(name);
     match sub {
         "serve" | "shard-serve" => {
             let data = get("data");
@@ -398,19 +433,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     return Err(CliError::usage(format!("unknown admission policy {other}")))
                 }
             };
-            let engine = match get("engine").as_deref() {
-                None | Some("threaded") => ServeEngine::Threaded,
-                Some("event") => ServeEngine::Event,
-                Some(other) => return Err(CliError::usage(format!("unknown engine {other}"))),
-            };
-            let workers = get("workers")
-                .map(|v| {
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&k| k > 0)
-                        .ok_or_else(|| CliError::usage("bad --workers"))
-                })
-                .transpose()?;
             Ok(Command::Serve {
                 data,
                 random,
@@ -421,8 +443,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 fold,
                 max_concurrent,
                 admission,
-                engine,
-                workers,
                 session_timeout: get("session-timeout")
                     .map(|v| {
                         v.parse()
@@ -591,7 +611,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     data,
                     random,
                     k,
-                    blinded: opts.iter().any(|(name, _)| name == "blinded"),
+                    blinded: flags.has("blinded"),
                     key_bits,
                 })
             }
@@ -604,7 +624,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let out = get("out").ok_or_else(|| CliError::usage("keygen needs --out"))?;
             Ok(Command::Keygen { bits, out })
         }
-        "trace" => match action.as_deref() {
+        "trace" => match action {
             Some("dump") => {
                 let obs = get("obs").ok_or_else(|| CliError::usage("trace dump needs --obs"))?;
                 let id = get("id").ok_or_else(|| CliError::usage("trace dump needs --id"))?;
@@ -625,7 +645,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 "trace needs an action (dump)\n{USAGE}"
             ))),
         },
-        "sim" => match action.as_deref() {
+        "sim" => match action {
             Some("run") => {
                 let scenario =
                     get("scenario").ok_or_else(|| CliError::usage("sim run needs --scenario"))?;
@@ -633,12 +653,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     .map(|v| v.parse::<u64>().map_err(|_| CliError::usage("bad --seed")))
                     .transpose()?
                     .unwrap_or(0);
-                let engine = match get("engine").as_deref() {
-                    None => pps_sim::SimEngine::Threaded,
-                    Some(name) => pps_sim::SimEngine::parse(name).ok_or_else(|| {
-                        CliError::usage(format!("unknown engine {name} (threaded|event)"))
-                    })?,
-                };
                 let population = get("population")
                     .map(|v| {
                         v.parse::<usize>()
@@ -650,7 +664,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 Ok(Command::SimRun {
                     scenario,
                     seed,
-                    engine,
                     population,
                 })
             }
@@ -703,11 +716,6 @@ pub struct ServeOptions {
     pub max_concurrent: Option<usize>,
     /// Policy for connections arriving over the cap.
     pub admission: Option<Admission>,
-    /// Which runtime drives accepted connections (None = threaded).
-    pub engine: Option<ServeEngine>,
-    /// Event-engine worker-pool size (None = host parallelism, capped
-    /// at 8).
-    pub workers: Option<usize>,
     /// Per-session I/O limits (None = [`SessionLimits::default`]).
     pub limits: Option<SessionLimits>,
     /// Trigger a graceful shutdown after this long.
@@ -757,12 +765,6 @@ pub fn run_server(
     }
     if let Some(max) = opts.max_concurrent {
         server = server.with_admission(max, opts.admission.unwrap_or(Admission::Queue));
-    }
-    if let Some(engine) = opts.engine {
-        server = server.with_engine(engine);
-    }
-    if let Some(workers) = opts.workers {
-        server = server.with_workers(workers);
     }
     if let Some(resumption) = opts.resumption {
         server = server.with_resumption(resumption);
@@ -1304,8 +1306,6 @@ pub fn run(args: &[String], out: &mut (dyn std::io::Write + Send)) -> Result<(),
             fold,
             max_concurrent,
             admission,
-            engine,
-            workers,
             session_timeout,
             shutdown_after,
             metrics_addr,
@@ -1339,8 +1339,6 @@ pub fn run(args: &[String], out: &mut (dyn std::io::Write + Send)) -> Result<(),
                 max_sessions,
                 max_concurrent,
                 admission: Some(admission),
-                engine: Some(engine),
-                workers,
                 limits,
                 shutdown_after: shutdown_after.map(Duration::from_secs),
                 metrics_addr,
@@ -1374,10 +1372,9 @@ pub fn run(args: &[String], out: &mut (dyn std::io::Write + Send)) -> Result<(),
         Command::SimRun {
             scenario,
             seed,
-            engine,
             population,
         } => {
-            let report = pps_sim::harness::run_named(&scenario, seed, engine, population)
+            let report = pps_sim::harness::run_named(&scenario, seed, population)
                 .map_err(|e| CliError::usage(e.to_string()))?;
             let _ = out.write_all(report.render().as_bytes());
             if report.ok() {
@@ -1454,8 +1451,6 @@ mod tests {
                 fold: FoldStrategy::MultiExp,
                 max_concurrent: None,
                 admission: Admission::Queue,
-                engine: ServeEngine::Threaded,
-                workers: None,
                 session_timeout: None,
                 shutdown_after: None,
                 metrics_addr: None,
@@ -1524,36 +1519,25 @@ mod tests {
     }
 
     #[test]
-    fn parse_serve_engine_flags() {
-        match parse_args(&args("serve --random 8 --engine event --workers 4")).unwrap() {
-            Command::Serve {
-                engine, workers, ..
-            } => {
-                assert_eq!(engine, ServeEngine::Event);
-                assert_eq!(workers, Some(4));
-            }
-            other => panic!("{other:?}"),
+    fn parse_rejects_flags_the_subcommand_does_not_read() {
+        for (line, flag) in [
+            ("serve --random 8 --engine event", "--engine"),
+            ("serve --random 8 --workers 2", "--workers"),
+            ("shard-serve --random 8 --engine event", "--engine"),
+            ("serve --random 8 --max-sesions 1", "--max-sesions"),
+            ("sim run --scenario byzantine --engine threaded", "--engine"),
+            ("multiclient --random 8 --blinded", "--blinded"),
+            ("sim list --seed 3", "--seed"),
+        ] {
+            let err = parse_args(&args(line)).unwrap_err();
+            assert_eq!(err.code, 2, "{line}");
+            assert!(err.message.contains(flag), "{line}: {}", err.message);
         }
-        match parse_args(&args("serve --random 8 --engine threaded")).unwrap() {
-            Command::Serve {
-                engine, workers, ..
-            } => {
-                assert_eq!(engine, ServeEngine::Threaded);
-                assert_eq!(workers, None, "worker pool defaults to host parallelism");
-            }
-            other => panic!("{other:?}"),
-        }
-        // shard-serve takes the same engine flags.
-        match parse_args(&args("shard-serve --random 8 --engine event")).unwrap() {
-            Command::Serve { engine, shard, .. } => {
-                assert_eq!(engine, ServeEngine::Event);
-                assert!(shard);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&args("serve --random 8 --engine coroutine")).is_err());
-        assert!(parse_args(&args("serve --random 8 --workers 0")).is_err());
-        assert!(parse_args(&args("serve --random 8 --workers x")).is_err());
+        // The first unread flag is the one named.
+        let err = parse_args(&args("serve --random 8 --enigne x --workers 2")).unwrap_err();
+        assert!(err.message.contains("--enigne"), "{}", err.message);
+        // A presence flag counts as read where the subcommand takes it.
+        assert!(parse_args(&args("multidb --random 8 --blinded")).is_ok());
     }
 
     #[test]
@@ -1778,29 +1762,23 @@ mod tests {
 
     #[test]
     fn parse_sim() {
-        match parse_args(&args("sim run --scenario mixed --seed 7 --engine event")).unwrap() {
+        match parse_args(&args("sim run --scenario mixed --seed 7")).unwrap() {
             Command::SimRun {
                 scenario,
                 seed,
-                engine,
                 population,
             } => {
                 assert_eq!(scenario, "mixed");
                 assert_eq!(seed, 7);
-                assert_eq!(engine, pps_sim::SimEngine::Event);
                 assert_eq!(population, None);
             }
             other => panic!("{other:?}"),
         }
         match parse_args(&args("sim run --scenario clean_lan --population 16")).unwrap() {
             Command::SimRun {
-                seed,
-                engine,
-                population,
-                ..
+                seed, population, ..
             } => {
                 assert_eq!(seed, 0, "seed defaults to 0");
-                assert_eq!(engine, pps_sim::SimEngine::Threaded);
                 assert_eq!(population, Some(16));
             }
             other => panic!("{other:?}"),
@@ -1808,7 +1786,6 @@ mod tests {
         assert_eq!(parse_args(&args("sim list")).unwrap(), Command::SimList);
         assert!(parse_args(&args("sim")).is_err(), "needs an action");
         assert!(parse_args(&args("sim run")).is_err(), "needs --scenario");
-        assert!(parse_args(&args("sim run --scenario x --engine warp")).is_err());
         assert!(parse_args(&args("sim run --scenario x --population 0")).is_err());
     }
 

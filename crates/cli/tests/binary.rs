@@ -45,6 +45,21 @@ fn bad_arguments_exit_2() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+
+    // A flag the subcommand does not read is refused, not ignored.
+    let out = Command::new(bin())
+        .args([
+            "sim",
+            "run",
+            "--scenario",
+            "byzantine",
+            "--engine",
+            "threaded",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8(out.stderr).unwrap().contains("--engine"));
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! implementation ([`RealClock`]) and a virtual one ([`VirtualClock`]).
 //!
 //! Everything in the workspace that *waits* — transport receive
-//! deadlines, retry backoff sleeps, session TTLs, orchestrator deadline
-//! sweeps — takes its notion of "now" (and its ability to sleep) from a
-//! [`SharedClock`] instead of calling `Instant::now()` /
+//! deadlines, retry backoff sleeps, session TTLs, admission-queue
+//! deadlines — takes its notion of "now" (and its ability to sleep)
+//! from a [`SharedClock`] instead of calling `Instant::now()` /
 //! `thread::sleep` directly. Production code keeps the [`RealClock`]
 //! default and behaves exactly as before; the deterministic simulator
 //! (`pps-sim`) and wall-time-sensitive tests inject a [`VirtualClock`]

@@ -52,8 +52,6 @@ pub const SESSIONS_QUEUED: &str = "pps_sessions_queued";
 /// Time connections spent in the admission queue before being admitted,
 /// evicted, or dropped by shutdown.
 pub const QUEUE_WAIT_SECONDS: &str = "pps_queue_wait_seconds";
-/// Event-engine workers currently executing a protocol step.
-pub const WORKERS_BUSY: &str = "pps_workers_busy";
 /// End-to-end duration of completed sessions.
 pub const SESSION_SECONDS: &str = "pps_session_seconds";
 

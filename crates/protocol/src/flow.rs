@@ -1,15 +1,13 @@
-//! The engine-independent per-frame protocol surface.
+//! The scheduler-independent per-frame protocol surface.
 //!
-//! Both server runtimes — the thread-per-connection loop and the
-//! event-driven orchestrator — speak the exact same resumable dialect:
-//! `Hello` is acknowledged with a session ticket, fold state is
-//! checkpointed after every acknowledged batch, `Resume` restores a
-//! stored checkpoint, `ShardHello` installs a §3.5 blinding, and a
-//! shard-gated worker refuses anything unblinded. [`SessionFlow`]
-//! captures that surface as one frame-in/frames-out step function so
-//! the two engines cannot drift: the threaded driver pumps it from a
-//! blocking wire, the orchestrator pumps it from worker threads, and
-//! the bytes on the wire are identical either way (PROTOCOL.md §12).
+//! Every server speaks the same resumable dialect: `Hello` is
+//! acknowledged with a session ticket, fold state is checkpointed after
+//! every acknowledged batch, `Resume` restores a stored checkpoint,
+//! `ShardHello` installs a §3.5 blinding, and a shard-gated worker
+//! refuses anything unblinded. [`SessionFlow`] captures that surface as
+//! one frame-in/frames-out step function so its callers cannot drift:
+//! the TCP runtime pumps it from a blocking wire on each connection's
+//! thread, and the `pps-sim` harness pumps it from simulated wires.
 
 use std::sync::Arc;
 
@@ -37,7 +35,7 @@ pub struct FlowStep {
 /// One connection's protocol state machine: a [`ServerSession`] plus the
 /// runtime concerns layered on top of it (resume tickets, checkpoint
 /// storage, shard gating). Pure message-in/messages-out — no I/O, no
-/// clocks — so any scheduler can drive it: the two TCP engines pump it
+/// clocks — so any scheduler can drive it: the TCP runtime pumps it
 /// from sockets, and the `pps-sim` discrete-event harness pumps it from
 /// simulated wires (which is why the type is public).
 pub struct SessionFlow<'a> {

@@ -77,7 +77,6 @@ pub mod messages;
 mod multiclient;
 mod multidb;
 mod obs;
-mod orchestrator;
 mod perturb;
 mod plan;
 mod report;
@@ -118,8 +117,8 @@ pub use tcp_client::{
     TcpQueryConfig, TcpQueryOutcome,
 };
 pub use tcp_server::{
-    Admission, AggregateStats, ServeEngine, SessionDeadline, SessionEvent, SessionLimits,
-    ShutdownHandle, TcpServer, DEFAULT_QUEUE_CAPACITY, MAX_CONSECUTIVE_ACCEPT_ERRORS,
+    Admission, AggregateStats, SessionDeadline, SessionEvent, SessionLimits, ShutdownHandle,
+    TcpServer, DEFAULT_QUEUE_CAPACITY, MAX_CONSECUTIVE_ACCEPT_ERRORS,
 };
 pub use trace::{
     fetch_trace, parse_trace_jsonl, run_sharded_query_traced, TimelineEntry, TraceTimeline,

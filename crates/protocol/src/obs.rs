@@ -88,7 +88,6 @@ pub struct ServerObs {
     pub(crate) checkpoints_evicted: Arc<Counter>,
     pub(crate) active: Arc<Gauge>,
     pub(crate) queued: Arc<Gauge>,
-    pub(crate) workers_busy: Arc<Gauge>,
     pub(crate) session_seconds: Arc<Histogram>,
     pub(crate) queue_wait_seconds: Arc<Histogram>,
     pub(crate) fold_seconds: Arc<Histogram>,
@@ -161,10 +160,6 @@ impl ServerObs {
             queued: registry.gauge(
                 names::SESSIONS_QUEUED,
                 "connections parked in the bounded admission queue",
-            ),
-            workers_busy: registry.gauge(
-                names::WORKERS_BUSY,
-                "event-engine workers currently executing a protocol step",
             ),
             session_seconds: registry.histogram(
                 names::SESSION_SECONDS,

@@ -74,7 +74,7 @@ use crate::server::{FoldStrategy, ServerStats};
 /// always safe — and refusing would let one panicked session wedge
 /// admission and final stats for the whole server (the exact failure
 /// the crash-containment layer exists to prevent).
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -145,13 +145,13 @@ impl AggregateStats {
 
 /// Whether a session error is a deadline eviction (the runtime timed
 /// the peer out) rather than a fault of the peer's own making.
-pub(crate) fn is_eviction(error: &ProtocolError) -> bool {
+fn is_eviction(error: &ProtocolError) -> bool {
     matches!(error, ProtocolError::Transport(TransportError::TimedOut))
 }
 
 /// The per-phase breakdown attached to a `slow_query` event: wall time,
 /// fold compute, the remainder (wire wait + framing), and work volume.
-pub(crate) fn slow_query_detail(wall: Duration, stats: &crate::server::ServerStats) -> String {
+fn slow_query_detail(wall: Duration, stats: &ServerStats) -> String {
     let wait = wall.saturating_sub(stats.compute);
     format!(
         "wall_ms={:.3} compute_ms={:.3} wire_wait_ms={:.3} folded={}",
@@ -345,7 +345,7 @@ const ACCEPT_ERROR_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// Exponential accept-error backoff: 50 ms after the first failure,
 /// doubling per consecutive failure, capped at ~1 s.
-pub(crate) fn accept_backoff(consecutive_errors: usize) -> Duration {
+fn accept_backoff(consecutive_errors: usize) -> Duration {
     let doublings = consecutive_errors.saturating_sub(1).min(5) as u32;
     ACCEPT_ERROR_BACKOFF_BASE
         .saturating_mul(1u32 << doublings)
@@ -390,22 +390,6 @@ impl ShutdownHandle {
     }
 }
 
-/// Which runtime drives accepted connections (see
-/// [`TcpServer::with_engine`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServeEngine {
-    /// One OS thread per connection, blocking I/O (the original
-    /// runtime). Simple and fair, but the concurrency ceiling is the
-    /// thread count.
-    #[default]
-    Threaded,
-    /// Reactor + bounded worker pool: one thread polls every connection
-    /// for readiness and `W` workers execute the protocol steps, so
-    /// thousands of idle-ish sessions cost no threads. Wire bytes are
-    /// identical to the threaded engine (PROTOCOL.md §12).
-    Event,
-}
-
 /// Default bound on the [`Admission::Queue`] admission queue. Beyond
 /// this many waiting connections the server refuses instead — an
 /// unbounded queue just converts overload into unbounded latency.
@@ -421,29 +405,24 @@ struct GateState {
 
 /// A concurrent selected-sum server over a shared database, with
 /// per-session deadlines, admission control, and graceful shutdown.
-/// Two interchangeable runtimes drive the same protocol surface: the
-/// default thread-per-connection loop and the event-driven reactor +
-/// worker-pool orchestrator ([`TcpServer::with_engine`]).
+/// Each accepted connection runs its session on its own thread.
 pub struct TcpServer {
-    pub(crate) listener: TcpListener,
-    pub(crate) db: Arc<Database>,
-    pub(crate) fold: FoldStrategy,
-    pub(crate) limits: SessionLimits,
-    pub(crate) max_concurrent: Option<usize>,
-    pub(crate) admission: Admission,
-    pub(crate) shutdown: Arc<AtomicBool>,
-    pub(crate) shutdown_wake: Arc<(Mutex<()>, Condvar)>,
-    pub(crate) obs: Option<ServerObs>,
-    pub(crate) resumption: SessionTable,
-    pub(crate) fault_hook: Option<Arc<dyn Fn(usize) + Send + Sync>>,
-    pub(crate) require_shard: bool,
-    pub(crate) plan_cache: Option<Arc<FoldPlanCache>>,
-    pub(crate) engine: ServeEngine,
-    pub(crate) workers: Option<usize>,
-    pub(crate) queue_capacity: usize,
-    pub(crate) fair_share: Option<usize>,
-    pub(crate) slow_query_threshold: Option<Duration>,
-    pub(crate) clock: pps_obs::SharedClock,
+    listener: TcpListener,
+    db: Arc<Database>,
+    fold: FoldStrategy,
+    limits: SessionLimits,
+    max_concurrent: Option<usize>,
+    admission: Admission,
+    shutdown: Arc<AtomicBool>,
+    shutdown_wake: Arc<(Mutex<()>, Condvar)>,
+    obs: Option<ServerObs>,
+    resumption: SessionTable,
+    fault_hook: Option<Arc<dyn Fn(usize) + Send + Sync>>,
+    require_shard: bool,
+    plan_cache: Option<Arc<FoldPlanCache>>,
+    queue_capacity: usize,
+    slow_query_threshold: Option<Duration>,
+    clock: pps_obs::SharedClock,
 }
 
 impl TcpServer {
@@ -470,17 +449,14 @@ impl TcpServer {
             fault_hook: None,
             require_shard: false,
             plan_cache: None,
-            engine: ServeEngine::Threaded,
-            workers: None,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            fair_share: None,
             slow_query_threshold: None,
             clock: pps_obs::real_clock(),
         })
     }
 
-    /// Replaces the server's time source: session deadlines, admission
-    /// sweeps, and the event reactor's idle tick all read this clock.
+    /// Replaces the server's time source: session deadlines and the
+    /// admission queue's deadline checks read this clock.
     /// The default is the real clock; the deterministic simulator
     /// injects a [`VirtualClock`](pps_obs::VirtualClock) shared with
     /// every other component of the scenario. Note the resumption
@@ -502,43 +478,12 @@ impl TcpServer {
         self
     }
 
-    /// Selects the runtime that drives accepted connections. The
-    /// default is [`ServeEngine::Threaded`]; [`ServeEngine::Event`]
-    /// multiplexes every connection over a reactor thread plus a
-    /// bounded worker pool (see [`TcpServer::with_workers`]).
-    #[must_use]
-    pub fn with_engine(mut self, engine: ServeEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the event engine's worker-pool size (protocol steps execute
-    /// on these threads). Ignored by the threaded engine. The default
-    /// is the host's available parallelism, capped at 8.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
-    }
-
     /// Bounds the [`Admission::Queue`] admission queue (default
     /// [`DEFAULT_QUEUE_CAPACITY`]). Connections arriving when the cap
     /// *and* the queue are both full are refused with a clean close.
     #[must_use]
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Caps how many protocol steps from the same peer IP may occupy
-    /// event-engine workers at once (default: no cap). With `k` set, a
-    /// single chatty peer can hold at most `k` workers while other
-    /// peers have frames waiting — the rest of the pool stays available
-    /// to them. Ignored by the threaded engine (its fairness is the OS
-    /// scheduler's).
-    #[must_use]
-    pub fn with_peer_fair_share(mut self, jobs: usize) -> Self {
-        self.fair_share = Some(jobs.max(1));
         self
     }
 
@@ -666,7 +611,7 @@ impl TcpServer {
     /// Builds (or fetches from the cache) the shared fold plan when the
     /// strategy is [`FoldStrategy::Precomputed`]: one digit table
     /// serves every session a serve loop admits, fresh or resumed.
-    pub(crate) fn shared_plan(&self) -> Option<Arc<MultiExpPlan>> {
+    fn shared_plan(&self) -> Option<Arc<MultiExpPlan>> {
         (self.fold == FoldStrategy::Precomputed).then(|| {
             let cache: &FoldPlanCache = match &self.plan_cache {
                 Some(cache) => cache,
@@ -676,22 +621,11 @@ impl TcpServer {
         })
     }
 
-    /// The event engine's worker-pool size: the configured value, or
-    /// the host's available parallelism capped at 8.
-    pub(crate) fn worker_count(&self) -> usize {
-        self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        })
-    }
-
     /// Sleeps for `backoff` or until shutdown is raised, whichever
     /// comes first — the accept-error backoff must never delay a
     /// [`ShutdownHandle::shutdown`] (satellite fix: the old
     /// `thread::sleep` here ignored the flag for up to ~1 s).
-    pub(crate) fn backoff_wait(&self, backoff: Duration) {
+    fn backoff_wait(&self, backoff: Duration) {
         let deadline = Instant::now() + backoff;
         let (lock, cv) = &*self.shutdown_wake;
         let mut guard = lock_recover(lock);
@@ -718,11 +652,10 @@ impl TcpServer {
 
     /// Accepts connections until `max_sessions` have been accepted
     /// (`None` = forever, or until [`ShutdownHandle::shutdown`]),
-    /// driving each against the shared database on the configured
-    /// [`ServeEngine`], then waits for every in-flight session to
-    /// finish and returns the aggregate. `on_event` fires as
-    /// connections arrive and complete (from session threads on the
-    /// threaded engine, from the reactor thread on the event engine).
+    /// driving each against the shared database on its own thread,
+    /// then waits for every in-flight session to finish and returns
+    /// the aggregate. `on_event` fires as connections arrive and
+    /// complete (from the accept loop and the session threads).
     ///
     /// A failed session (malformed frames, disconnect, expired
     /// deadline) is counted and reported, never fatal to the server.
@@ -734,18 +667,6 @@ impl TcpServer {
     /// the loop (returning whatever was aggregated) rather than
     /// spinning on a persistently broken listener.
     pub fn serve_with(
-        &self,
-        max_sessions: Option<usize>,
-        on_event: &(dyn Fn(SessionEvent<'_>) + Sync),
-    ) -> AggregateStats {
-        match self.engine {
-            ServeEngine::Threaded => self.serve_threaded(max_sessions, on_event),
-            ServeEngine::Event => crate::orchestrator::serve_event(self, max_sessions, on_event),
-        }
-    }
-
-    /// The thread-per-connection runtime (see [`ServeEngine::Threaded`]).
-    fn serve_threaded(
         &self,
         max_sessions: Option<usize>,
         on_event: &(dyn Fn(SessionEvent<'_>) + Sync),
@@ -1215,6 +1136,7 @@ mod tests {
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.refused, 0);
         assert_eq!(stats.folded, 10, "both sessions stream all 5 indices");
+        assert!(stats.peak_active >= 1);
         assert!(stats.throughput() > 0.0);
     }
 
@@ -1414,48 +1336,6 @@ mod tests {
         let text = registry.render_prometheus();
         assert!(text.contains("pps_fold_plan_builds_total 1"));
         assert!(text.contains("pps_fold_plan_hits_total 1"));
-    }
-
-    #[test]
-    fn event_engine_serves_sessions_end_to_end() {
-        let db = Arc::new(Database::new(vec![10, 20, 30, 40, 50]).unwrap());
-        let server = TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::MultiExp)
-            .unwrap()
-            .with_engine(ServeEngine::Event)
-            .with_workers(2);
-        let addr = server.local_addr().unwrap();
-
-        let clients = std::thread::spawn(move || {
-            let a = query(addr, &Selection::from_indices(5, &[0, 2]).unwrap(), 41);
-            let b = query(addr, &Selection::from_indices(5, &[4]).unwrap(), 42);
-            (a, b)
-        });
-        let stats = server.serve(Some(2));
-        let (a, b) = clients.join().unwrap();
-        assert_eq!(a, 40, "same answers as the threaded engine");
-        assert_eq!(b, 50);
-        assert_eq!(stats.sessions, 2);
-        assert_eq!(stats.failed, 0);
-        assert_eq!(stats.folded, 10);
-        assert!(stats.peak_active >= 1);
-    }
-
-    #[test]
-    fn event_engine_shutdown_stops_unbounded_serve() {
-        let db = Arc::new(Database::new(vec![4, 5, 6]).unwrap());
-        let server = TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::default())
-            .unwrap()
-            .with_engine(ServeEngine::Event);
-        let addr = server.local_addr().unwrap();
-        let handle = server.shutdown_handle().unwrap();
-
-        let server_thread = std::thread::spawn(move || server.serve(None));
-        let sum = query(addr, &Selection::from_indices(3, &[0, 2]).unwrap(), 43);
-        assert_eq!(sum, 10);
-        handle.shutdown();
-        let stats = server_thread.join().unwrap();
-        assert_eq!(stats.sessions, 1);
-        assert_eq!(stats.failed, 0);
     }
 
     /// Satellite regression: the active-session gauge must return to

@@ -11,7 +11,7 @@
 //!   campaign is bit-reproducible, and run the CI matrix.
 
 use crate::run::{run_campaign, CampaignReport};
-use crate::scenario::{Scenario, SimEngine};
+use crate::scenario::Scenario;
 use crate::SimError;
 
 /// Runs a named scenario, optionally rescaling its population (the CI
@@ -22,7 +22,6 @@ use crate::SimError;
 pub fn run_named(
     name: &str,
     seed: u64,
-    engine: SimEngine,
     population: Option<usize>,
 ) -> Result<CampaignReport, SimError> {
     let mut scenario =
@@ -30,7 +29,7 @@ pub fn run_named(
     if let Some(p) = population {
         scenario = scenario.with_population(p);
     }
-    run_campaign(&scenario, seed, engine)
+    run_campaign(&scenario, seed)
 }
 
 /// Runs the campaign twice and asserts the event trace and metrics
@@ -45,41 +44,32 @@ pub fn run_named(
 pub fn assert_reproducible(
     name: &str,
     seed: u64,
-    engine: SimEngine,
     population: Option<usize>,
 ) -> Result<CampaignReport, SimError> {
-    let a = run_named(name, seed, engine, population)?;
-    let b = run_named(name, seed, engine, population)?;
+    let a = run_named(name, seed, population)?;
+    let b = run_named(name, seed, population)?;
     assert_eq!(
-        a.trace_hash,
-        b.trace_hash,
-        "campaign `{name}` seed {seed} ({}) is not trace-reproducible",
-        engine.name()
+        a.trace_hash, b.trace_hash,
+        "campaign `{name}` seed {seed} is not trace-reproducible"
     );
     assert_eq!(
-        a.metrics_snapshot,
-        b.metrics_snapshot,
-        "campaign `{name}` seed {seed} ({}) is not metrics-reproducible",
-        engine.name()
+        a.metrics_snapshot, b.metrics_snapshot,
+        "campaign `{name}` seed {seed} is not metrics-reproducible"
     );
     assert_eq!(a.events, b.events);
     Ok(a)
 }
 
-/// Runs every registry scenario on both engines at a reduced
-/// population, returning all reports (CI's `sim-matrix` step).
+/// Runs every registry scenario at a reduced population, returning all
+/// reports (CI's `sim-matrix` step).
 ///
 /// # Errors
 /// The first scenario-construction failure.
 pub fn run_matrix(seed: u64, population: usize) -> Result<Vec<CampaignReport>, SimError> {
-    let mut out = Vec::new();
-    for scenario in Scenario::registry() {
-        for engine in SimEngine::all() {
-            let scaled = scenario.clone().with_population(population);
-            out.push(run_campaign(&scaled, seed, engine)?);
-        }
-    }
-    Ok(out)
+    Scenario::registry()
+        .into_iter()
+        .map(|scenario| run_campaign(&scenario.with_population(population), seed))
+        .collect()
 }
 
 /// Fixtures for protocol-level failure-injection tests.
@@ -196,12 +186,12 @@ mod tests {
 
     #[test]
     fn run_named_rejects_unknown_scenarios() {
-        assert!(run_named("nope", 1, SimEngine::Threaded, None).is_err());
+        assert!(run_named("nope", 1, None).is_err());
     }
 
     #[test]
     fn reproducibility_helper_passes_for_a_small_campaign() {
-        let report = assert_reproducible("clean_lan", 3, SimEngine::Threaded, Some(4)).unwrap();
+        let report = assert_reproducible("clean_lan", 3, Some(4)).unwrap();
         assert!(report.ok(), "{}", report.render());
     }
 

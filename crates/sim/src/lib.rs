@@ -17,8 +17,9 @@
 //! * [`net`] — the in-memory network: per-link latency/bandwidth
 //!   serialization, seeded jitter and drops, partitions;
 //! * [`run`] — the discrete-event runner itself: a virtual clock, an
-//!   event heap ordered by `(time, seq)`, and two service-scheduling
-//!   engines mirroring the real runtimes;
+//!   event heap ordered by `(time, seq)`, and a server that, like the
+//!   real thread-per-connection runtime, services every frame the
+//!   moment it is reassembled;
 //! * [`oracle`] — the invariant oracle that renders the campaign
 //!   verdict (sum correctness, adversary containment, slot/checkpoint
 //!   hygiene, shard-blinding discipline);
@@ -28,7 +29,7 @@
 //! Everything on the simulated path is deterministic: all randomness
 //! flows from the campaign seed, time is a [`VirtualClock`]
 //! (no real `Instant::now()` or `thread::sleep` is consulted), and two
-//! runs with the same `(scenario, seed, engine)` produce bit-identical
+//! runs with the same `(scenario, seed)` produce bit-identical
 //! event traces and metrics snapshots — which is what makes every
 //! oracle violation a one-command repro.
 //!
@@ -48,7 +49,7 @@ pub use actor::Behavior;
 pub use net::SimNet;
 pub use oracle::{Oracle, Violation};
 pub use run::{run_campaign, CampaignReport};
-pub use scenario::{LinkMix, Population, Scenario, SimEngine};
+pub use scenario::{LinkMix, Population, Scenario};
 
 /// Simulator-level error (unknown scenario, campaign setup failure).
 #[derive(Clone, Debug)]

@@ -11,7 +11,7 @@
 //! witnesses CI compares.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,7 +28,7 @@ use rand::{RngCore, SeedableRng};
 use crate::actor::{build_script, prepend_shard_hello, Behavior};
 use crate::net::{ConnId, Dir, SimNet};
 use crate::oracle::{Oracle, Violation};
-use crate::scenario::{Scenario, SimEngine};
+use crate::scenario::Scenario;
 use crate::SimError;
 
 /// Retries an honest client spends before giving up.
@@ -48,11 +48,6 @@ const KEY_POOL: usize = 4;
 
 fn ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Per-frame virtual service time on the event engine's worker pool.
-fn service_ns(frame_len: usize) -> u64 {
-    20_000 + frame_len as u64 * 100
 }
 
 /// What a scheduled client wake-up does.
@@ -81,8 +76,6 @@ enum Ev {
     Wake { client: usize, what: Wake },
     /// Session-deadline sweep for one connection.
     Deadline { conn: ConnId },
-    /// The event engine finishes servicing one frame.
-    JobDone { conn: ConnId },
     /// A partition window opens or closes.
     Partition { window: usize, begin: bool },
 }
@@ -128,13 +121,12 @@ struct ClientState {
     server: usize,
 }
 
-/// One accepted server-side connection.
+/// One accepted server-side connection. Like the real runtime's
+/// thread per connection, every frame is serviced the moment it is
+/// reassembled.
 struct ServerConn<'a> {
     flow: SessionFlow<'a>,
     inbox: BytesMut,
-    queue: VecDeque<Frame>,
-    busy: bool,
-    queued_ready: bool,
     client: usize,
     server: usize,
     closed: bool,
@@ -200,8 +192,6 @@ pub struct CampaignReport {
     pub scenario: String,
     /// Campaign seed.
     pub seed: u64,
-    /// Engine the server ran under.
-    pub engine: SimEngine,
     /// Total clients simulated (including shard legs).
     pub population: usize,
     /// Events processed.
@@ -211,7 +201,7 @@ pub struct CampaignReport {
     /// Honest-class completions.
     pub completions: u64,
     /// FNV-1a hash over the full event trace — identical across runs of
-    /// the same (scenario, seed, engine).
+    /// the same (scenario, seed).
     pub trace_hash: u64,
     /// Sorted `name value` metric lines at drain time.
     pub metrics_snapshot: String,
@@ -228,21 +218,18 @@ impl CampaignReport {
     /// The one-command repro for this exact campaign.
     pub fn repro(&self) -> String {
         format!(
-            "pps sim run --scenario {} --seed {} --engine {}",
-            self.scenario,
-            self.seed,
-            self.engine.name()
+            "pps sim run --scenario {} --seed {}",
+            self.scenario, self.seed
         )
     }
 
     /// Human-readable multi-line summary (CLI / CI output).
     pub fn render(&self) -> String {
         let mut out = format!(
-            "scenario {} seed {} engine {}: {} clients, {} events, {:?} virtual, \
+            "scenario {} seed {}: {} clients, {} events, {:?} virtual, \
              {} completions, trace {:016x}\n",
             self.scenario,
             self.seed,
-            self.engine.name(),
             self.population,
             self.events,
             self.virtual_elapsed,
@@ -266,11 +253,7 @@ impl CampaignReport {
 /// # Errors
 /// Scenario-construction failures (bad database, key generation);
 /// in-campaign anomalies are oracle violations, not errors.
-pub fn run_campaign(
-    scenario: &Scenario,
-    seed: u64,
-    engine: SimEngine,
-) -> Result<CampaignReport, SimError> {
+pub fn run_campaign(scenario: &Scenario, seed: u64) -> Result<CampaignReport, SimError> {
     let clock = Arc::new(VirtualClock::new());
     let mut setup_rng = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE_F00D_D00D);
 
@@ -302,7 +285,7 @@ pub fn run_campaign(
         })
         .collect();
 
-    let mut runner = Runner::new(scenario, seed, engine, clock, &dbs, &tables, &pool)?;
+    let mut runner = Runner::new(scenario, seed, clock, &dbs, &tables, &pool)?;
     runner.oracle = Oracle::new(scenario.shard_groups, SHARD_LEGS, total_sum, m_bits);
     runner.populate(m_bits)?;
     runner.run();
@@ -312,7 +295,6 @@ pub fn run_campaign(
 struct Runner<'a> {
     scenario: &'a Scenario,
     seed: u64,
-    engine: SimEngine,
     clock: Arc<VirtualClock>,
     dbs: &'a [Database],
     tables: &'a [SessionTable],
@@ -325,8 +307,6 @@ struct Runner<'a> {
     conns: BTreeMap<ConnId, ServerConn<'a>>,
     conn_owner: BTreeMap<ConnId, usize>,
     active: Vec<usize>,
-    busy_workers: usize,
-    ready: VecDeque<ConnId>,
     metrics: SimMetrics,
     oracle: Oracle,
     hash: u64,
@@ -337,7 +317,6 @@ impl<'a> Runner<'a> {
     fn new(
         scenario: &'a Scenario,
         seed: u64,
-        engine: SimEngine,
         clock: Arc<VirtualClock>,
         dbs: &'a [Database],
         tables: &'a [SessionTable],
@@ -346,7 +325,6 @@ impl<'a> Runner<'a> {
         Ok(Runner {
             scenario,
             seed,
-            engine,
             clock,
             dbs,
             tables,
@@ -363,8 +341,6 @@ impl<'a> Runner<'a> {
             conns: BTreeMap::new(),
             conn_owner: BTreeMap::new(),
             active: vec![0; dbs.len()],
-            busy_workers: 0,
-            ready: VecDeque::new(),
             metrics: SimMetrics::new(),
             oracle: Oracle::new(0, 0, 0, 62),
             hash: 0xCBF2_9CE4_8422_2325,
@@ -557,7 +533,6 @@ impl<'a> Runner<'a> {
                     self.close_server_conn(conn, false, true);
                 }
             }
-            Ev::JobDone { conn } => self.job_done(conn),
             Ev::Partition { window, begin } => self.partition_edge(window, begin),
         }
     }
@@ -946,9 +921,6 @@ impl<'a> Runner<'a> {
                     server > 0,
                 ),
                 inbox: BytesMut::new(),
-                queue: VecDeque::new(),
-                busy: false,
-                queued_ready: false,
                 client: id,
                 server,
                 closed: false,
@@ -978,16 +950,7 @@ impl<'a> Runner<'a> {
                 return;
             }
             match Frame::decode(&mut sc.inbox) {
-                Ok(Some(frame)) => match self.engine {
-                    SimEngine::Threaded => self.process_server_frame(conn, frame),
-                    SimEngine::Event => {
-                        sc.queue.push_back(frame);
-                        if !sc.busy && !sc.queued_ready {
-                            sc.queued_ready = true;
-                            self.ready.push_back(conn);
-                        }
-                    }
-                },
+                Ok(Some(frame)) => self.process_server_frame(conn, frame),
                 Ok(None) => break,
                 Err(e) => {
                     self.note(&format!("frame-error conn{conn} {e}"));
@@ -997,48 +960,6 @@ impl<'a> Runner<'a> {
                 }
             }
         }
-        if self.engine == SimEngine::Event {
-            self.dispatch_workers();
-        }
-    }
-
-    fn dispatch_workers(&mut self) {
-        while self.busy_workers < self.scenario.workers {
-            let Some(conn) = self.ready.pop_front() else {
-                return;
-            };
-            let Some(sc) = self.conns.get_mut(&conn) else {
-                continue;
-            };
-            sc.queued_ready = false;
-            if sc.closed || sc.busy || sc.queue.is_empty() {
-                continue;
-            }
-            sc.busy = true;
-            self.busy_workers += 1;
-            let len = sc.queue.front().map_or(0, Frame::encoded_len);
-            self.schedule(self.now + service_ns(len), Ev::JobDone { conn });
-        }
-    }
-
-    fn job_done(&mut self, conn: ConnId) {
-        let Some(sc) = self.conns.get_mut(&conn) else {
-            return;
-        };
-        sc.busy = false;
-        self.busy_workers = self.busy_workers.saturating_sub(1);
-        if !sc.closed {
-            if let Some(frame) = sc.queue.pop_front() {
-                self.process_server_frame(conn, frame);
-            }
-            if let Some(sc) = self.conns.get_mut(&conn) {
-                if !sc.closed && !sc.queue.is_empty() && !sc.busy && !sc.queued_ready {
-                    sc.queued_ready = true;
-                    self.ready.push_back(conn);
-                }
-            }
-        }
-        self.dispatch_workers();
     }
 
     fn process_server_frame(&mut self, conn: ConnId, frame: Frame) {
@@ -1114,7 +1035,6 @@ impl<'a> Runner<'a> {
             return;
         }
         sc.closed = true;
-        sc.queue.clear();
         let server = sc.server;
         let client = sc.client;
         self.active[server] -= 1;
@@ -1172,7 +1092,6 @@ impl<'a> Runner<'a> {
         CampaignReport {
             scenario: self.scenario.name.to_string(),
             seed: self.seed,
-            engine: self.engine,
             population: self.clients.len(),
             events: self.events,
             virtual_elapsed,
@@ -1193,17 +1112,15 @@ mod tests {
     }
 
     #[test]
-    fn clean_lan_campaign_passes_on_both_engines() {
-        for engine in SimEngine::all() {
-            let report = run_campaign(&small("clean_lan", 8), 7, engine).unwrap();
-            assert!(report.ok(), "{}", report.render());
-            assert_eq!(report.completions, 8);
-        }
+    fn clean_lan_campaign_passes() {
+        let report = run_campaign(&small("clean_lan", 8), 7).unwrap();
+        assert!(report.ok(), "{}", report.render());
+        assert_eq!(report.completions, 8);
     }
 
     #[test]
     fn churn_campaign_exercises_resume() {
-        let report = run_campaign(&small("churn", 12), 21, SimEngine::Threaded).unwrap();
+        let report = run_campaign(&small("churn", 12), 21).unwrap();
         assert!(report.ok(), "{}", report.render());
         assert!(
             report.metrics_snapshot.contains("pps_sim_resumes_total"),
@@ -1221,7 +1138,7 @@ mod tests {
 
     #[test]
     fn byzantine_campaign_is_contained() {
-        let report = run_campaign(&small("byzantine", 16), 3, SimEngine::Threaded).unwrap();
+        let report = run_campaign(&small("byzantine", 16), 3).unwrap();
         assert!(report.ok(), "{}", report.render());
         assert!(
             report
@@ -1234,9 +1151,9 @@ mod tests {
 
     #[test]
     fn same_seed_same_trace_different_seed_different_trace() {
-        let a = run_campaign(&small("churn", 8), 99, SimEngine::Event).unwrap();
-        let b = run_campaign(&small("churn", 8), 99, SimEngine::Event).unwrap();
-        let c = run_campaign(&small("churn", 8), 100, SimEngine::Event).unwrap();
+        let a = run_campaign(&small("churn", 8), 99).unwrap();
+        let b = run_campaign(&small("churn", 8), 99).unwrap();
+        let c = run_campaign(&small("churn", 8), 100).unwrap();
         assert_eq!(a.trace_hash, b.trace_hash);
         assert_eq!(a.metrics_snapshot, b.metrics_snapshot);
         assert_eq!(a.events, b.events);
@@ -1245,14 +1162,13 @@ mod tests {
 
     #[test]
     fn shard_campaign_recombines_blinded_partials() {
-        let report =
-            run_campaign(&Scenario::by_name("shard").unwrap(), 5, SimEngine::Threaded).unwrap();
+        let report = run_campaign(&Scenario::by_name("shard").unwrap(), 5).unwrap();
         assert!(report.ok(), "{}", report.render());
     }
 
     #[test]
     fn slow_loris_is_evicted_and_slots_recover() {
-        let report = run_campaign(&small("slow_loris", 12), 13, SimEngine::Event).unwrap();
+        let report = run_campaign(&small("slow_loris", 12), 13).unwrap();
         assert!(report.ok(), "{}", report.render());
         assert!(
             report
@@ -1266,10 +1182,7 @@ mod tests {
 
     #[test]
     fn report_repro_string_replays_the_campaign() {
-        let report = run_campaign(&small("clean_lan", 4), 42, SimEngine::Threaded).unwrap();
-        assert_eq!(
-            report.repro(),
-            "pps sim run --scenario clean_lan --seed 42 --engine threaded"
-        );
+        let report = run_campaign(&small("clean_lan", 4), 42).unwrap();
+        assert_eq!(report.repro(), "pps sim run --scenario clean_lan --seed 42");
     }
 }

@@ -1,52 +1,14 @@
 //! Scenario definitions: named, versioned campaign shapes.
 //!
-//! A [`Scenario`] fixes everything about a campaign except the seed and
-//! the engine: the database, the population mix (how many clients of
-//! each [`Behavior`](crate::actor::Behavior) class), the link profiles,
+//! A [`Scenario`] fixes everything about a campaign except the seed:
+//! the database, the population mix (how many clients of each
+//! [`Behavior`](crate::actor::Behavior) class), the link profiles,
 //! partition windows, fault dials, and server limits. `pps sim run
 //! --scenario <name> --seed <s>` replays any of them bit-identically.
 
 use std::time::Duration;
 
 use pps_transport::LinkProfile;
-
-/// Which deterministic service-scheduling model drives the simulated
-/// server — mirrors the two real runtimes (`ServeEngine`), so campaign
-/// findings transfer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimEngine {
-    /// Thread-per-connection model: every frame is serviced the moment
-    /// it is reassembled (unbounded virtual workers).
-    Threaded,
-    /// Reactor model: a bounded worker pool services per-connection
-    /// frame queues in arrival order; frames wait when all workers are
-    /// busy, exactly like the event orchestrator's job dispatch.
-    Event,
-}
-
-impl SimEngine {
-    /// CLI / repro-string name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimEngine::Threaded => "threaded",
-            SimEngine::Event => "event",
-        }
-    }
-
-    /// Parses a CLI name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "threaded" => Some(SimEngine::Threaded),
-            "event" => Some(SimEngine::Event),
-            _ => None,
-        }
-    }
-
-    /// Both engines, for matrix runs.
-    pub fn all() -> [SimEngine; 2] {
-        [SimEngine::Threaded, SimEngine::Event]
-    }
-}
 
 /// How the population's link profiles are assigned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -185,8 +147,6 @@ pub struct Scenario {
     /// Concurrent-session cap; excess connections are refused and the
     /// client retries with backoff. `None` = unbounded.
     pub max_concurrent: Option<usize>,
-    /// Event-engine worker-pool size.
-    pub workers: usize,
     /// Partition windows.
     pub partitions: Vec<PartitionWindow>,
     /// Per-send reset probability, parts per million.
@@ -212,7 +172,6 @@ impl Scenario {
             resume_ttl: Duration::from_secs(120),
             session_deadline: Some(Duration::from_secs(30)),
             max_concurrent: None,
-            workers: 4,
             partitions: Vec::new(),
             drop_per_million: 0,
             jitter_per_million: 0,

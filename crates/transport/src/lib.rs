@@ -14,9 +14,7 @@
 //! * [`Wire`] with three implementations: [`SimLink`] (in-memory,
 //!   virtual clock, sequential orchestration), [`ChannelWire`]
 //!   (crossbeam channels, real threads), and [`TcpWire`] (framing over a
-//!   real socket, with read/write deadlines), plus [`NonBlockingWire`] —
-//!   the same framing over a nonblocking socket for readiness-polled
-//!   event loops (partial-frame reassembly, buffered writes);
+//!   real socket, with read/write deadlines);
 //! * [`pipeline_makespan`] — flow-shop makespan model for the §3.2
 //!   batching/pipelining experiment;
 //! * fault tolerance: [`RetryPolicy`] (exponential backoff with
@@ -31,7 +29,6 @@
 mod error;
 mod faulty;
 mod frame;
-mod nonblocking;
 mod obs;
 mod pipeline;
 mod profile;
@@ -42,7 +39,6 @@ mod wire;
 pub use error::TransportError;
 pub use faulty::{Fault, FaultSchedule, FaultyStream, FaultyWire, ScriptedStream};
 pub use frame::{Frame, FRAME_MAGIC, HEADER_LEN, MAX_PAYLOAD};
-pub use nonblocking::NonBlockingWire;
 pub use obs::{TimedWire, WireMetrics};
 pub use pipeline::{pipeline_makespan, uniform_pipeline_makespan};
 pub use profile::LinkProfile;

@@ -241,7 +241,7 @@ impl StreamWire<TcpStream> {
 /// become [`TransportError::Disconnected`], and everything else keeps
 /// its OS message as [`TransportError::Io`]. `Interrupted` never
 /// reaches this function — the read/write loops retry it.
-pub(crate) fn classify_io(e: &std::io::Error) -> TransportError {
+fn classify_io(e: &std::io::Error) -> TransportError {
     match e.kind() {
         ErrorKind::WouldBlock | ErrorKind::TimedOut => TransportError::TimedOut,
         ErrorKind::UnexpectedEof

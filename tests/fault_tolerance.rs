@@ -1,11 +1,11 @@
 //! Fault-tolerance over real sockets: slow-loris eviction, stream
-//! desync, and whole-query retry across injected connect refusals and
-//! mid-query disconnects. These are the acceptance tests for the
-//! hardened runtime — a wedged or malicious peer must cost the server
-//! one bounded thread, never the service, and a client must survive the
-//! failures a real deployment throws at it.
+//! desync, bounded-queue admission, and whole-query retry across
+//! injected connect refusals and mid-query disconnects. These are the
+//! acceptance tests for the hardened runtime — a wedged or malicious
+//! peer must cost the server one bounded thread, never the service, and
+//! a client must survive the failures a real deployment throws at it.
 
-use std::io::Write as IoWrite;
+use std::io::{Read as IoRead, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -328,6 +328,75 @@ fn queued_admission_under_load_serves_every_client() {
     assert_eq!(stats.sessions, 8);
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.refused, 0);
+    assert!(stats.queued >= 1, "someone waited in queue");
+}
+
+#[test]
+fn full_queue_refuses_promptly_while_accept_loop_stays_live() {
+    // One slot, Queue admission, queue capacity 2. A staller holds the
+    // slot; two healthy clients fill the queue; a probe connection must
+    // then be refused (EOF) long before the staller releases the slot.
+    // Under the old accept-thread-blocking admission the probe would not
+    // even be accepted until the staller finished.
+    use pps_protocol::Admission;
+    let server = TcpServer::bind(db4(), "127.0.0.1:0", FoldStrategy::Incremental)
+        .unwrap()
+        .with_admission(1, Admission::Queue)
+        .with_queue_capacity(2)
+        .with_limits(SessionLimits {
+            read_timeout: Some(Duration::from_secs(3)),
+            write_timeout: Some(Duration::from_secs(3)),
+            session_deadline: Some(Duration::from_secs(10)),
+        });
+    let addr = server.local_addr().unwrap();
+    let handle = server.shutdown_handle().unwrap();
+    let server_thread = std::thread::spawn(move || server.serve(None));
+
+    let hold_for = Duration::from_millis(1200);
+    let staller = std::thread::spawn(move || {
+        // Holds the single slot by connecting and then going quiet;
+        // closing after `hold_for` frees it (as a failed session).
+        let s = TcpStream::connect(addr).unwrap();
+        std::thread::sleep(hold_for);
+        drop(s);
+    });
+    std::thread::sleep(Duration::from_millis(150));
+
+    // Two clients fill the bounded queue and wait for the slot.
+    let queued: Vec<_> = (0..2)
+        .map(|i| std::thread::spawn(move || healthy_query(addr, &[1, 2], 60 + i)))
+        .collect();
+    std::thread::sleep(Duration::from_millis(250));
+
+    // The probe: with the slot held and the queue full, this
+    // connection must be turned away promptly.
+    let probe = std::thread::spawn(move || {
+        let start = Instant::now();
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; 16];
+        let n = s.read(&mut buf).unwrap_or(0);
+        (n, start.elapsed())
+    });
+
+    let (n, refused_in) = probe.join().unwrap();
+    assert_eq!(n, 0, "refusal is a clean close");
+    assert!(
+        refused_in < Duration::from_millis(600),
+        "refusal must not wait for the slot-holder \
+         (took {refused_in:?}, slot held for {hold_for:?})"
+    );
+    for (i, h) in queued.into_iter().enumerate() {
+        assert_eq!(h.join().unwrap(), 50, "queued client {i}");
+    }
+    staller.join().unwrap();
+    handle.shutdown();
+    let stats = server_thread.join().unwrap();
+
+    assert_eq!(stats.sessions, 2, "both queued clients served");
+    assert_eq!(stats.refused, 1, "the probe");
+    assert_eq!(stats.failed, 1, "the staller's dead session");
+    assert_eq!(stats.queued, 2, "both clients waited in queue");
 }
 
 #[test]

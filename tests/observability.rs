@@ -16,10 +16,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pps_obs::{http, MetricsServer, Phase, Registry, RingCollector, Tracer};
+use pps_obs::{http, names, MetricsServer, Phase, Registry, RingCollector, Tracer};
 use pps_protocol::{
-    run_tcp_query_observed, Database, FoldPlanCache, FoldStrategy, PhaseTotals, QueryObs,
-    ServerObs, SessionEvent, SessionLimits, SumClient, TcpQueryConfig, TcpServer,
+    run_tcp_query_observed, run_tcp_query_with_retry, Database, FoldPlanCache, FoldStrategy,
+    PhaseTotals, QueryObs, ServerObs, SessionEvent, SessionLimits, SumClient, TcpQueryConfig,
+    TcpServer,
 };
 use pps_transport::FRAME_MAGIC;
 use rand::rngs::StdRng;
@@ -283,4 +284,58 @@ fn live_metrics_reconcile_with_span_bridged_reports() {
     assert!(health.contains(r#""status":"ok""#), "{health}");
 
     metrics.stop();
+}
+
+/// The server's wire counters — the counters behind the benchmark's
+/// `transport.*` metrics — must equal the traffic the client reports
+/// for the same query, exactly: every frame one side sends the other
+/// receives, and both sides count payload bytes.
+#[test]
+fn server_wire_counters_match_client_traffic() {
+    let registry = Arc::new(Registry::new());
+    let db = Arc::new(Database::new(vec![10, 20, 30, 40]).unwrap());
+    let server = TcpServer::bind(db, "127.0.0.1:0", FoldStrategy::Incremental)
+        .unwrap()
+        .with_observability(ServerObs::new(Arc::clone(&registry)));
+    let addr = server.local_addr().unwrap();
+
+    let mut rng = StdRng::seed_from_u64(9);
+    let client = SumClient::generate(128, &mut rng).unwrap();
+    let outcome = std::thread::scope(|scope| {
+        let server_thread = scope.spawn(|| server.serve(Some(1)));
+        let outcome = run_tcp_query_with_retry(
+            &addr.to_string(),
+            &client,
+            &[1, 3],
+            &TcpQueryConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(server_thread.join().unwrap().sessions, 1);
+        outcome
+    });
+    assert_eq!(outcome.sum, 60);
+    assert_eq!(outcome.retry.attempts, 1);
+
+    // `Registry::counter` is find-or-insert, so these are the same
+    // atomics the server's wire layer incremented.
+    let counter = |name| registry.counter(name, "").get() as usize;
+    let traffic = &outcome.traffic;
+    assert!(traffic.messages_sent > 0 && traffic.messages_received > 0);
+    assert_eq!(
+        counter(names::WIRE_FRAMES_RECEIVED_TOTAL),
+        traffic.messages_sent
+    );
+    assert_eq!(
+        counter(names::WIRE_BYTES_RECEIVED_TOTAL),
+        traffic.payload_bytes_sent
+    );
+    assert_eq!(
+        counter(names::WIRE_FRAMES_SENT_TOTAL),
+        traffic.messages_received
+    );
+    assert_eq!(
+        counter(names::WIRE_BYTES_SENT_TOTAL),
+        traffic.payload_bytes_received
+    );
 }

@@ -1,13 +1,12 @@
 //! Simulation-campaign integration suite: the CI matrix over every
-//! registry scenario × both engines, the bit-reproducibility contract,
-//! and the 2k-client mixed campaign from the issue's acceptance bar.
+//! registry scenario, the bit-reproducibility contract, and the
+//! 2k-client mixed campaign acceptance bar.
 //!
 //! Every assertion message carries the campaign's one-command repro
-//! (`pps sim run --scenario <s> --seed <n> --engine <e>`), so a red CI
-//! line is replayable locally without reading the test.
+//! (`pps sim run --scenario <s> --seed <n>`), so a red CI line is
+//! replayable locally without reading the test.
 
 use pps_sim::harness::{assert_reproducible, run_named};
-use pps_sim::SimEngine;
 
 const SEED: u64 = 2026;
 
@@ -17,89 +16,64 @@ const SEED: u64 = 2026;
 const MATRIX_POP: usize = 24;
 
 #[test]
-fn matrix_every_scenario_on_both_engines() {
+fn matrix_every_scenario_passes_the_oracle() {
     for scenario in pps_sim::Scenario::registry() {
-        for engine in SimEngine::all() {
-            let report = run_named(scenario.name, SEED, engine, Some(MATRIX_POP))
-                .expect("registry scenario must run");
-            println!(
-                "{} — {} events, {} completions",
-                report.repro(),
-                report.events,
-                report.completions
-            );
-            assert!(
-                report.ok(),
-                "invariant violation(s); repro: {}\n{}",
-                report.repro(),
-                report.render()
-            );
-        }
-    }
-}
-
-#[test]
-fn campaigns_are_bit_reproducible() {
-    // Same (scenario, seed, engine) ⇒ identical event trace, metrics
-    // snapshot, and event count — the double-run from the acceptance
-    // bar. Distinct seeds must *not* collide, or the trace hash proves
-    // nothing.
-    for engine in SimEngine::all() {
-        let a = assert_reproducible("mixed", SEED, engine, Some(48)).unwrap();
-        let b = run_named("mixed", SEED + 1, engine, Some(48)).unwrap();
-        assert_ne!(
-            a.trace_hash,
-            b.trace_hash,
-            "different seeds produced the same trace ({})",
-            engine.name()
+        let report =
+            run_named(scenario.name, SEED, Some(MATRIX_POP)).expect("registry scenario must run");
+        println!(
+            "{} — {} events, {} completions",
+            report.repro(),
+            report.events,
+            report.completions
         );
-    }
-}
-
-#[test]
-fn engines_agree_on_campaign_outcomes() {
-    // The two service-scheduling models interleave differently (their
-    // traces differ) but must agree on every externally visible
-    // outcome: completions and a clean oracle verdict.
-    for name in ["clean_lan", "churn", "byzantine", "shard"] {
-        let t = run_named(name, SEED, SimEngine::Threaded, Some(MATRIX_POP)).unwrap();
-        let e = run_named(name, SEED, SimEngine::Event, Some(MATRIX_POP)).unwrap();
-        assert!(t.ok(), "repro: {}\n{}", t.repro(), t.render());
-        assert!(e.ok(), "repro: {}\n{}", e.repro(), e.render());
-        assert_eq!(
-            t.completions, e.completions,
-            "engines disagree on `{name}` completions"
-        );
-    }
-}
-
-#[test]
-fn mixed_2k_campaign_passes_oracle_on_both_engines() {
-    // The full acceptance campaign: 2000 clients mixing churn,
-    // byzantine classes, slow-loris floods, and a partition window,
-    // alternating the paper's two link profiles. Run at full scale in
-    // release (CI runs this suite with --release); debug builds scale
-    // to 400 so the suite stays usable locally.
-    let population = if cfg!(debug_assertions) { 400 } else { 2000 };
-    for engine in SimEngine::all() {
-        let report = run_named("mixed", SEED, engine, Some(population)).unwrap();
-        println!("{}", report.render());
         assert!(
             report.ok(),
             "invariant violation(s); repro: {}\n{}",
             report.repro(),
             report.render()
         );
-        assert!(
-            report.population >= population,
-            "population under-scaled: {}",
-            report.population
-        );
-        // A healthy campaign completes every honest-class client.
-        assert!(
-            report.completions > 0,
-            "no completions at all; repro: {}",
-            report.repro()
-        );
     }
+}
+
+#[test]
+fn campaigns_are_bit_reproducible() {
+    // Same (scenario, seed) ⇒ identical event trace, metrics snapshot,
+    // and event count — the double-run from the acceptance bar.
+    // Distinct seeds must *not* collide, or the trace hash proves
+    // nothing.
+    let a = assert_reproducible("mixed", SEED, Some(48)).unwrap();
+    let b = run_named("mixed", SEED + 1, Some(48)).unwrap();
+    assert_ne!(
+        a.trace_hash, b.trace_hash,
+        "different seeds produced the same trace"
+    );
+}
+
+#[test]
+fn mixed_2k_campaign_passes_oracle() {
+    // The full acceptance campaign: 2000 clients mixing churn,
+    // byzantine classes, slow-loris floods, and a partition window,
+    // alternating the paper's two link profiles. Run at full scale in
+    // release (CI runs this suite with --release); debug builds scale
+    // to 400 so the suite stays usable locally.
+    let population = if cfg!(debug_assertions) { 400 } else { 2000 };
+    let report = run_named("mixed", SEED, Some(population)).unwrap();
+    println!("{}", report.render());
+    assert!(
+        report.ok(),
+        "invariant violation(s); repro: {}\n{}",
+        report.repro(),
+        report.render()
+    );
+    assert!(
+        report.population >= population,
+        "population under-scaled: {}",
+        report.population
+    );
+    // A healthy campaign completes every honest-class client.
+    assert!(
+        report.completions > 0,
+        "no completions at all; repro: {}",
+        report.repro()
+    );
 }
