@@ -98,11 +98,13 @@ fn ablation_garbling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Server fold ablation: the paper's element-by-element loop vs Straus
-/// multi-exponentiation with a shared squaring chain.
+/// Server fold ablation: the paper's element-by-element loop vs the
+/// shared per-database plan `pps serve` folds through.
 fn ablation_server_fold(c: &mut Criterion) {
+    use pps_bignum::MultiExpPlan;
     use pps_protocol::messages::{Hello, IndexBatch};
-    use pps_protocol::{Database, FoldStrategy, Selection, ServerSession, SumClient};
+    use pps_protocol::{Database, Selection, ServerSession, SumClient};
+    use std::sync::Arc;
 
     let mut rng = StdRng::seed_from_u64(7);
     let n = 64;
@@ -132,14 +134,14 @@ fn ablation_server_fold(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("ablation_server_fold_n64_512bit");
     g.sample_size(20);
-    for (name, strategy) in [
-        ("incremental", FoldStrategy::Incremental),
-        ("multiexp", FoldStrategy::MultiExp),
-        ("parallel_multiexp", FoldStrategy::ParallelMultiExp),
-    ] {
+    let plan = Arc::new(MultiExpPlan::build(db.values()));
+    for (name, plan) in [("incremental", None), ("precomputed", Some(plan))] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let mut s = ServerSession::with_fold(&db, strategy);
+                let mut s = match &plan {
+                    Some(plan) => ServerSession::with_fold_plan(&db, Arc::clone(plan)).unwrap(),
+                    None => ServerSession::new(&db),
+                };
                 s.on_frame(&hello).unwrap();
                 s.on_frame(&batch).unwrap().unwrap()
             });
@@ -148,22 +150,20 @@ fn ablation_server_fold(c: &mut Criterion) {
     g.finish();
 }
 
-/// Server fold ablation at deployment scale: n = 10k–100k index
-/// ciphertexts folded with each strategy, measured at the `fold_product`
-/// layer the session dispatches to. A small pool of real ciphertexts is
-/// cycled out to length n — the fold's cost depends only on the count
-/// and exponent widths, not on ciphertext distinctness — so setup stays
-/// seconds instead of minutes.
+/// Fold ablation at deployment scale: n = 10k–100k index ciphertexts
+/// folded with the paper's loop and with Straus `fold_product` (PIR's
+/// server fold), measured at the crypto layer; `fold_precompute` times
+/// the plan against both. A small pool of real ciphertexts is cycled out
+/// to length n — the fold's cost depends only on the count and exponent
+/// widths, not on ciphertext distinctness — so setup stays seconds
+/// instead of minutes.
 fn ablation_server_fold_scale(c: &mut Criterion) {
-    use pps_protocol::FoldStrategy;
-
     let mut rng = StdRng::seed_from_u64(8);
     let kp = PaillierKeypair::generate(512, &mut rng).unwrap();
     let key = &kp.public;
     let pool: Vec<_> = (0..64)
         .map(|w| key.encrypt_u64(w & 1, &mut rng).unwrap())
         .collect();
-    let threads = FoldStrategy::ParallelMultiExp.threads();
 
     let mut g = c.benchmark_group("ablation_server_fold_scale_512bit");
     g.sample_size(10);
@@ -183,9 +183,6 @@ fn ablation_server_fold_scale(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("multiexp", n), &n, |b, _| {
             b.iter(|| key.fold_product(&cts, &weights).unwrap());
-        });
-        g.bench_with_input(BenchmarkId::new("parallel_multiexp", n), &n, |b, _| {
-            b.iter(|| key.fold_product_parallel(&cts, &weights, threads).unwrap());
         });
     }
     g.finish();

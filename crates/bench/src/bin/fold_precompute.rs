@@ -41,6 +41,7 @@
 //! PPS_NS=1000 cargo run --release -p pps-bench --bin fold_precompute -- --key-bits 256
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use pps_bignum::{MultiExpPlan, Uint};
@@ -281,12 +282,14 @@ fn main() {
 }
 
 /// Streams one n = [`SERVING_N`] query in `batch`-row batches through a
-/// `ServerSession` under `Incremental` and under the default strategy,
+/// `ServerSession` under `Incremental` and under the default strategy
+/// (one plan shared by every replay, as `TcpServer` shares it),
 /// alternating the two, and oracle-checks every product.
 fn serving_row(kp: &PaillierKeypair, rn: &Uint, batch: usize) -> Serving {
     let key = &kp.public;
     let values = database_values(SERVING_N);
     let db = Database::new(values.clone()).expect("database");
+    let plan = Arc::new(MultiExpPlan::build(&values));
     let oracle: u128 = values.iter().step_by(2).map(|&x| u128::from(x)).sum();
     let hello = Hello {
         modulus: key.n().clone(),
@@ -317,7 +320,12 @@ fn serving_row(kp: &PaillierKeypair, rn: &Uint, batch: usize) -> Serving {
     let mut samples = vec![(Vec::new(), Vec::new()); strategies.len()];
     for _ in 0..SERVING_REPLAYS {
         for (strategy, (folds, sessions)) in strategies.iter().zip(&mut samples) {
-            let mut session = ServerSession::with_fold(&db, *strategy);
+            let mut session = match strategy {
+                FoldStrategy::Precomputed => {
+                    ServerSession::with_fold_plan(&db, Arc::clone(&plan)).expect("plan covers db")
+                }
+                FoldStrategy::Incremental => ServerSession::new(&db),
+            };
             let start = Instant::now();
             session.on_frame(&hello).expect("hello accepted");
             let mut reply = None;
@@ -337,7 +345,7 @@ fn serving_row(kp: &PaillierKeypair, rn: &Uint, batch: usize) -> Serving {
     }
     Serving {
         batch,
-        window_bits: MultiExpPlan::build(&values).window_bits_for(batch),
+        window_bits: plan.window_bits_for(batch),
         points: strategies
             .iter()
             .zip(samples)

@@ -225,7 +225,7 @@ fn measure_once(
         let hi = if i == k - 1 { n } else { lo + base };
         let db = Arc::new(Database::new((lo..hi).map(value).collect()).expect("db"));
         let registry = Arc::new(Registry::new());
-        let server = TcpServer::bind(db, "127.0.0.1:0", FoldStrategy::MultiExp)
+        let server = TcpServer::bind(db, "127.0.0.1:0", FoldStrategy::default())
             .expect("bind")
             .require_shard_handshake()
             .with_observability(ServerObs::new(Arc::clone(&registry)));

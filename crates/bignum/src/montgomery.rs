@@ -58,14 +58,15 @@ impl MontElem {
     }
 }
 
-// Compile-time audit: both the parallel server fold
-// (`Montgomery::multi_pow_parallel`) and the client's parallel encryption
-// engine (`pps-crypto`) share one context read-only across scoped worker
-// threads, so `Montgomery` must stay `Send + Sync`. All fields are owned
-// `Uint`s (heap `Vec<u64>`) and plain integers — no interior mutability —
-// and any future addition of e.g. a lazily-populated cache behind a
-// `Cell`/`RefCell` would silently serialize or break those callers; this
-// assertion turns that into a build failure.
+// Compile-time audit: the client's parallel encryption engine
+// (`pps-crypto`) shares one context read-only across scoped worker
+// threads, and resume checkpoints carry a key's `Arc`-shared context
+// between connection threads, so `Montgomery` must stay `Send + Sync`.
+// All fields are owned `Uint`s (heap `Vec<u64>`) and plain integers — no
+// interior mutability — and any future addition of e.g. a
+// lazily-populated cache behind a `Cell`/`RefCell` would silently
+// serialize or break those callers; this assertion turns that into a
+// build failure.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Montgomery>();

@@ -1,13 +1,13 @@
 //! Simultaneous multi-exponentiation (interleaved Straus/Shamir trick).
 //!
-//! The selected-sum server computes `Π bᵢ^{eᵢ} mod N²` over the whole
-//! database — `n` bases with short (32-bit) exponents. Computing each
-//! power independently costs ~`n·(W squarings + W/2 muls)` for `W`-bit
-//! exponents; interleaving shares the squaring chain across **all**
-//! bases: `W` squarings total plus one multiplication per set exponent
-//! bit (~`n·W/2`), roughly halving the server's work and removing the
-//! per-element squaring entirely. The `server_fold` ablation bench
-//! quantifies the win at protocol shape.
+//! A product `Π bᵢ^{eᵢ} mod N²` over `n` bases with short (32-bit)
+//! exponents: computing each power independently costs
+//! ~`n·(W squarings + W/2 muls)` for `W`-bit exponents; interleaving
+//! shares the squaring chain across **all** bases: `W` squarings total
+//! plus one multiplication per set exponent bit (~`n·W/2`). PIR's server
+//! folds with it, and it is the reference the per-database
+//! [`crate::MultiExpPlan`] (the selected-sum server's fold) is tested
+//! against. The `server_fold_scale` ablation bench times it.
 
 use crate::montgomery::{MontElem, Montgomery};
 use crate::uint::Uint;
@@ -29,54 +29,10 @@ impl Montgomery {
         self.from_mont(&m)
     }
 
-    /// Parallel chunked variant of [`Montgomery::multi_pow`]: splits the
-    /// input into up to `threads` contiguous chunks, runs the interleaved
-    /// multi-exponentiation on each chunk in a scoped worker thread, and
-    /// combines the partial products with one modular multiplication per
-    /// chunk. Correct because the product factors over any partition:
-    /// `Π_all bᵢ^{eᵢ} = Π_chunks (Π_chunk bᵢ^{eᵢ})`.
-    ///
-    /// Falls back to the sequential path for `threads <= 1` or inputs too
-    /// small to amortize thread spawn. Empty input yields 1.
-    ///
-    /// # Panics
-    /// Panics when `bases` and `exps` lengths differ (caller bug).
-    pub fn multi_pow_parallel(&self, bases: &[Uint], exps: &[Uint], threads: usize) -> Uint {
-        assert_eq!(bases.len(), exps.len(), "bases/exponents length mismatch");
-        // Below this size the squaring-chain sharing lost to chunking and
-        // the spawn overhead outweigh any parallel win.
-        const MIN_PER_THREAD: usize = 16;
-        let threads = threads.max(1).min(bases.len() / MIN_PER_THREAD.max(1));
-        if threads <= 1 {
-            return self.multi_pow(bases, exps);
-        }
-        let chunk = bases.len().div_ceil(threads);
-        let partials: Vec<MontElem> = std::thread::scope(|s| {
-            let handles: Vec<_> = bases
-                .chunks(chunk)
-                .zip(exps.chunks(chunk))
-                .map(|(bc, ec)| {
-                    s.spawn(move || {
-                        let mont: Vec<MontElem> = bc.iter().map(|b| self.to_mont(b)).collect();
-                        self.multi_pow_mont(&mont, ec)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("multi-exponentiation worker panicked"))
-                .collect()
-        });
-        let mut acc = self.one();
-        for p in &partials {
-            acc = self.mul(&acc, p);
-        }
-        self.from_mont(&acc)
-    }
-
     /// As [`Montgomery::multi_pow`] with bases already in Montgomery
-    /// form; the result stays in Montgomery form. This is the server's
-    /// hot path: ciphertexts can be converted once as they arrive.
+    /// form; the result stays in Montgomery form, so a caller that
+    /// converts its bases once can chain further products without
+    /// leaving it.
     pub fn multi_pow_mont(&self, bases: &[MontElem], exps: &[Uint]) -> MontElem {
         assert_eq!(bases.len(), exps.len(), "bases/exponents length mismatch");
         let max_bits = exps.iter().map(|e| e.bit_len()).max().unwrap_or(0);
@@ -196,40 +152,5 @@ mod tests {
     fn length_mismatch_panics() {
         let c = ctx(128, 10);
         let _ = c.multi_pow(&[Uint::one()], &[]);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let c = ctx(256, 11);
-        let mut rng = StdRng::seed_from_u64(12);
-        for count in [0usize, 1, 15, 16, 33, 64, 200] {
-            let bases: Vec<Uint> = (0..count)
-                .map(|_| Uint::random_below(&mut rng, c.modulus()).unwrap())
-                .collect();
-            let exps: Vec<Uint> = (0..count)
-                .map(|_| Uint::from_u64(rng.gen::<u32>() as u64))
-                .collect();
-            let seq = c.multi_pow(&bases, &exps);
-            for threads in [1usize, 2, 3, 4, 8] {
-                assert_eq!(
-                    c.multi_pow_parallel(&bases, &exps, threads),
-                    seq,
-                    "count={count} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_small_input_falls_back() {
-        let c = ctx(128, 13);
-        let b = Uint::from_u64(7);
-        let e = Uint::from_u64(9);
-        // 1 element with 8 threads: must take the sequential path and
-        // still be correct.
-        assert_eq!(
-            c.multi_pow_parallel(std::slice::from_ref(&b), std::slice::from_ref(&e), 8),
-            c.pow(&b, &e).unwrap()
-        );
     }
 }

@@ -249,7 +249,7 @@ pps — private selected-sum queries over TCP
 
 USAGE:
   pps serve  --data FILE | --random N   [--listen ADDR] [--max-sessions K]
-             [--fold precomputed|incremental|multiexp|parallel]
+             [--fold precomputed|incremental]
              [--max-concurrent K] [--admission queue|refuse] [--session-timeout SECS] [--shutdown-after SECS]
              [--metrics-addr HOST:PORT] [--resume-ttl SECS] [--resume-capacity K]
              [--slow-query-ms MS]
@@ -411,8 +411,6 @@ fn parse_command(sub: &str, action: Option<&str>, flags: &Flags) -> Result<Comma
             let fold = match get("fold").as_deref() {
                 None => FoldStrategy::default(),
                 Some("incremental") => FoldStrategy::Incremental,
-                Some("multiexp") => FoldStrategy::MultiExp,
-                Some("parallel") => FoldStrategy::ParallelMultiExp,
                 Some("precomputed") => FoldStrategy::Precomputed,
                 Some(other) => {
                     return Err(CliError::usage(format!("unknown fold strategy {other}")))
@@ -1438,7 +1436,7 @@ mod tests {
     #[test]
     fn parse_serve() {
         let c = parse_args(&args(
-            "serve --random 100 --listen 0.0.0.0:9 --fold multiexp",
+            "serve --random 100 --listen 0.0.0.0:9 --fold incremental",
         ))
         .unwrap();
         assert_eq!(
@@ -1448,7 +1446,7 @@ mod tests {
                 random: Some(100),
                 listen: "0.0.0.0:9".into(),
                 max_sessions: None,
-                fold: FoldStrategy::MultiExp,
+                fold: FoldStrategy::Incremental,
                 max_concurrent: None,
                 admission: Admission::Queue,
                 session_timeout: None,
@@ -1460,10 +1458,6 @@ mod tests {
                 slow_query_ms: None,
             }
         );
-        match parse_args(&args("serve --random 8 --fold parallel")).unwrap() {
-            Command::Serve { fold, .. } => assert_eq!(fold, FoldStrategy::ParallelMultiExp),
-            other => panic!("{other:?}"),
-        }
         match parse_args(&args("serve --random 8 --fold precomputed")).unwrap() {
             Command::Serve { fold, .. } => assert_eq!(fold, FoldStrategy::Precomputed),
             other => panic!("{other:?}"),
@@ -1478,16 +1472,16 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        match parse_args(&args("serve --random 8 --fold incremental")).unwrap() {
-            Command::Serve { fold, .. } => assert_eq!(fold, FoldStrategy::Incremental),
-            other => panic!("{other:?}"),
-        }
         assert!(parse_args(&args("serve")).is_err(), "needs a data source");
         assert!(
             parse_args(&args("serve --data f --random 5")).is_err(),
             "not both"
         );
-        assert!(parse_args(&args("serve --random 5 --fold bogus")).is_err());
+        for fold in ["bogus", "multiexp", "parallel"] {
+            let err = parse_args(&args(&format!("serve --random 5 --fold {fold}"))).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert!(err.message.contains(fold), "{}", err.message);
+        }
     }
 
     #[test]
@@ -1642,12 +1636,18 @@ mod tests {
 
     #[test]
     fn parse_shard_serve() {
-        match parse_args(&args("shard-serve --random 16 --fold multiexp")).unwrap() {
+        match parse_args(&args("shard-serve --random 16 --fold incremental")).unwrap() {
             Command::Serve { shard, fold, .. } => {
                 assert!(shard, "shard-serve sets the worker flag");
-                assert_eq!(fold, FoldStrategy::MultiExp, "shares serve's flags");
+                assert_eq!(fold, FoldStrategy::Incremental, "shares serve's flags");
             }
             other => panic!("{other:?}"),
+        }
+        for fold in ["multiexp", "parallel"] {
+            let err =
+                parse_args(&args(&format!("shard-serve --random 16 --fold {fold}"))).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert!(err.message.contains(fold), "{}", err.message);
         }
         match parse_args(&args("shard-serve --random 16")).unwrap() {
             Command::Serve { shard, fold, .. } => {

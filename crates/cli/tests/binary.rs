@@ -60,6 +60,16 @@ fn bad_arguments_exit_2() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("--engine"));
+
+    // The server folds with its plan or the paper's loop, nothing else.
+    for fold in ["multiexp", "parallel"] {
+        let out = Command::new(bin())
+            .args(["serve", "--random", "8", "--fold", fold])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2));
+        assert!(String::from_utf8(out.stderr).unwrap().contains(fold));
+    }
 }
 
 #[test]
@@ -96,8 +106,6 @@ fn serve_and_query_binaries_end_to_end() {
             &addr,
             "--max-sessions",
             "1",
-            "--fold",
-            "multiexp",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())

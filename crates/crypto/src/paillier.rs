@@ -640,10 +640,13 @@ impl PaillierPublicKey {
         Ok(Ciphertext(self.inner.mont.pow(&a.0, k)?))
     }
 
-    /// The server's whole-batch fold in one call:
+    /// A whole-batch fold in one call:
     /// `Π ctsᵢ^{weightsᵢ} = E(Σ weightsᵢ·mᵢ)`, computed with a shared
     /// squaring chain (Straus interleaving) — roughly 2–3× faster than
-    /// folding element by element for the protocol's short exponents.
+    /// folding element by element for short exponents. PIR's server
+    /// folds with it; the selected-sum server, whose exponents are fixed
+    /// per database, folds through
+    /// [`PaillierPublicKey::fold_product_planned`].
     ///
     /// # Errors
     /// Propagates bignum errors; never fails for valid ciphertexts.
@@ -662,35 +665,6 @@ impl PaillierPublicKey {
         );
         let bases: Vec<Uint> = cts.iter().map(|c| c.0.clone()).collect();
         Ok(Ciphertext(self.inner.mont.multi_pow(&bases, weights)))
-    }
-
-    /// Parallel variant of [`PaillierPublicKey::fold_product`]: the batch
-    /// is split into up to `threads` chunks folded concurrently, and the
-    /// per-chunk partial products are combined with one homomorphic
-    /// addition (ciphertext multiplication) each —
-    /// `Π(partials) = E(Σ partial sums)`. Decrypts to the identical
-    /// selected sum as the sequential strategies.
-    ///
-    /// # Errors
-    /// Propagates bignum errors; never fails for valid ciphertexts.
-    ///
-    /// # Panics
-    /// Panics when the slice lengths differ (caller bug).
-    pub fn fold_product_parallel(
-        &self,
-        cts: &[Ciphertext],
-        weights: &[Uint],
-        threads: usize,
-    ) -> Result<Ciphertext, CryptoError> {
-        assert_eq!(
-            cts.len(),
-            weights.len(),
-            "ciphertext/weight length mismatch"
-        );
-        let bases: Vec<Uint> = cts.iter().map(|c| c.0.clone()).collect();
-        Ok(Ciphertext(
-            self.inner.mont.multi_pow_parallel(&bases, weights, threads),
-        ))
     }
 
     /// The server's batch fold against a precomputed per-database

@@ -4,9 +4,8 @@
 //! end-to-end runtime — even over a 56 Kbps modem — and its §3.3 answer
 //! (offline pools) only *moves* that cost. On a multi-core host the cost
 //! can also be *divided*: index-vector encryption is embarrassingly
-//! parallel (each `E(m; r)` is independent), so this module mirrors the
-//! server-side fold design ([`FoldStrategy::ParallelMultiExp`] in
-//! `pps-protocol`) on the client's side of the wire.
+//! parallel (each `E(m; r)` is independent), so this module splits the
+//! index vector into per-thread chunks on the client's side of the wire.
 //!
 //! [`ParallelEncryptor`] is a thin policy wrapper over
 //! [`PaillierPublicKey::encrypt_batch_parallel`]: it pins a thread
@@ -15,8 +14,6 @@
 //! preserved — per-worker CSPRNG streams are seeded by drawing from the
 //! caller's RNG in chunk order, so a fixed `(seed, threads)` pair
 //! always produces the same ciphertext vector.
-//!
-//! [`FoldStrategy::ParallelMultiExp`]: ../pps_protocol/enum.FoldStrategy.html
 
 use pps_bignum::Uint;
 use rand::RngCore;

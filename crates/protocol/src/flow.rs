@@ -20,7 +20,7 @@ use crate::error::ProtocolError;
 use crate::messages::{Hello, HelloAck, MsgType, Resume, ResumeAck, ShardHello};
 use crate::multidb::leg_blinding;
 use crate::resume::SessionTable;
-use crate::server::{FoldStrategy, ServerSession, ServerStats};
+use crate::server::{ServerSession, ServerStats};
 
 /// What one [`SessionFlow::on_frame`] step produced: zero or more reply
 /// frames (sent in order) and whether this step granted a resume.
@@ -41,7 +41,8 @@ pub struct FlowStep {
 pub struct SessionFlow<'a> {
     session: ServerSession<'a>,
     db: &'a Database,
-    fold: FoldStrategy,
+    /// The shared plan every session and resume folds through; `None`
+    /// folds with the paper's loop.
     plan: Option<Arc<MultiExpPlan>>,
     table: &'a SessionTable,
     require_shard: bool,
@@ -51,12 +52,15 @@ pub struct SessionFlow<'a> {
 }
 
 impl<'a> SessionFlow<'a> {
-    /// A flow awaiting its first frame. `plan` is `Some` exactly when
-    /// `fold` is [`FoldStrategy::Precomputed`] and was built from this
-    /// very database by the serve loop.
+    /// A flow awaiting its first frame, folding through `plan` — built
+    /// from this very database by the serve loop — or, with `None`, the
+    /// paper's loop.
+    ///
+    /// # Panics
+    /// When `plan` does not cover `db` (a caller bug: the plan would
+    /// weight rows wrong).
     pub fn new(
         db: &'a Database,
-        fold: FoldStrategy,
         plan: Option<Arc<MultiExpPlan>>,
         table: &'a SessionTable,
         require_shard: bool,
@@ -64,12 +68,11 @@ impl<'a> SessionFlow<'a> {
         let session = match &plan {
             Some(plan) => ServerSession::with_fold_plan(db, Arc::clone(plan))
                 .expect("plan was built from this database"),
-            None => ServerSession::with_fold(db, fold),
+            None => ServerSession::new(db),
         };
         SessionFlow {
             session,
             db,
-            fold,
             plan,
             table,
             require_shard,
@@ -168,12 +171,7 @@ impl<'a> SessionFlow<'a> {
             let restored = self
                 .table
                 .take(req.session_id)
-                .and_then(|cp| match &self.plan {
-                    Some(plan) => {
-                        ServerSession::resume_with_plan(self.db, Arc::clone(plan), cp).ok()
-                    }
-                    None => ServerSession::resume(self.db, self.fold, cp).ok(),
-                });
+                .and_then(|cp| ServerSession::resume(self.db, self.plan.clone(), cp).ok());
             match restored {
                 Some(restored) => {
                     self.session = restored;

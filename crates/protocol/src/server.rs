@@ -81,59 +81,39 @@ pub struct FoldCheckpoint {
     pub blinding: Option<pps_bignum::Uint>,
 }
 
-/// Shortest batch [`FoldStrategy::Precomputed`] folds through its plan;
-/// a shorter one takes the paper's per-row loop. The plan's bucket
-/// reduction costs about the largest digit in products per window
-/// however short the batch: one row with a 32-bit value takes ≈ 90
-/// products through the plan and ≈ 55 through its own exponentiation.
-/// Measured at 512-bit keys, the plan takes 1.81× the per-row loop's
-/// time at 1 row, 1.17× at 2 and 0.98× at 3 (DESIGN.md, fold plan).
-/// Both folds give the same product bytes.
+/// Shortest batch a session folds through its plan; a shorter one takes
+/// the paper's per-row loop. The plan's bucket reduction costs about the
+/// largest digit in products per window however short the batch: one
+/// row with a 32-bit value takes ≈ 90 products through the plan and
+/// ≈ 55 through its own exponentiation. Measured at 512-bit keys, the
+/// plan takes 1.81× the per-row loop's time at 1 row, 1.17× at 2 and
+/// 0.98× at 3 (DESIGN.md, fold plan). Both folds give the same product
+/// bytes.
 const PLANNED_FOLD_MIN_ROWS: usize = 3;
 
-/// How the server folds a batch of `E(I_i)` into its running product.
+/// How a serving runtime folds each batch of `E(I_i)` into its running
+/// product: the choice [`crate::TcpServer::bind`] and `pps serve --fold`
+/// make. A session itself carries only the plan (or none).
 ///
-/// Every strategy produces the same product bytes, so the choice never
-/// shows on the wire, in checkpoints or in shard blinding.
+/// Both folds produce the same product bytes, so the choice never shows
+/// on the wire, in checkpoints or in shard blinding.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FoldStrategy {
     /// Element by element: `acc ← acc · E(I_i)^{x_i}` — the paper's loop,
-    /// kept as the reference the other strategies are checked against.
+    /// kept as the reference the plan is checked against.
     Incremental,
-    /// Whole-batch Straus multi-exponentiation with a shared squaring
-    /// chain — 2–3× faster for the protocol's 32-bit exponents.
-    MultiExp,
-    /// [`FoldStrategy::MultiExp`] split across all available cores: the
-    /// batch is chunked, each chunk folded on its own thread, and the
-    /// per-chunk partials combined with one homomorphic add each
-    /// (`Π(partials) = E(Σ partial sums)`). Decrypts identically to the
-    /// sequential strategies.
-    ParallelMultiExp,
     /// Fold against a per-database [`MultiExpPlan`]: the window recoding
     /// and Pippenger bucket assignment of every fixed exponent `x_i` is
     /// precomputed **once per database** and shared (`Arc`) across all
     /// sessions, shard workers, and resumed checkpoints, so each batch
     /// pays ≈ one modular multiplication per base per window plus a
-    /// shared bucket-reduction chain. Decrypts identically to the other
-    /// strategies. The default: every `TcpServer` bound with
-    /// `FoldStrategy::default()` (`pps serve`, `pps shard-serve`) folds
-    /// through the plan its fold-plan cache holds for the database. A
-    /// batch of one or two rows takes the paper's per-row loop, which is
-    /// cheaper at that length.
+    /// shared bucket-reduction chain. The default: every `TcpServer`
+    /// bound with `FoldStrategy::default()` (`pps serve`, `pps
+    /// shard-serve`) folds through the plan its fold-plan cache holds
+    /// for the database. A batch of one or two rows takes the paper's
+    /// per-row loop, which is cheaper at that length.
     #[default]
     Precomputed,
-}
-
-impl FoldStrategy {
-    /// Worker threads the strategy will use for one batch.
-    pub fn threads(self) -> usize {
-        match self {
-            FoldStrategy::Incremental | FoldStrategy::MultiExp | FoldStrategy::Precomputed => 1,
-            FoldStrategy::ParallelMultiExp => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
 }
 
 /// The server side of one protocol session over a fixed database.
@@ -141,10 +121,8 @@ pub struct ServerSession<'db> {
     db: &'db Database,
     state: State,
     stats: ServerStats,
-    /// Batch folding strategy.
-    fold: FoldStrategy,
-    /// The shared per-database plan; `Some` iff `fold` is
-    /// [`FoldStrategy::Precomputed`] (enforced by every constructor).
+    /// The shared per-database plan batches fold through; `None` folds
+    /// with the paper's loop.
     plan: Option<Arc<MultiExpPlan>>,
     /// Optional blinding added to the product before replying (the
     /// multi-client protocol, §3.5): `E(R_i)` is multiplied in.
@@ -155,32 +133,16 @@ impl<'db> ServerSession<'db> {
     /// Creates a session over `db` that folds with the paper's loop,
     /// [`FoldStrategy::Incremental`]: the in-process paper runners, the
     /// local client run and `pps-stats` measure the protocol as the paper
-    /// states it. Serving runtimes choose a strategy with
-    /// [`ServerSession::with_fold`] or [`ServerSession::with_fold_plan`].
+    /// states it. Serving runtimes fold through a shared plan with
+    /// [`ServerSession::with_fold_plan`].
     pub fn new(db: &'db Database) -> Self {
         ServerSession {
             db,
             state: State::AwaitHello,
             stats: ServerStats::default(),
-            fold: FoldStrategy::Incremental,
             plan: None,
             blinding: None,
         }
-    }
-
-    /// Creates a session using the given fold strategy.
-    ///
-    /// A [`FoldStrategy::Precomputed`] session built this way recodes
-    /// its own private plan from `db` — convenient for one-shot,
-    /// in-process use. Concurrent runtimes should build the plan once
-    /// and share it via [`ServerSession::with_fold_plan`].
-    pub fn with_fold(db: &'db Database, fold: FoldStrategy) -> Self {
-        let mut s = Self::new(db);
-        s.fold = fold;
-        if fold == FoldStrategy::Precomputed {
-            s.plan = Some(Arc::new(MultiExpPlan::build(db.values())));
-        }
-        s
     }
 
     /// Creates a [`FoldStrategy::Precomputed`] session that folds
@@ -197,7 +159,6 @@ impl<'db> ServerSession<'db> {
     ) -> Result<Self, ProtocolError> {
         Self::check_plan(db, &plan)?;
         let mut s = Self::new(db);
-        s.fold = FoldStrategy::Precomputed;
         s.plan = Some(plan);
         Ok(s)
     }
@@ -227,8 +188,8 @@ impl<'db> ServerSession<'db> {
         &self.stats
     }
 
-    /// The shared per-database plan this session folds with, when the
-    /// strategy is [`FoldStrategy::Precomputed`].
+    /// The shared per-database plan this session folds with; `None`
+    /// when it folds with the paper's loop.
     pub fn fold_plan(&self) -> Option<&Arc<MultiExpPlan>> {
         self.plan.as_ref()
     }
@@ -278,52 +239,27 @@ impl<'db> ServerSession<'db> {
     }
 
     /// Rebuilds a mid-stream session from a checkpoint taken against the
-    /// same database. The checkpoint is validated — a snapshot from a
+    /// same database, folding the rest through `plan` (the same shared
+    /// plan every live session over `db` uses) or, with `None`, the
+    /// paper's loop. The checkpoint is validated — a snapshot from a
     /// different database (or a forged one) is rejected rather than
-    /// folded forward.
+    /// folded forward. It snapshots only the homomorphic accumulator and
+    /// the stream position, so a checkpoint taken under either fold
+    /// resumes soundly under the other.
     ///
     /// # Errors
-    /// [`ProtocolError::Config`] when the checkpoint's announced total
-    /// does not match `db`; [`ProtocolError::InvalidInput`] when its
-    /// cursor or batch size is out of bounds.
+    /// [`ProtocolError::Config`] when the plan or the checkpoint's
+    /// announced total does not match `db`;
+    /// [`ProtocolError::InvalidInput`] when its cursor or batch size is
+    /// out of bounds.
     pub fn resume(
         db: &'db Database,
-        fold: FoldStrategy,
-        cp: FoldCheckpoint,
-    ) -> Result<Self, ProtocolError> {
-        let plan =
-            (fold == FoldStrategy::Precomputed).then(|| Arc::new(MultiExpPlan::build(db.values())));
-        Self::resume_inner(db, fold, plan, cp)
-    }
-
-    /// As [`ServerSession::resume`] under [`FoldStrategy::Precomputed`],
-    /// reusing an already-built shared plan instead of recoding one —
-    /// so a resumed checkpoint folds with the **same** cached plan as
-    /// every live session over the database.
-    ///
-    /// # Errors
-    /// As [`ServerSession::resume`], plus [`ProtocolError::Config`]
-    /// when the plan does not cover `db`.
-    ///
-    /// The checkpoint itself is strategy-agnostic (it snapshots only
-    /// the homomorphic accumulator and stream position), so resuming a
-    /// checkpoint taken under any other strategy here is sound, and
-    /// vice versa.
-    pub fn resume_with_plan(
-        db: &'db Database,
-        plan: Arc<MultiExpPlan>,
-        cp: FoldCheckpoint,
-    ) -> Result<Self, ProtocolError> {
-        Self::check_plan(db, &plan)?;
-        Self::resume_inner(db, FoldStrategy::Precomputed, Some(plan), cp)
-    }
-
-    fn resume_inner(
-        db: &'db Database,
-        fold: FoldStrategy,
         plan: Option<Arc<MultiExpPlan>>,
         cp: FoldCheckpoint,
     ) -> Result<Self, ProtocolError> {
+        if let Some(plan) = &plan {
+            Self::check_plan(db, plan)?;
+        }
         if cp.expected as usize != db.len() {
             return Err(ProtocolError::Config(format!(
                 "checkpoint expects {} indices for a database of {}",
@@ -350,7 +286,6 @@ impl<'db> ServerSession<'db> {
                 next_seq: cp.next_seq,
             },
             stats: cp.stats,
-            fold,
             plan,
             blinding: cp.blinding,
         })
@@ -515,14 +450,17 @@ impl<'db> ServerSession<'db> {
         *next_seq += 1;
 
         let start = Instant::now();
-        let fold = match self.fold {
-            FoldStrategy::Precomputed if batch.ciphertexts.len() < PLANNED_FOLD_MIN_ROWS => {
-                FoldStrategy::Incremental
+        match &self.plan {
+            Some(plan) if batch.ciphertexts.len() >= PLANNED_FOLD_MIN_ROWS => {
+                // Bucket fold against the shared per-database plan: the
+                // exponent recoding was paid once at plan build, so the
+                // batch costs ≈ one multiplication per base per window
+                // plus the shared bucket reduction.
+                let folded = key.fold_product_planned(&batch.ciphertexts, plan, *cursor)?;
+                *accumulator = key.add(accumulator, &folded)?;
+                *cursor += batch.ciphertexts.len();
             }
-            fold => fold,
-        };
-        match fold {
-            FoldStrategy::Incremental => {
+            _ => {
                 // The paper's server inner loop: for each received E(I_i),
                 // raise to the database value x_i and fold into the
                 // running product.
@@ -532,36 +470,6 @@ impl<'db> ServerSession<'db> {
                     *accumulator = key.add(accumulator, &term)?;
                     *cursor += 1;
                 }
-            }
-            FoldStrategy::MultiExp | FoldStrategy::ParallelMultiExp => {
-                // Whole-batch interleaved multi-exponentiation, chunked
-                // across cores for the parallel strategy.
-                let weights: Vec<pps_bignum::Uint> = self.db.values()
-                    [*cursor..*cursor + batch.ciphertexts.len()]
-                    .iter()
-                    .map(|&x| pps_bignum::Uint::from_u64(x))
-                    .collect();
-                let threads = fold.threads();
-                let folded = if threads > 1 {
-                    key.fold_product_parallel(&batch.ciphertexts, &weights, threads)?
-                } else {
-                    key.fold_product(&batch.ciphertexts, &weights)?
-                };
-                *accumulator = key.add(accumulator, &folded)?;
-                *cursor += batch.ciphertexts.len();
-            }
-            FoldStrategy::Precomputed => {
-                // Bucket fold against the shared per-database plan: the
-                // exponent recoding was paid once at plan build, so the
-                // batch costs ≈ one multiplication per base per window
-                // plus the shared bucket reduction.
-                let plan = self
-                    .plan
-                    .as_ref()
-                    .expect("Precomputed sessions always hold a plan");
-                let folded = key.fold_product_planned(&batch.ciphertexts, plan, *cursor)?;
-                *accumulator = key.add(accumulator, &folded)?;
-                *cursor += batch.ciphertexts.len();
             }
         }
         let elapsed = start.elapsed();
@@ -768,56 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn multiexp_fold_matches_incremental() {
-        let (kp, db, mut rng) = setup();
-        let bits = [1u64, 0, 1, 1, 0];
-
-        let mut inc = ServerSession::new(&db);
-        inc.on_frame(&hello(&kp, 5, 5)).unwrap();
-        let r1 = inc
-            .on_frame(&batch_frame(&kp, 0, &bits, &mut rng))
-            .unwrap()
-            .unwrap();
-        let s1 = kp
-            .secret
-            .decrypt(&Product::decode(&r1, &kp.public).unwrap().ciphertext)
-            .unwrap();
-
-        let mut mx = ServerSession::with_fold(&db, FoldStrategy::MultiExp);
-        mx.on_frame(&hello(&kp, 5, 5)).unwrap();
-        let r2 = mx
-            .on_frame(&batch_frame(&kp, 0, &bits, &mut rng))
-            .unwrap()
-            .unwrap();
-        let s2 = kp
-            .secret
-            .decrypt(&Product::decode(&r2, &kp.public).unwrap().ciphertext)
-            .unwrap();
-
-        assert_eq!(s1, s2);
-        assert_eq!(s1.to_u64(), Some(80));
-    }
-
-    #[test]
-    fn multiexp_fold_batched_session() {
-        let (kp, db, mut rng) = setup();
-        let mut s = ServerSession::with_fold(&db, FoldStrategy::MultiExp);
-        s.on_frame(&hello(&kp, 5, 2)).unwrap();
-        s.on_frame(&batch_frame(&kp, 0, &[1, 0], &mut rng)).unwrap();
-        s.on_frame(&batch_frame(&kp, 1, &[0, 1], &mut rng)).unwrap();
-        let reply = s
-            .on_frame(&batch_frame(&kp, 2, &[1], &mut rng))
-            .unwrap()
-            .unwrap();
-        let product = Product::decode(&reply, &kp.public).unwrap();
-        // rows 0, 3, 4 → 10 + 40 + 50.
-        assert_eq!(
-            kp.secret.decrypt(&product.ciphertext).unwrap().to_u64(),
-            Some(100)
-        );
-    }
-
-    #[test]
     fn rejects_empty_batch() {
         let (kp, db, mut rng) = setup();
         let mut s = ServerSession::new(&db);
@@ -867,41 +725,6 @@ mod tests {
             kp.secret.decrypt(&product.ciphertext).unwrap().to_u64(),
             Some(77)
         );
-    }
-
-    #[test]
-    fn parallel_fold_matches_incremental() {
-        let (kp, _, mut rng) = setup();
-        let values: Vec<u64> = (1..=64).map(|i| i * 3).collect();
-        let bits: Vec<u64> = (0..64).map(|i| u64::from(i % 3 == 0)).collect();
-        let db = Database::new(values).unwrap();
-        let expected = db.oracle_sum(&Selection::weighted(bits.clone())).unwrap();
-
-        let mut inc = ServerSession::new(&db);
-        inc.on_frame(&hello(&kp, 64, 64)).unwrap();
-        let r1 = inc
-            .on_frame(&batch_frame(&kp, 0, &bits, &mut rng))
-            .unwrap()
-            .unwrap();
-        let s1 = kp
-            .secret
-            .decrypt(&Product::decode(&r1, &kp.public).unwrap().ciphertext)
-            .unwrap();
-
-        let mut par = ServerSession::with_fold(&db, FoldStrategy::ParallelMultiExp);
-        par.on_frame(&hello(&kp, 64, 64)).unwrap();
-        let r2 = par
-            .on_frame(&batch_frame(&kp, 0, &bits, &mut rng))
-            .unwrap()
-            .unwrap();
-        let s2 = kp
-            .secret
-            .decrypt(&Product::decode(&r2, &kp.public).unwrap().ciphertext)
-            .unwrap();
-
-        assert_eq!(s1, s2);
-        assert_eq!(s2, pps_bignum::Uint::from_u128(expected));
-        assert_eq!(par.stats().folded, 64);
     }
 
     #[test]
@@ -985,7 +808,7 @@ mod tests {
         assert_eq!(cp.next_seq, 1);
         drop(s); // the original connection died here
 
-        let mut resumed = ServerSession::resume(&db, FoldStrategy::MultiExp, cp).unwrap();
+        let mut resumed = ServerSession::resume(&db, None, cp).unwrap();
         assert_eq!(resumed.next_seq(), Some(1));
         assert!(resumed
             .on_frame(&batch_frame(&kp, 1, &[0, 0], &mut rng))
@@ -1020,7 +843,7 @@ mod tests {
         assert!(cp.blinding.is_some(), "checkpoint snapshots the blinding");
         drop(s);
 
-        let mut resumed = ServerSession::resume(&db, FoldStrategy::Incremental, cp).unwrap();
+        let mut resumed = ServerSession::resume(&db, None, cp).unwrap();
         assert!(resumed.has_blinding());
         resumed
             .on_frame(&batch_frame(&kp, 1, &[0, 0], &mut rng))
@@ -1090,11 +913,8 @@ mod tests {
             .decrypt(&Product::decode(&r1, &kp.public).unwrap().ciphertext)
             .unwrap();
 
-        let mut pre = ServerSession::with_fold(&db, FoldStrategy::Precomputed);
-        assert!(
-            pre.fold_plan().is_some(),
-            "Precomputed sessions hold a plan"
-        );
+        let plan = Arc::new(MultiExpPlan::build(db.values()));
+        let mut pre = ServerSession::with_fold_plan(&db, plan).unwrap();
         pre.on_frame(&hello(&kp, 5, 5)).unwrap();
         let r2 = pre
             .on_frame(&batch_frame(&kp, 0, &bits, &mut rng))
@@ -1153,7 +973,7 @@ mod tests {
         let cp = s.checkpoint().expect("mid-stream checkpoint");
         drop(s); // the original connection died here
 
-        let mut resumed = ServerSession::resume_with_plan(&db, Arc::clone(&plan), cp).unwrap();
+        let mut resumed = ServerSession::resume(&db, Some(Arc::clone(&plan)), cp).unwrap();
         assert!(
             Arc::ptr_eq(resumed.fold_plan().unwrap(), &plan),
             "resume selects the same cached plan as the live sessions"
@@ -1178,39 +998,47 @@ mod tests {
         s.on_frame(&hello(&kp, 5, 2)).unwrap();
         s.on_frame(&batch_frame(&kp, 0, &[1, 1], &mut rng)).unwrap();
         let cp = s.checkpoint().unwrap();
-        assert!(ServerSession::resume_with_plan(&other, plan, cp).is_err());
+        assert!(ServerSession::resume(&other, Some(Arc::clone(&plan)), cp.clone()).is_err());
+        // Nor may a plan built for another database fold this one.
+        let foreign = Arc::new(MultiExpPlan::build(other.values()));
+        assert!(matches!(
+            ServerSession::resume(&db, Some(foreign), cp),
+            Err(ProtocolError::Config(_))
+        ));
     }
 
     #[test]
     fn cross_strategy_resume_is_correct() {
         // A checkpoint snapshots only the homomorphic accumulator and
-        // stream position — nothing strategy-specific — so a session
-        // may checkpoint under one strategy and resume under another.
-        let (kp, db, mut rng) = setup();
-        for (first, second) in [
-            (FoldStrategy::Precomputed, FoldStrategy::MultiExp),
-            (FoldStrategy::MultiExp, FoldStrategy::Precomputed),
-            (FoldStrategy::Incremental, FoldStrategy::Precomputed),
-        ] {
-            let mut s = ServerSession::with_fold(&db, first);
-            s.on_frame(&hello(&kp, 5, 2)).unwrap();
-            s.on_frame(&batch_frame(&kp, 0, &[1, 1], &mut rng)).unwrap();
+        // stream position — nothing fold-specific — so a session may
+        // checkpoint under the plan and resume under the loop, and back.
+        // Batches of three rows, so the plan side folds through the plan.
+        let (kp, _, mut rng) = setup();
+        let db = Database::new(vec![10, 20, 30, 40, 50, 60]).unwrap();
+        let plan = Arc::new(MultiExpPlan::build(db.values()));
+        for (first, second) in [(Some(Arc::clone(&plan)), None), (None, Some(plan))] {
+            let label = format!("plan {} → {}", first.is_some(), second.is_some());
+            let mut s = match first {
+                Some(plan) => ServerSession::with_fold_plan(&db, plan).unwrap(),
+                None => ServerSession::new(&db),
+            };
+            s.on_frame(&hello(&kp, 6, 3)).unwrap();
+            s.on_frame(&batch_frame(&kp, 0, &[1, 1, 0], &mut rng))
+                .unwrap();
             let cp = s.checkpoint().unwrap();
             drop(s);
 
             let mut resumed = ServerSession::resume(&db, second, cp).unwrap();
-            resumed
-                .on_frame(&batch_frame(&kp, 1, &[0, 0], &mut rng))
-                .unwrap();
             let reply = resumed
-                .on_frame(&batch_frame(&kp, 2, &[1], &mut rng))
+                .on_frame(&batch_frame(&kp, 1, &[0, 1, 1], &mut rng))
                 .unwrap()
                 .unwrap();
             let product = Product::decode(&reply, &kp.public).unwrap();
+            // Rows 0, 1, 4, 5 → 10 + 20 + 50 + 60.
             assert_eq!(
                 kp.secret.decrypt(&product.ciphertext).unwrap().to_u64(),
-                Some(80),
-                "checkpoint under {first:?} resumed under {second:?}"
+                Some(140),
+                "checkpoint resumed across folds ({label})"
             );
         }
     }
@@ -1219,9 +1047,7 @@ mod tests {
     fn serving_defaults_to_the_plan_while_new_keeps_the_papers_loop() {
         let (_, db, _) = setup();
         assert_eq!(FoldStrategy::default(), FoldStrategy::Precomputed);
-        let s = ServerSession::new(&db);
-        assert_eq!(s.fold, FoldStrategy::Incremental);
-        assert!(s.fold_plan().is_none());
+        assert!(ServerSession::new(&db).fold_plan().is_none());
     }
 
     #[test]
@@ -1235,21 +1061,21 @@ mod tests {
         // Wrong database size.
         let other = Database::new(vec![1, 2, 3]).unwrap();
         assert!(matches!(
-            ServerSession::resume(&other, FoldStrategy::Incremental, cp.clone()),
+            ServerSession::resume(&other, None, cp.clone()),
             Err(ProtocolError::Config(_))
         ));
         // Forged cursor beyond the announced total.
         let mut forged = cp.clone();
         forged.cursor = 99;
         assert!(matches!(
-            ServerSession::resume(&db, FoldStrategy::Incremental, forged),
+            ServerSession::resume(&db, None, forged),
             Err(ProtocolError::InvalidInput(_))
         ));
         // Forged zero batch size.
         let mut forged = cp;
         forged.batch_size = 0;
         assert!(matches!(
-            ServerSession::resume(&db, FoldStrategy::Incremental, forged),
+            ServerSession::resume(&db, None, forged),
             Err(ProtocolError::InvalidInput(_))
         ));
     }

@@ -510,15 +510,14 @@ fn attempt_observed(
     let n = SizeReply::decode(&wire.recv()?)?.n as usize;
     let selection = Selection::from_indices(n, select)?;
 
-    let mut source = if config.client_threads > 1 {
-        IndexSource::FreshParallel {
-            rng,
-            threads: config.client_threads,
-        }
-    } else {
-        IndexSource::Fresh(rng)
-    };
-    let sent = client.send_query(&mut wire, &selection, config.batch_size, &mut source)?;
+    let mut source = index_source(config, rng);
+    let sent = client.send_query_traced(
+        &mut wire,
+        &selection,
+        config.batch_size,
+        &mut source,
+        config.trace,
+    )?;
     let (sum, decrypt) = client.receive_result(&mut wire)?;
     let comm = wire.blocked();
 

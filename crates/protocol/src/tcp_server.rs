@@ -611,6 +611,7 @@ impl TcpServer {
     /// Builds (or fetches from the cache) the shared fold plan when the
     /// strategy is [`FoldStrategy::Precomputed`]: one digit table
     /// serves every session a serve loop admits, fresh or resumed.
+    /// [`FoldStrategy::Incremental`] maps to `None`, the paper's loop.
     fn shared_plan(&self) -> Option<Arc<MultiExpPlan>> {
         (self.fold == FoldStrategy::Precomputed).then(|| {
             let cache: &FoldPlanCache = match &self.plan_cache {
@@ -752,7 +753,6 @@ impl TcpServer {
                 let active_now = &active_now;
                 let peak = &peak;
                 let db = &*self.db;
-                let fold = self.fold;
                 let plan = plan.as_ref();
                 let limits = &self.limits;
                 let table = &self.resumption;
@@ -846,8 +846,7 @@ impl TcpServer {
                             hook(id);
                         }
                         let wire_metrics = obs.map(|o| o.wire.clone());
-                        let mut flow =
-                            SessionFlow::new(db, fold, plan.cloned(), table, require_shard);
+                        let mut flow = SessionFlow::new(db, plan.cloned(), table, require_shard);
                         let result =
                             drive_connection(&mut flow, stream, limits, deadline, wire_metrics);
                         // Stamp the peer's announced trace context onto
@@ -1120,7 +1119,7 @@ mod tests {
     fn serves_sequential_sessions_and_aggregates() {
         let db = Arc::new(Database::new(vec![10, 20, 30, 40, 50]).unwrap());
         let server =
-            TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::MultiExp).unwrap();
+            TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::default()).unwrap();
         let addr = server.local_addr().unwrap();
 
         let clients = std::thread::spawn(move || {

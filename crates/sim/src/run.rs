@@ -18,9 +18,7 @@ use std::time::Duration;
 use bytes::{Bytes, BytesMut};
 use pps_obs::{names, Counter, Gauge, Registry, VirtualClock};
 use pps_protocol::messages::{HelloAck, MsgType, Resume, ResumeAck};
-use pps_protocol::{
-    Database, FoldStrategy, ResumptionConfig, SessionFlow, SessionTable, SumClient,
-};
+use pps_protocol::{Database, ResumptionConfig, SessionFlow, SessionTable, SumClient};
 use pps_transport::{Frame, LinkProfile};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -913,13 +911,7 @@ impl<'a> Runner<'a> {
         self.conns.insert(
             conn,
             ServerConn {
-                flow: SessionFlow::new(
-                    &self.dbs[server],
-                    FoldStrategy::Incremental,
-                    None,
-                    &self.tables[server],
-                    server > 0,
-                ),
+                flow: SessionFlow::new(&self.dbs[server], None, &self.tables[server], server > 0),
                 inbox: BytesMut::new(),
                 client: id,
                 server,

@@ -43,7 +43,7 @@ fn scripted_disconnects_resume_with_fewer_bytes_resent() {
         let kill_at = 3 + seed % 7;
 
         let registry = Arc::new(Registry::new());
-        let server = TcpServer::bind(database(), "127.0.0.1:0", FoldStrategy::MultiExp)
+        let server = TcpServer::bind(database(), "127.0.0.1:0", FoldStrategy::default())
             .unwrap()
             .with_observability(ServerObs::new(Arc::clone(&registry)));
         let addr = server.local_addr().unwrap();

@@ -87,9 +87,9 @@ fn serve_and_query_round_trip() {
 }
 
 #[test]
-fn multiexp_server_agrees() {
+fn precomputed_server_agrees() {
     let addr = free_addr();
-    spawn_server((1..=50).collect(), addr.clone(), 2, FoldStrategy::MultiExp);
+    spawn_server((1..=50).collect(), addr.clone(), 2, FoldStrategy::default());
     let mut rng = StdRng::seed_from_u64(2);
     let opts = QueryOptions {
         key_bits: 128,
@@ -162,7 +162,7 @@ fn sharded_query_round_trip() {
             spawn_server_opts(
                 (lo..lo + 10).collect(),
                 addr.clone(),
-                FoldStrategy::MultiExp,
+                FoldStrategy::default(),
                 ServeOptions {
                     max_sessions: Some(2),
                     shard_only: true,
@@ -203,7 +203,7 @@ fn traced_sharded_query_emits_merged_timeline_json() {
         spawn_server_opts(
             (lo..lo + 10).collect(),
             addr.clone(),
-            FoldStrategy::MultiExp,
+            FoldStrategy::default(),
             ServeOptions {
                 shard_only: true,
                 metrics_addr: Some(obs_addr.clone()),

@@ -1,24 +1,22 @@
-//! Fold-strategy parity: for random databases, selections, and batch
-//! geometries, every server fold strategy — the paper's incremental
-//! loop, Straus multi-exponentiation, its parallel variant, and the
-//! precomputed per-database plan — decrypts to the **bit-identical**
+//! Fold parity: for random databases, selections, and batch
+//! geometries, both server folds — the paper's incremental loop and the
+//! precomputed per-database plan — decrypt to the **bit-identical**
 //! selected sum, which equals the plaintext oracle. The same encrypted
-//! frames are replayed into every strategy's session, so any divergence
-//! is the fold's fault, not the randomness's.
+//! frames are replayed into each fold's session, so any divergence is
+//! the fold's fault, not the randomness's.
 //!
-//! Also proves the resume story for [`FoldStrategy::Precomputed`]: a
-//! checkpoint taken mid-stream under the plan resumes correctly —
-//! through a rebuilt plan, through a caller-shared plan, and across
-//! strategies in both directions (the checkpoint is strategy-agnostic
-//! by construction, so cross-strategy resume is *correct*, not
-//! rejected).
+//! Also proves the resume story for the plan: a checkpoint taken
+//! mid-stream under the plan resumes correctly — through the same
+//! shared plan, through a freshly built plan, and across folds in both
+//! directions (the checkpoint is fold-agnostic by construction, so
+//! cross-fold resume is *correct*, not rejected).
 
 use std::sync::{Arc, OnceLock};
 
 use pps_bignum::MultiExpPlan;
 use pps_crypto::PaillierKeypair;
 use pps_protocol::messages::{Hello, IndexBatch, Product};
-use pps_protocol::{Database, FoldStrategy, Selection, ServerSession};
+use pps_protocol::{Database, Selection, ServerSession};
 use pps_transport::Frame;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -61,12 +59,20 @@ fn encode_query(bits: &[u64], batch: usize, rng: &mut StdRng) -> Vec<Frame> {
         .collect()
 }
 
+/// A fresh session folding through `plan`, or the paper's loop.
+fn session(db: &Database, plan: Option<Arc<MultiExpPlan>>) -> ServerSession<'_> {
+    match plan {
+        Some(plan) => ServerSession::with_fold_plan(db, plan).unwrap(),
+        None => ServerSession::new(db),
+    }
+}
+
 /// Replays pre-encoded frames into a fresh session and returns the
 /// decrypted sum (as the raw decrypted `Uint`, so equality between
-/// strategies is bit-level, not merely numeric-after-truncation).
-fn replay(db: &Database, frames: &[Frame], strategy: FoldStrategy) -> (u128, Vec<u8>) {
+/// folds is bit-level, not merely numeric-after-truncation).
+fn replay(db: &Database, frames: &[Frame], plan: Option<Arc<MultiExpPlan>>) -> (u128, Vec<u8>) {
     let kp = keypair();
-    let mut session = ServerSession::with_fold(db, strategy);
+    let mut session = session(db, plan);
     let mut reply = None;
     for frame in frames {
         reply = session.on_frame(frame).unwrap();
@@ -91,24 +97,20 @@ proptest! {
         let oracle = db.oracle_sum(&Selection::weighted(bits.clone())).unwrap();
         let frames = encode_query(&bits, batch, &mut rng);
 
-        let (inc, inc_bytes) = replay(&db, &frames, FoldStrategy::Incremental);
-        let (me, me_bytes) = replay(&db, &frames, FoldStrategy::MultiExp);
-        let (par, par_bytes) = replay(&db, &frames, FoldStrategy::ParallelMultiExp);
-        let (pre, pre_bytes) = replay(&db, &frames, FoldStrategy::Precomputed);
+        let plan = Arc::new(MultiExpPlan::build(db.values()));
+        let (inc, inc_bytes) = replay(&db, &frames, None);
+        let (pre, pre_bytes) = replay(&db, &frames, Some(plan));
 
         prop_assert_eq!(inc, oracle);
-        prop_assert_eq!(me, oracle);
-        prop_assert_eq!(par, oracle);
         prop_assert_eq!(pre, oracle);
         // Bit-identical plaintexts, not merely equal u128 projections.
         prop_assert_eq!(&pre_bytes, &inc_bytes);
-        prop_assert_eq!(&pre_bytes, &me_bytes);
-        prop_assert_eq!(&pre_bytes, &par_bytes);
     }
 
-    /// A checkpoint taken under `Precomputed` mid-stream resumes
-    /// correctly — under a rebuilt plan, a shared plan, or any *other*
-    /// strategy — and every resumed path decrypts to the oracle sum.
+    /// A checkpoint taken under the plan mid-stream resumes correctly —
+    /// under the same shared plan, a freshly built plan, or the paper's
+    /// loop — and so does a loop checkpoint under the plan; every
+    /// resumed path decrypts to the oracle sum.
     #[test]
     fn precomputed_checkpoints_resume_correctly_and_cross_strategy(
         values in prop::collection::vec(0u64..1_000_000, 4..32),
@@ -123,12 +125,13 @@ proptest! {
         let frames = encode_query(&bits, batch, &mut rng);
         prop_assume!(frames.len() >= 3); // hello + at least two batches
 
-        // Drive the first batch under Precomputed, then checkpoint.
-        let mut first = ServerSession::with_fold(&db, FoldStrategy::Precomputed);
-        first.on_frame(&frames[0]).unwrap();
-        first.on_frame(&frames[1]).unwrap();
-        let cp = first.checkpoint().expect("mid-stream checkpoint");
-
+        // Drive the first batch under `first`, then checkpoint.
+        let checkpoint = |first| {
+            let mut s = session(&db, first);
+            s.on_frame(&frames[0]).unwrap();
+            s.on_frame(&frames[1]).unwrap();
+            s.checkpoint().expect("mid-stream checkpoint")
+        };
         let finish = |mut session: ServerSession<'_>| {
             let mut reply = None;
             for frame in &frames[2..] {
@@ -142,29 +145,25 @@ proptest! {
                 .to_u128()
                 .unwrap()
         };
-
-        // Same strategy, plan rebuilt from the database.
-        let rebuilt =
-            ServerSession::resume(&db, FoldStrategy::Precomputed, cp.clone()).unwrap();
-        prop_assert_eq!(finish(rebuilt), oracle);
-
-        // Same strategy, caller-shared plan (the TcpServer path).
         let plan = Arc::new(MultiExpPlan::build(db.values()));
-        let shared = ServerSession::resume_with_plan(&db, plan, cp.clone()).unwrap();
+        let cp = checkpoint(Some(Arc::clone(&plan)));
+
+        // Plan → the same shared plan (the TcpServer path).
+        let shared = ServerSession::resume(&db, Some(Arc::clone(&plan)), cp.clone()).unwrap();
         prop_assert_eq!(finish(shared), oracle);
 
-        // Cross-strategy: the checkpoint carries only accumulator and
-        // cursor, so any strategy may continue it.
-        let crossed = ServerSession::resume(&db, FoldStrategy::MultiExp, cp).unwrap();
+        // Plan → a plan freshly built from the database.
+        let fresh = Arc::new(MultiExpPlan::build(db.values()));
+        let rebuilt = ServerSession::resume(&db, Some(fresh), cp.clone()).unwrap();
+        prop_assert_eq!(finish(rebuilt), oracle);
+
+        // Plan → loop: the checkpoint carries only accumulator and
+        // cursor, so either fold may continue it.
+        let crossed = ServerSession::resume(&db, None, cp).unwrap();
         prop_assert_eq!(finish(crossed), oracle);
 
-        // And the reverse direction: checkpoint under MultiExp,
-        // continue under Precomputed.
-        let mut me = ServerSession::with_fold(&db, FoldStrategy::MultiExp);
-        me.on_frame(&frames[0]).unwrap();
-        me.on_frame(&frames[1]).unwrap();
-        let cp_me = me.checkpoint().expect("mid-stream checkpoint");
-        let back = ServerSession::resume(&db, FoldStrategy::Precomputed, cp_me).unwrap();
+        // And the reverse direction: loop → plan.
+        let back = ServerSession::resume(&db, Some(plan), checkpoint(None)).unwrap();
         prop_assert_eq!(finish(back), oracle);
     }
 }

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pps_obs::{http, names, MetricsServer, Phase, Registry, RingCollector, Tracer};
+use pps_obs::{http, names, MetricsServer, Phase, Registry, RingCollector, TraceContext, Tracer};
 use pps_protocol::{
     run_tcp_query_observed, run_tcp_query_with_retry, Database, FoldPlanCache, FoldStrategy,
     PhaseTotals, QueryObs, ServerObs, SessionEvent, SessionLimits, SumClient, TcpQueryConfig,
@@ -338,4 +338,42 @@ fn server_wire_counters_match_client_traffic() {
         counter(names::WIRE_BYTES_SENT_TOTAL),
         traffic.payload_bytes_received
     );
+}
+
+/// The caller's trace context reaches the server on the observed path
+/// too: `TcpQueryConfig::trace` is announced on the `Hello` trailer, so
+/// the server stamps it onto the session's `server_compute` record.
+#[test]
+fn observed_query_announces_the_callers_trace_context() {
+    let ring = Arc::new(RingCollector::new(64));
+    let server_obs = ServerObs::with_tracer(Arc::new(Registry::new()), Tracer::new(ring.clone()));
+    let db = Arc::new(Database::new(vec![10, 20, 30, 40]).unwrap());
+    let server = TcpServer::bind(db, "127.0.0.1:0", FoldStrategy::default())
+        .unwrap()
+        .with_observability(server_obs);
+    let addr = server.local_addr().unwrap();
+
+    let mut rng = StdRng::seed_from_u64(12);
+    let client = SumClient::generate(128, &mut rng).unwrap();
+    let config = TcpQueryConfig {
+        trace: Some(TraceContext::new(0xabcdef, 3)),
+        ..TcpQueryConfig::default()
+    };
+    let obs = QueryObs::new(Arc::new(Registry::new()));
+    let (outcome, _) = std::thread::scope(|scope| {
+        let server_thread = scope.spawn(|| server.serve(Some(1)));
+        let result =
+            run_tcp_query_observed(&addr.to_string(), &client, &[0, 3], &config, &mut rng, &obs)
+                .unwrap();
+        assert_eq!(server_thread.join().unwrap().sessions, 1);
+        result
+    });
+    assert_eq!(outcome.sum, 50);
+
+    let spans = ring.spans();
+    let compute = spans
+        .iter()
+        .find(|s| s.name == "server_compute")
+        .expect("the server records its compute");
+    assert_eq!(compute.trace.map(|t| t.trace_id), Some(0xabcdef));
 }

@@ -1,19 +1,13 @@
 //! Concurrent server-runtime tests: one [`TcpServer`] over loopback,
 //! several real client threads with distinct private selections, every
-//! result checked against the plaintext oracle — plus a property test
-//! that the parallel fold strategy is indistinguishable (after
-//! decryption) from the paper's incremental loop.
+//! result checked against the plaintext oracle. (The folds' parity with
+//! each other is `fold_parity`'s job.)
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use pps_crypto::PaillierKeypair;
-use pps_protocol::messages::{Hello, IndexBatch, Product};
-use pps_protocol::{
-    Database, FoldStrategy, IndexSource, Selection, ServerSession, SumClient, TcpServer,
-};
+use pps_protocol::{Database, FoldStrategy, IndexSource, Selection, SumClient, TcpServer};
 use pps_transport::TcpWire;
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,14 +32,8 @@ fn four_concurrent_sessions_with_distinct_selections() {
     let values: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..10_000)).collect();
     let db = Arc::new(Database::new(values).unwrap());
 
-    // Exercise the parallel fold end to end (on a single-core host it
-    // falls back to the sequential chain — same answers either way).
-    let server = TcpServer::bind(
-        Arc::clone(&db),
-        "127.0.0.1:0",
-        FoldStrategy::ParallelMultiExp,
-    )
-    .unwrap();
+    // The default fold: every session shares one plan.
+    let server = TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::default()).unwrap();
     let addr = server.local_addr().unwrap();
 
     // Four clients, each selecting a different residue class mod 4, plus
@@ -95,7 +83,7 @@ fn sessions_overlap_in_time() {
     // connects second and must complete while the first is still open —
     // the thread-per-connection runtime must not serialize them.
     let db = Arc::new(Database::new(vec![5, 6, 7, 8]).unwrap());
-    let server = TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::MultiExp).unwrap();
+    let server = TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::default()).unwrap();
     let addr = server.local_addr().unwrap();
 
     let slow = std::thread::spawn(move || {
@@ -129,70 +117,4 @@ fn sessions_overlap_in_time() {
         "fast session finished in {fast_elapsed:?}, so it was not queued \
          behind the stalled one"
     );
-}
-
-/// Drives one single-batch session with the given fold strategy and
-/// returns the decrypted sum.
-fn fold_with(
-    kp: &PaillierKeypair,
-    db: &Database,
-    bits: &[u64],
-    strategy: FoldStrategy,
-    rng: &mut StdRng,
-) -> u128 {
-    let n = db.len();
-    let mut session = ServerSession::with_fold(db, strategy);
-    let hello = Hello {
-        modulus: kp.public.n().clone(),
-        total: n as u64,
-        batch_size: n as u32,
-        trace: None,
-    }
-    .encode()
-    .unwrap();
-    session.on_frame(&hello).unwrap();
-    let cts = bits
-        .iter()
-        .map(|&b| kp.public.encrypt_u64(b, rng).unwrap())
-        .collect();
-    let reply = session
-        .on_frame(
-            &IndexBatch {
-                seq: 0,
-                ciphertexts: cts,
-            }
-            .encode(&kp.public)
-            .unwrap(),
-        )
-        .unwrap()
-        .expect("single batch completes the session");
-    let product = Product::decode(&reply, &kp.public).unwrap();
-    kp.secret
-        .decrypt(&product.ciphertext)
-        .unwrap()
-        .to_u128()
-        .unwrap()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The parallel fold must decrypt to exactly the incremental fold's
-    /// sum (and the oracle's) for random databases and selections.
-    #[test]
-    fn parallel_fold_matches_incremental_and_oracle(
-        values in prop::collection::vec(1u64..1_000_000, 1..40),
-        seed in 0u64..u64::MAX,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let kp = PaillierKeypair::generate(128, &mut rng).unwrap();
-        let db = Database::new(values.clone()).unwrap();
-        let bits: Vec<u64> = (0..values.len()).map(|_| rng.gen_range(0u64..2)).collect();
-        let oracle = db.oracle_sum(&Selection::weighted(bits.clone())).unwrap();
-
-        let inc = fold_with(&kp, &db, &bits, FoldStrategy::Incremental, &mut rng);
-        let par = fold_with(&kp, &db, &bits, FoldStrategy::ParallelMultiExp, &mut rng);
-        prop_assert_eq!(inc, oracle);
-        prop_assert_eq!(par, oracle);
-    }
 }

@@ -99,7 +99,7 @@ fn clean_three_shard_query_matches_oracle_with_blinded_partials() {
 
     let servers: Vec<TcpServer> = (0..K)
         .map(|i| {
-            TcpServer::bind(shard_db(i), "127.0.0.1:0", FoldStrategy::MultiExp)
+            TcpServer::bind(shard_db(i), "127.0.0.1:0", FoldStrategy::default())
                 .unwrap()
                 .require_shard_handshake()
         })

@@ -79,7 +79,7 @@ fn run_traced_query(seed: u64) -> TracedShardQuery {
             MetricsServer::start_with_traces("127.0.0.1:0", registry, Arc::clone(&traces)).unwrap();
         obs_addrs.push(metrics.addr());
         metrics_servers.push(metrics);
-        let server = TcpServer::bind(shard_db(i), "127.0.0.1:0", FoldStrategy::MultiExp)
+        let server = TcpServer::bind(shard_db(i), "127.0.0.1:0", FoldStrategy::default())
             .unwrap()
             .require_shard_handshake()
             .with_observability(obs);
