@@ -7,6 +7,13 @@
 //! step. This is the workhorse behind Paillier encryption (`r^N mod N²`),
 //! the server's homomorphic product, and primality testing.
 //!
+//! Products run on a kernel picked by the modulus width `k` (the
+//! `kernel` submodule): at 4, 8 and 16 limbs — `p`, `p²` and `N²` of a
+//! 512-bit key — on stack operands with width-specialised CIOS and SOS
+//! bodies and a dedicated squaring; at every other width on the slice
+//! kernel [`Montgomery::mont_mul`]. Every kernel returns the same value
+//! bit for bit. A power or fold picks its kernel once, not per product.
+//!
 //! # Examples
 //!
 //! ```
@@ -23,6 +30,10 @@ use std::borrow::Cow;
 use crate::error::BignumError;
 use crate::multiexp_plan::FixedExponentPlan;
 use crate::uint::Uint;
+
+pub(crate) mod kernel;
+
+use kernel::{with_kernel, Kernel};
 
 /// Precomputed context for arithmetic modulo a fixed odd modulus.
 #[derive(Clone, Debug)]
@@ -110,7 +121,7 @@ impl Montgomery {
     }
 
     /// Limb count `k` of the modulus; `R = 2^(64·k)`, and every operand
-    /// of the fixed-width kernel is exactly `k` limbs.
+    /// of the kernels is exactly `k` limbs. It picks the kernel.
     pub(crate) fn width(&self) -> usize {
         self.limbs
     }
@@ -118,20 +129,10 @@ impl Montgomery {
     /// Converts an ordinary value (reduced mod `n` first) into Montgomery
     /// form.
     pub fn to_mont(&self, v: &Uint) -> MontElem {
-        MontElem(self.product(&self.reduced(v), &self.r2_mod_n))
-    }
-
-    /// Writes the Montgomery form of `v` (reduced mod `n` first, as
-    /// [`Montgomery::to_mont`] does) into the `k`-limb `out` with one
-    /// kernel product by `R²`; `scratch` is the kernel's `k + 1` limbs.
-    pub(crate) fn to_mont_into(&self, v: &Uint, out: &mut [u64], scratch: &mut [u64]) {
-        let k = self.limbs;
-        let v = self.reduced(v);
-        let limbs = v.limbs();
-        out[..limbs.len()].copy_from_slice(limbs);
-        out[limbs.len()..].fill(0);
-        self.mont_mul(out, &widen(&self.r2_mod_n, k), scratch);
-        out.copy_from_slice(&scratch[..k]);
+        MontElem(with_kernel!(self, |kr| {
+            let e = kr.enter(v);
+            kr.to_uint(&e)
+        }))
     }
 
     /// `a·b·R⁻¹ mod n` for ordinary values, each reduced mod `n` first:
@@ -154,7 +155,10 @@ impl Montgomery {
 
     /// Converts back from Montgomery form to an ordinary value in `[0, n)`.
     pub fn from_mont(&self, v: &MontElem) -> Uint {
-        self.product(&v.0, &Uint::one())
+        with_kernel!(self, |kr| {
+            let e = kr.load(v.limbs());
+            kr.leave(e)
+        })
     }
 
     /// The Montgomery form of 1.
@@ -167,9 +171,15 @@ impl Montgomery {
         MontElem(self.product(&a.0, &b.0))
     }
 
-    /// Montgomery square.
+    /// Montgomery square. At 4, 8 and 16 limbs it runs the dedicated SOS
+    /// squaring, which forms each cross product once; at other widths
+    /// the slice kernel's general product.
     pub fn square(&self, a: &MontElem) -> MontElem {
-        MontElem(self.product(&a.0, &a.0))
+        MontElem(with_kernel!(self, |kr| {
+            let mut e = kr.load(a.limbs());
+            kr.square(&mut e);
+            kr.to_uint(&e)
+        }))
     }
 
     /// `base^exp mod n` using 4-bit fixed-window exponentiation.
@@ -177,8 +187,7 @@ impl Montgomery {
     /// # Errors
     /// Propagates reduction errors (none in practice for a valid context).
     pub fn pow(&self, base: &Uint, exp: &Uint) -> Result<Uint, BignumError> {
-        let m = self.pow_mont(&self.to_mont(base), exp);
-        Ok(self.from_mont(&m))
+        Ok(FixedExponentPlan::new(exp).pow(self, base))
     }
 
     /// Exponentiation with a base already in Montgomery form; the result
@@ -191,22 +200,21 @@ impl Montgomery {
         FixedExponentPlan::new(exp).pow_mont(self, base)
     }
 
-    /// `a·b·R⁻¹ mod n` for normalized `a, b < n` as a new value: widens
-    /// the operands to `k` limbs and runs [`Montgomery::mont_mul`] on one
-    /// `k + 1`-limb buffer, which then becomes the result.
+    /// `a·b·R⁻¹ mod n` for normalized `a, b < n` as a new value, on the
+    /// kernel for this width.
     fn product(&self, a: &Uint, b: &Uint) -> Uint {
-        let k = self.limbs;
-        let (a, b) = (widen(a, k), widen(b, k));
-        let mut t = vec![0u64; k + 1];
-        self.mont_mul(&a, &b, &mut t);
-        t.truncate(k);
-        Uint::from_limbs(t)
+        with_kernel!(self, |kr| {
+            let mut e = kr.load(a.limbs());
+            kr.mul(&mut e, &kr.load(b.limbs()));
+            kr.to_uint(&e)
+        })
     }
 
-    /// The fixed-width CIOS kernel (Montgomery multiplication with the
+    /// The slice kernel: CIOS (Montgomery multiplication with the
     /// reduction interleaved: one limb of `b` per round, and each round's
-    /// `a·bᵢ` and `m·n` chains fused into one pass): leaves
-    /// `a·b·R⁻¹ mod n` in `t[..k]`.
+    /// `a·bᵢ` and `m·n` chains fused into one pass) at any width; leaves
+    /// `a·b·R⁻¹ mod n` in `t[..k]`. The fixed-width kernels run at 4, 8
+    /// and 16 limbs and are tested against it.
     ///
     /// `a` and `b` are exactly `k` limbs and below `n`; `t` is `k + 1`
     /// limbs of caller-owned scratch whose contents are overwritten. Each
@@ -261,19 +269,6 @@ impl Montgomery {
                 borrow = b1 | b2;
             }
         }
-    }
-}
-
-/// `v`'s limbs zero-extended to exactly `k` (borrowed when already `k`
-/// wide, as almost every value modulo a cryptographic modulus is).
-fn widen(v: &Uint, k: usize) -> Cow<'_, [u64]> {
-    let limbs = v.limbs();
-    if limbs.len() == k {
-        Cow::Borrowed(limbs)
-    } else {
-        let mut wide = vec![0u64; k];
-        wide[..limbs.len()].copy_from_slice(limbs);
-        Cow::Owned(wide)
     }
 }
 

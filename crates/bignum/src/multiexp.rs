@@ -9,6 +9,7 @@
 //! [`crate::MultiExpPlan`] (the selected-sum server's fold) is tested
 //! against. The `server_fold_scale` ablation bench times it.
 
+use crate::montgomery::kernel::{with_kernel, Kernel};
 use crate::montgomery::{MontElem, Montgomery};
 use crate::uint::Uint;
 
@@ -22,11 +23,11 @@ impl Montgomery {
     /// Panics when `bases` and `exps` lengths differ (caller bug).
     pub fn multi_pow(&self, bases: &[Uint], exps: &[Uint]) -> Uint {
         assert_eq!(bases.len(), exps.len(), "bases/exponents length mismatch");
-        let m = self.multi_pow_mont(
-            &bases.iter().map(|b| self.to_mont(b)).collect::<Vec<_>>(),
-            exps,
-        );
-        self.from_mont(&m)
+        with_kernel!(self, |kr| {
+            let bases: Vec<_> = bases.iter().map(|b| kr.enter(b)).collect();
+            let acc = straus(kr, &bases, exps);
+            kr.leave(acc)
+        })
     }
 
     /// As [`Montgomery::multi_pow`] with bases already in Montgomery
@@ -35,25 +36,33 @@ impl Montgomery {
     /// leaving it.
     pub fn multi_pow_mont(&self, bases: &[MontElem], exps: &[Uint]) -> MontElem {
         assert_eq!(bases.len(), exps.len(), "bases/exponents length mismatch");
-        let max_bits = exps.iter().map(|e| e.bit_len()).max().unwrap_or(0);
-        let mut acc = self.one();
-        if max_bits == 0 {
-            return acc;
-        }
-        let mut started = false;
-        for bit in (0..max_bits).rev() {
-            if started {
-                acc = self.square(&acc);
-            }
-            for (base, exp) in bases.iter().zip(exps) {
-                if exp.bit(bit) {
-                    acc = self.mul(&acc, base);
-                    started = true;
-                }
-            }
-        }
-        acc
+        MontElem::from_limbs(with_kernel!(self, |kr| {
+            let bases: Vec<_> = bases.iter().map(|b| kr.load(b.limbs())).collect();
+            let acc = straus(kr, &bases, exps);
+            kr.limbs(&acc).to_vec()
+        }))
     }
+}
+
+/// The interleaved loop on one kernel: per exponent bit, most
+/// significant first, one squaring of the accumulator and one
+/// multiplication per base whose exponent has that bit set.
+fn straus<K: Kernel>(kr: &mut K, bases: &[K::Elem], exps: &[Uint]) -> K::Elem {
+    let max_bits = exps.iter().map(|e| e.bit_len()).max().unwrap_or(0);
+    let mut acc = kr.one();
+    let mut started = false;
+    for bit in (0..max_bits).rev() {
+        if started {
+            kr.square(&mut acc);
+        }
+        for (base, exp) in bases.iter().zip(exps) {
+            if exp.bit(bit) {
+                kr.mul(&mut acc, base);
+                started = true;
+            }
+        }
+    }
+    acc
 }
 
 #[cfg(test)]

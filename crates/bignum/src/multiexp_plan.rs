@@ -26,8 +26,16 @@
 //! Both plans are immutable after construction and `Send + Sync`, so one
 //! `Arc`-shared instance serves every concurrent session, shard worker,
 //! and resumed checkpoint.
+//!
+//! Both evaluations pick their Montgomery kernel from the modulus width
+//! once per call, not per product: at 4, 8 and 16 limbs they run on
+//! `[u64; K]` stack operands with width-specialised bodies, the window
+//! loop's squarings on the dedicated squaring; at other widths on the
+//! slice kernel. The loops themselves are written once, generic over the
+//! kernel.
 
 use crate::error::BignumError;
+use crate::montgomery::kernel::{with_kernel, Kernel};
 use crate::montgomery::{MontElem, Montgomery};
 use crate::uint::Uint;
 
@@ -199,69 +207,52 @@ impl MultiExpPlan {
                 capacity_bits: self.rows,
             });
         }
-        let k = ctx.width();
-        let mut stripe = vec![0u64; len * k];
-        let mut scratch = vec![0u64; k + 1];
-        for (slot, base) in stripe.chunks_exact_mut(k).zip(bases) {
-            ctx.to_mont_into(base, slot, &mut scratch);
-        }
-        Ok(ctx.from_mont(&self.fold_stripe(ctx, &stripe, start, window_bits)))
+        Ok(with_kernel!(ctx, |kr| {
+            let stripe: Vec<_> = bases.map(|base| kr.enter(base)).collect();
+            let acc = self.fold_stripe(kr, &stripe, start, window_bits);
+            kr.leave(acc)
+        }))
     }
 
-    /// The bucket fold over `stripe`, a flat run of `k`-limb bases in
-    /// Montgomery form for rows `start..`, with a checked width and range.
+    /// The bucket fold over `stripe`, the bases in Montgomery form for
+    /// rows `start..`, with a checked width and range.
     ///
-    /// Every product is one [`Montgomery::mont_mul`] on buffers allocated
-    /// once per call: the `2^w − 1` buckets share one arena of `k`-limb
-    /// slots with an occupancy flag each, and the accumulator, the running
-    /// suffix product, the bucket sum and the kernel's scratch are
-    /// `k + 1`-limb buffers that swap by reference, so a product lands in
-    /// the scratch and becomes the operand it replaced.
-    fn fold_stripe(
+    /// Every product is one kernel product on operands allocated once per
+    /// call: the `2^w − 1` buckets, each with an occupancy flag, and the
+    /// accumulator, the running suffix product and the bucket sum.
+    fn fold_stripe<K: Kernel>(
         &self,
-        ctx: &Montgomery,
-        stripe: &[u64],
+        kr: &mut K,
+        stripe: &[K::Elem],
         start: usize,
         window_bits: usize,
-    ) -> MontElem {
-        let k = ctx.width();
-        let stride = k + 1;
+    ) -> K::Elem {
         // How many stored 4-bit digits merge into one effective window.
         let merge = window_bits / BASE_WINDOW_BITS;
         let eff_windows = self.windows.div_ceil(merge);
         let top = (1usize << window_bits) - 1;
-        // buckets[(d - 1) * k..][..k] holds the product of the bases whose
-        // current digit is d, once filled[d - 1] is set.
-        let mut buckets = vec![0u64; top * k];
+        // buckets[d - 1] holds the product of the bases whose current
+        // digit is d, once filled[d - 1] is set.
+        let one = kr.one();
+        let mut buckets = vec![one.clone(); top];
         let mut filled = vec![false; top];
-        let mut work = vec![0u64; 4 * stride];
-        let (mut acc, rest) = work.split_at_mut(stride);
-        let (mut running, rest) = rest.split_at_mut(stride);
-        let (mut sum, mut scratch) = rest.split_at_mut(stride);
+        let (mut acc, mut running, mut sum) = (one.clone(), one.clone(), one);
         let mut acc_set = false;
         for ew in (0..eff_windows).rev() {
             if acc_set {
                 for _ in 0..window_bits {
-                    ctx.mont_mul(&acc[..k], &acc[..k], scratch);
-                    std::mem::swap(&mut acc, &mut scratch);
+                    kr.square(&mut acc);
                 }
             }
             // Scatter: one multiplication per base with a nonzero digit.
             let mut any = false;
-            for (i, base) in stripe.chunks_exact(k).enumerate() {
+            for (i, base) in stripe.iter().enumerate() {
                 let d = self.effective_digit(start + i, ew, merge);
                 if d == 0 {
                     continue;
                 }
                 any = true;
-                let bucket = &mut buckets[(d - 1) * k..][..k];
-                if filled[d - 1] {
-                    ctx.mont_mul(bucket, base, scratch);
-                    bucket.copy_from_slice(&scratch[..k]);
-                } else {
-                    bucket.copy_from_slice(base);
-                    filled[d - 1] = true;
-                }
+                accumulate(kr, &mut buckets[d - 1], &mut filled[d - 1], base);
             }
             if !any {
                 continue;
@@ -273,19 +264,18 @@ impl MultiExpPlan {
             let (mut running_set, mut sum_set) = (false, false);
             for d in (1..=top).rev() {
                 if std::mem::take(&mut filled[d - 1]) {
-                    let bucket = &buckets[(d - 1) * k..][..k];
-                    accumulate(ctx, &mut running, &mut running_set, bucket, &mut scratch);
+                    accumulate(kr, &mut running, &mut running_set, &buckets[d - 1]);
                 }
                 if running_set {
-                    accumulate(ctx, &mut sum, &mut sum_set, &running[..k], &mut scratch);
+                    accumulate(kr, &mut sum, &mut sum_set, &running);
                 }
             }
-            accumulate(ctx, &mut acc, &mut acc_set, &sum[..k], &mut scratch);
+            accumulate(kr, &mut acc, &mut acc_set, &sum);
         }
         if acc_set {
-            MontElem::from_limbs(acc[..k].to_vec())
+            acc
         } else {
-            ctx.one()
+            kr.one()
         }
     }
 
@@ -305,20 +295,12 @@ impl MultiExpPlan {
 
 /// `dst ← dst · src` in Montgomery form, or `dst ← src` while `set` is
 /// false (`dst` still stands for the identity, which is never multiplied
-/// in). The product lands in `scratch`, which then swaps with `dst`.
-fn accumulate<'b>(
-    ctx: &Montgomery,
-    dst: &mut &'b mut [u64],
-    set: &mut bool,
-    src: &[u64],
-    scratch: &mut &'b mut [u64],
-) {
-    let k = src.len();
+/// in).
+fn accumulate<K: Kernel>(kr: &mut K, dst: &mut K::Elem, set: &mut bool, src: &K::Elem) {
     if *set {
-        ctx.mont_mul(&dst[..k], src, scratch);
-        std::mem::swap(dst, scratch);
+        kr.mul(dst, src);
     } else {
-        dst[..k].copy_from_slice(src);
+        dst.clone_from(src);
         *set = true;
     }
 }
@@ -330,8 +312,9 @@ fn accumulate<'b>(
 /// the square/multiply chain — is inherent, because the base changes
 /// every call (fixed-*exponent*, not fixed-*base*, precomputation).
 ///
-/// This is the crate's only window loop: [`Montgomery::pow_mont`] builds
-/// a throwaway plan and calls [`FixedExponentPlan::pow_mont`].
+/// This is the crate's only window loop: [`Montgomery::pow`] and
+/// [`Montgomery::pow_mont`] build a throwaway plan and call
+/// [`FixedExponentPlan::pow`] and [`FixedExponentPlan::pow_mont`].
 ///
 /// # Examples
 ///
@@ -365,9 +348,9 @@ impl FixedExponentPlan {
             }
             digits.push(d);
         }
-        // Trim leading zero windows so evaluation starts at the first
-        // significant digit (bit_len > 0 guarantees at most none here,
-        // but an all-zero exponent must yield an empty schedule).
+        // The top window holds the exponent's highest set bit, so it is
+        // nonzero and nothing is trimmed, except for a zero exponent:
+        // its empty schedule makes every power 1.
         let first = digits.iter().position(|&d| d != 0).unwrap_or(digits.len());
         digits.drain(..first);
         FixedExponentPlan { digits }
@@ -398,50 +381,53 @@ impl FixedExponentPlan {
 
     /// `base^exp` with the base already in Montgomery form; the result
     /// stays in Montgomery form.
-    ///
-    /// Runs on buffers allocated once per call: the powers
-    /// `base^1 ..= base^max_digit` (the base is fresh every call), the
-    /// accumulator and the kernel's scratch, each `k + 1` limbs so a
-    /// product lands in place and the accumulator swaps with the scratch.
     pub fn pow_mont(&self, ctx: &Montgomery, base: &MontElem) -> MontElem {
-        let Some((&first, rest)) = self.digits.split_first() else {
-            return ctx.one();
-        };
-        let k = ctx.width();
-        let stride = k + 1;
-        let top = self.top_digit();
-        let mut buf = vec![0u64; (top + 2) * stride];
-        let (table, work) = buf.split_at_mut(top * stride);
-        let base = base.limbs();
-        table[..base.len()].copy_from_slice(base);
-        // table[(d - 1) * stride..][..k] holds base^d.
-        for d in 1..top {
-            let (done, next) = table.split_at_mut(d * stride);
-            ctx.mont_mul(
-                &done[(d - 1) * stride..][..k],
-                &done[..k],
-                &mut next[..stride],
-            );
-        }
-        let (mut acc, mut scratch) = work.split_at_mut(stride);
-        let power = |d: u8| &table[(usize::from(d) - 1) * stride..][..k];
-        acc[..k].copy_from_slice(power(first));
-        for &d in rest {
-            for _ in 0..BASE_WINDOW_BITS {
-                ctx.mont_mul(&acc[..k], &acc[..k], scratch);
-                std::mem::swap(&mut acc, &mut scratch);
-            }
-            if d != 0 {
-                ctx.mont_mul(&acc[..k], power(d), scratch);
-                std::mem::swap(&mut acc, &mut scratch);
-            }
-        }
-        MontElem::from_limbs(acc[..k].to_vec())
+        MontElem::from_limbs(with_kernel!(ctx, |kr| {
+            let base = kr.load(base.limbs());
+            let acc = self.pow_in(kr, base);
+            kr.limbs(&acc).to_vec()
+        }))
     }
 
-    /// `base^exp mod n` for an ordinary base; the result is ordinary.
+    /// `base^exp mod n` for an ordinary base; the result is ordinary. The
+    /// conversions into and out of Montgomery form run on the same kernel
+    /// as the power.
     pub fn pow(&self, ctx: &Montgomery, base: &Uint) -> Uint {
-        ctx.from_mont(&self.pow_mont(ctx, &ctx.to_mont(base)))
+        with_kernel!(ctx, |kr| {
+            let base = kr.enter(base);
+            let acc = self.pow_in(kr, base);
+            kr.leave(acc)
+        })
+    }
+
+    /// The window loop on one kernel: the powers `base^1 ..= base^top_digit`
+    /// (the base is fresh every call), then four squarings per window and
+    /// one multiplication per nonzero window. At 4, 8 and 16 limbs every
+    /// operand but the table is a stack array.
+    fn pow_in<K: Kernel>(&self, kr: &mut K, base: K::Elem) -> K::Elem {
+        let Some((&first, rest)) = self.digits.split_first() else {
+            return kr.one();
+        };
+        // table[d - 1] holds base^d.
+        let top = self.top_digit();
+        let mut table = Vec::with_capacity(top);
+        table.push(base);
+        for d in 1..top {
+            let mut next = table[d - 1].clone();
+            kr.mul(&mut next, &table[0]);
+            table.push(next);
+        }
+        let power = |d: u8| &table[usize::from(d) - 1];
+        let mut acc = power(first).clone();
+        for &d in rest {
+            for _ in 0..BASE_WINDOW_BITS {
+                kr.square(&mut acc);
+            }
+            if d != 0 {
+                kr.mul(&mut acc, power(d));
+            }
+        }
+        acc
     }
 }
 

@@ -5,9 +5,20 @@
 use pps_bignum::{crt_combine, FixedExponentPlan, Montgomery, MultiExpPlan, Uint};
 use proptest::prelude::*;
 
+/// The Montgomery kernel widths a 512-bit key runs at (`p`, `p²`, `N²`:
+/// 4, 8 and 16 limbs, each with its own fixed-width kernel) and one
+/// width that falls back to the slice kernel.
+const KERNEL_WIDTHS: [usize; 4] = [4, 8, 12, 16];
+
 /// Strategy: an arbitrary Uint of up to `max_limbs` limbs.
 fn uint(max_limbs: usize) -> impl Strategy<Value = Uint> {
     prop::collection::vec(any::<u64>(), 0..=max_limbs).prop_map(Uint::from_limbs)
+}
+
+/// Strategy: a Uint drawn from exactly `limbs` random limbs, an operand
+/// as wide as a `limbs`-limb modulus.
+fn uint_exact(limbs: usize) -> impl Strategy<Value = Uint> {
+    prop::collection::vec(any::<u64>(), limbs).prop_map(Uint::from_limbs)
 }
 
 /// Strategy: an odd modulus of 1..=`max_limbs` limbs whose top limb is
@@ -15,11 +26,39 @@ fn uint(max_limbs: usize) -> impl Strategy<Value = Uint> {
 /// Montgomery kernel's running value often reaches `R` and its carry
 /// word is live.
 fn top_limb_max_modulus(max_limbs: usize) -> impl Strategy<Value = Uint> {
-    prop::collection::vec(any::<u64>(), 0..max_limbs).prop_map(|mut limbs| {
-        limbs.push(u64::MAX);
-        limbs[0] |= 1;
-        Uint::from_limbs(limbs)
-    })
+    prop::collection::vec(any::<u64>(), 0..max_limbs).prop_map(with_top_limb_max)
+}
+
+/// Strategy: as [`top_limb_max_modulus`], exactly `limbs` limbs wide.
+fn top_limb_max_modulus_exact(limbs: usize) -> impl Strategy<Value = Uint> {
+    prop::collection::vec(any::<u64>(), limbs - 1).prop_map(with_top_limb_max)
+}
+
+/// The odd modulus whose limbs are `limbs` under a top limb `u64::MAX`.
+fn with_top_limb_max(mut limbs: Vec<u64>) -> Uint {
+    limbs.push(u64::MAX);
+    limbs[0] |= 1;
+    Uint::from_limbs(limbs)
+}
+
+/// Strategy: one value of `case(k)` for each width `k` in
+/// [`KERNEL_WIDTHS`].
+fn at_kernel_widths<S: Strategy>(
+    case: impl Fn(usize) -> S,
+) -> impl Strategy<Value = [S::Value; 4]> {
+    let [w0, w1, w2, w3] = KERNEL_WIDTHS;
+    (case(w0), case(w1), case(w2), case(w3)).prop_map(|(a, b, c, d)| [a, b, c, d])
+}
+
+/// `[v, 0, 1, n − 1][pick % 4]`: a drawn operand or one of the edge
+/// operands 0, 1 and `n − 1`.
+fn edge_or(v: &Uint, n: &Uint, pick: usize) -> Uint {
+    match pick % 4 {
+        0 => v.clone(),
+        1 => Uint::zero(),
+        2 => Uint::one(),
+        _ => n - &Uint::one(),
+    }
 }
 
 /// Checks `Montgomery::{mul, pow}` and `FixedExponentPlan::pow` against
@@ -36,19 +75,24 @@ fn kernel_agrees(m: &Uint, a: &Uint, b: &Uint, exp: &Uint) -> Result<(), TestCas
     Ok(())
 }
 
-/// Checks `MultiExpPlan::fold_range` (at the cost model's width) and
-/// `MultiExpPlan::fold_range_with_window` at every width against
-/// `Montgomery::multi_pow`, for one modulus and `(base, exponent)` rows.
-fn fold_agrees(m: &Uint, rows: &[(Uint, u64)]) -> Result<(), TestCaseError> {
+/// Every effective window width the plan's fold accepts.
+const ALL_WINDOWS: [usize; 4] = [4, 8, 12, 16];
+
+/// Checks `Montgomery::multi_pow`, `MultiExpPlan::fold_range` (at the
+/// cost model's width) and `MultiExpPlan::fold_range_with_window` at
+/// each of `windows` against the generic `mod_pow` / `mod_mul` product,
+/// for one modulus and `(base, exponent)` rows.
+fn fold_agrees(m: &Uint, rows: &[(Uint, u64)], windows: &[usize]) -> Result<(), TestCaseError> {
     let ctx = Montgomery::new(m.clone()).unwrap();
     let (bases, exps): (Vec<Uint>, Vec<u64>) = rows.iter().cloned().unzip();
+    let exps_u: Vec<Uint> = exps.iter().map(|&x| Uint::from_u64(x)).collect();
+    let want = bases.iter().zip(&exps_u).fold(Uint::one(), |acc, (b, x)| {
+        acc.mod_mul(&b.mod_pow(x, m).unwrap(), m).unwrap()
+    });
+    prop_assert_eq!(ctx.multi_pow(&bases, &exps_u), want.clone());
     let plan = MultiExpPlan::build(&exps);
-    let want = ctx.multi_pow(
-        &bases,
-        &exps.iter().map(|&x| Uint::from_u64(x)).collect::<Vec<_>>(),
-    );
     prop_assert_eq!(plan.fold_range(&ctx, &bases, 0).unwrap(), want.clone());
-    for width in [4, 8, 12, 16] {
+    for &width in windows {
         let got = plan.fold_range_with_window(&ctx, &bases, 0, width).unwrap();
         prop_assert_eq!((width, got), (width, want.clone()));
     }
@@ -59,6 +103,15 @@ fn fold_agrees(m: &Uint, rows: &[(Uint, u64)]) -> Result<(), TestCaseError> {
 /// exponent.
 fn batch(limbs: usize, max: usize) -> impl Strategy<Value = Vec<(Uint, u64)>> {
     prop::collection::vec((uint(limbs), any::<u32>().prop_map(u64::from)), 1..max)
+}
+
+/// Strategy: as [`batch`], with every base drawn from exactly `limbs`
+/// limbs.
+fn batch_exact(limbs: usize, max: usize) -> impl Strategy<Value = Vec<(Uint, u64)>> {
+    prop::collection::vec(
+        (uint_exact(limbs), any::<u32>().prop_map(u64::from)),
+        1..max,
+    )
 }
 
 proptest! {
@@ -240,8 +293,16 @@ proptest! {
         a in uint(5),
         b in uint(5),
         exp in uint(2),
+        wide in at_kernel_widths(|k| (top_limb_max_modulus_exact(k), uint_exact(k), uint_exact(k))),
+        picks in (any::<usize>(), any::<usize>()),
     ) {
         kernel_agrees(&m, &a, &b, &exp)?;
+        // At every kernel width, full-width operands, each replaced by
+        // 0, 1 or n − 1 in three cases of four.
+        for (m, a, b) in wide {
+            let (a, b) = (edge_or(&a, &m, picks.0), edge_or(&b, &m, picks.1));
+            kernel_agrees(&m, &a, &b, &exp)?;
+        }
     }
 
     #[test]
@@ -313,31 +374,47 @@ proptest! {
     // --- the plan's bucket fold agrees with Straus ---
 
     #[test]
-    fn fold_top_limb_max_modulus(m in top_limb_max_modulus(4), rows in batch(4, 8)) {
-        fold_agrees(&m, &rows)?;
+    fn fold_top_limb_max_modulus(
+        m in top_limb_max_modulus(4),
+        rows in batch(4, 8),
+        wide in at_kernel_widths(|k| (top_limb_max_modulus_exact(k), batch_exact(k, 6))),
+        x in any::<u32>(),
+    ) {
+        fold_agrees(&m, &rows, &ALL_WINDOWS)?;
+        // At every kernel width, full-width bases plus the edge bases 0,
+        // 1 and n − 1. The windows stop at 12 bits: a 16-bit window
+        // adds 2^17 bucket products per window, which made this test
+        // take 44 s instead of 5 s in a debug build, and the bucket
+        // logic it exercises does not depend on the width.
+        for (m, mut rows) in wide {
+            for pick in 1..4 {
+                rows.push((edge_or(&Uint::zero(), &m, pick), u64::from(x)));
+            }
+            fold_agrees(&m, &rows, &ALL_WINDOWS[..3])?;
+        }
     }
 
     #[test]
     fn fold_one_limb_modulus(m in 3u64.., rows in batch(1, 8)) {
-        fold_agrees(&Uint::from_u64(m | 1), &rows)?;
+        fold_agrees(&Uint::from_u64(m | 1), &rows, &ALL_WINDOWS)?;
     }
 
     #[test]
     fn fold_bases_shorter_than_modulus(m in uint(5), rows in batch(2, 8)) {
         prop_assume!(m.is_odd() && m.limbs().len() >= 3);
-        fold_agrees(&m, &rows)?;
+        fold_agrees(&m, &rows, &ALL_WINDOWS)?;
     }
 
     #[test]
     fn fold_bases_at_least_modulus(m in uint(3), rows in batch(3, 8)) {
         prop_assume!(m.is_odd() && m.bit_len() >= 2);
         let rows: Vec<_> = rows.into_iter().map(|(extra, x)| (&m + &extra, x)).collect();
-        fold_agrees(&m, &rows)?;
+        fold_agrees(&m, &rows, &ALL_WINDOWS)?;
     }
 
     #[test]
     fn fold_one_base(m in top_limb_max_modulus(3), base in uint(3), x in any::<u32>()) {
-        fold_agrees(&m, &[(base, u64::from(x))])?;
+        fold_agrees(&m, &[(base, u64::from(x))], &ALL_WINDOWS)?;
     }
 
     #[test]
@@ -353,7 +430,7 @@ proptest! {
             .into_iter()
             .map(|(base, i)| (base, u64::from(pool[i % pool.len()])))
             .collect();
-        fold_agrees(&m, &rows)?;
+        fold_agrees(&m, &rows, &ALL_WINDOWS)?;
     }
 
     #[test]
@@ -365,6 +442,6 @@ proptest! {
             .into_iter()
             .map(|(base, x)| (base, x & !0x00ff_0000 | 0x0100_0001))
             .collect();
-        fold_agrees(&m, &rows)?;
+        fold_agrees(&m, &rows, &ALL_WINDOWS)?;
     }
 }
