@@ -1,7 +1,7 @@
 //! Ablation benchmarks for the design choices the implementation makes:
 //!
-//! * modular reduction strategy (generic division vs Barrett vs
-//!   Montgomery) on protocol-shaped exponentiations;
+//! * modular reduction strategy (generic division vs Montgomery) on
+//!   protocol-shaped exponentiations;
 //! * `g = N + 1` fast Paillier encryption vs the textbook general-`g`
 //!   scheme (the paper's OpenSSL implementation relies on the former);
 //! * CRT vs reference Paillier decryption;
@@ -9,7 +9,7 @@
 //! * Karatsuba vs schoolbook multiplication around the threshold.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pps_bignum::{Barrett, Montgomery, Uint};
+use pps_bignum::{Montgomery, Uint};
 use pps_crypto::{GeneralPaillier, PaillierKeypair};
 use pps_gc::{garble, garble_free_xor, selected_sum_circuit};
 use rand::rngs::StdRng;
@@ -33,10 +33,6 @@ fn ablation_reduction_strategy(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("generic_division", |b| {
         b.iter(|| base.mod_pow(&exp, &n).unwrap());
-    });
-    let barrett = Barrett::new(n.clone()).unwrap();
-    g.bench_function("barrett", |b| {
-        b.iter(|| barrett.pow(&base, &exp));
     });
     let mont = Montgomery::new(n.clone()).unwrap();
     g.bench_function("montgomery", |b| {

@@ -1,6 +1,6 @@
 //! `bench_report` — the cross-run trajectory table.
 //!
-//! Reads every `BENCH_*.json` results file (the four writers share one
+//! Reads every `BENCH_*.json` results file (the three writers share one
 //! envelope, see `pps_bench::report`) and prints each bench's headline
 //! numbers side by side, so successive checkouts can compare their
 //! recorded results at a glance:
@@ -13,10 +13,9 @@
 use pps_bench::report::{summarize, SCHEMA_VERSION};
 use pps_obs::JsonValue;
 
-const DEFAULT_FILES: [&str; 4] = [
+const DEFAULT_FILES: [&str; 3] = [
     "BENCH_client_encrypt.json",
     "BENCH_fold_precompute.json",
-    "BENCH_server_throughput.json",
     "BENCH_shard_speedup.json",
 ];
 

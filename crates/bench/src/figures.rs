@@ -455,7 +455,15 @@ pub fn pir(h: &mut Harness, ns: &[usize]) -> FigureTable {
 pub fn futurework(h: &mut Harness, n: usize) -> FigureTable {
     let mut t = FigureTable::new(
         format!("§4 future work: perturbation (ε-LDP) vs exact crypto, n = {n}"),
-        &["mechanism", "ε", "flip p", "time(s)", "bytes", "rel err(%)"],
+        &[
+            "mechanism",
+            "ε",
+            "flip p",
+            "time(s)",
+            "bytes",
+            "rel err(%)",
+            "pred sd(%)",
+        ],
     );
     let (db, sel) = h.workload(n);
     let exact =
@@ -466,6 +474,7 @@ pub fn futurework(h: &mut Harness, n: usize) -> FigureTable {
         "-".into(),
         secs(exact.total_sequential()),
         (exact.bytes_to_server + exact.bytes_to_client).to_string(),
+        "0.0".into(),
         "0.0".into(),
     ]);
     for eps in [4.0f64, 2.0, 1.0, 0.5] {
@@ -484,10 +493,15 @@ pub fn futurework(h: &mut Harness, n: usize) -> FigureTable {
             secs(r.compute + r.comm),
             r.bytes.to_string(),
             format!("{:.2}", 100.0 * r.relative_error),
+            format!(
+                "{:.2}",
+                100.0 * r.predicted_std_dev / r.true_sum.max(1) as f64
+            ),
         ]);
     }
     t.note("perturbation removes all cryptography (orders of magnitude faster/lighter)");
     t.note("the price: per-bit plausible deniability instead of semantic security, plus estimator noise");
+    t.note("rel err is one draw per ε; pred sd is the estimator's standard deviation, the error to expect");
     t
 }
 

@@ -2,9 +2,8 @@
 //! the summarizer behind the `bench_report` binary.
 //!
 //! Each results writer (`client_encrypt`, `fold_precompute`,
-//! `server_throughput`, `shard_speedup`) opens its document with the
-//! same four fields so tooling can read any results file without
-//! per-bench casing:
+//! `shard_speedup`) opens its document with the same four fields so
+//! tooling can read any results file without per-bench casing:
 //!
 //! ```json
 //! {
@@ -72,7 +71,6 @@ pub fn summarize(doc: &JsonValue) -> Option<BenchSummary> {
     let headlines = match bench.as_str() {
         "client_encrypt" => client_encrypt_headlines(doc),
         "fold_precompute" => fold_precompute_headlines(doc),
-        "server_throughput" => server_throughput_headlines(doc),
         "shard_speedup" => shard_speedup_headlines(doc),
         _ => Vec::new(),
     };
@@ -131,19 +129,6 @@ fn fold_precompute_headlines(doc: &JsonValue) -> Vec<String> {
         }
     }
     out
-}
-
-fn server_throughput_headlines(doc: &JsonValue) -> Vec<String> {
-    let Some(rows) = doc.get("rows").and_then(JsonValue::as_array) else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|r| {
-            let rate = r.get("sessions_per_sec").and_then(JsonValue::as_f64)?;
-            let p99 = r.get("p99_ms").and_then(JsonValue::as_f64)?;
-            Some(format!("{rate:.0} sessions/s, p99 {p99:.0} ms"))
-        })
-        .collect()
 }
 
 fn shard_speedup_headlines(doc: &JsonValue) -> Vec<String> {
@@ -226,23 +211,21 @@ mod tests {
 
     #[test]
     fn summarize_tolerates_legacy_files_and_refuses_future_schemas() {
-        let legacy = JsonValue::object()
-            .field("bench", "server_throughput")
-            .field(
-                "rows",
-                JsonValue::array(std::iter::once(
-                    JsonValue::object()
-                        .field("sessions_per_sec", 290.0)
-                        .field("p99_ms", 6100.0),
-                )),
-            );
+        let legacy = JsonValue::object().field("bench", "client_encrypt").field(
+            "rows",
+            JsonValue::array(std::iter::once(
+                JsonValue::object()
+                    .field("n", 1000u64)
+                    .field("sequential_secs", 0.56),
+            )),
+        );
         let summary = summarize(&legacy).unwrap();
         assert_eq!(summary.schema_version, 0, "legacy file, no envelope");
         assert_eq!(summary.headlines.len(), 1);
 
         let future = JsonValue::object()
             .field("schema_version", SCHEMA_VERSION + 1)
-            .field("bench", "server_throughput");
+            .field("bench", "client_encrypt");
         assert!(summarize(&future).is_none(), "never misread a newer schema");
     }
 }

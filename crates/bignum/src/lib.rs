@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 mod add;
-mod barrett;
 mod bits;
 mod crt;
 mod div;
@@ -60,7 +59,6 @@ mod prime;
 mod rand;
 mod uint;
 
-pub use barrett::Barrett;
 pub use crt::{crt_combine, Crt2};
 pub use error::BignumError;
 pub use montgomery::{MontElem, Montgomery};

@@ -30,11 +30,10 @@ use std::time::Duration;
 use pps_crypto::{PaillierKeypair, PaillierSecretKey};
 use pps_obs::{names, JsonValue, MetricsServer, Registry, TraceBuffer, TraceContext, Tracer};
 use pps_protocol::{
-    fetch_trace, run_multiclient, run_multidb, run_multidb_blinded, run_sharded_query,
-    run_sharded_query_traced, run_tcp_query_observed, run_tcp_query_with_retry, Admission,
-    Database, FoldStrategy, Partition, QueryObs, ResumptionConfig, RunReport, Selection, ServerObs,
-    SessionEvent, SessionLimits, ShardQueryConfig, SumClient, TcpQueryConfig, TcpServer,
-    TraceTimeline,
+    fetch_trace, run_multiclient, run_sharded_query, run_sharded_query_traced,
+    run_tcp_query_observed, run_tcp_query_with_retry, Admission, Database, FoldStrategy, QueryObs,
+    ResumptionConfig, RunReport, Selection, ServerObs, SessionEvent, SessionLimits,
+    ShardQueryConfig, SumClient, TcpQueryConfig, TcpServer, TraceTimeline,
 };
 use pps_transport::{LinkProfile, RetryPolicy};
 use rand::rngs::StdRng;
@@ -137,20 +136,6 @@ pub enum Command {
         /// Number of cooperating clients.
         k: usize,
         /// Key size for the shared ephemeral key.
-        key_bits: usize,
-    },
-    /// Simulate the §3.5 multi-database protocol in process, plain or
-    /// blinded.
-    MultiDb {
-        /// Value file path, or None with `random`.
-        data: Option<String>,
-        /// Generate this many random 32-bit values instead of a file.
-        random: Option<usize>,
-        /// Number of horizontal partitions.
-        k: usize,
-        /// Blind the partial sums with correlated randomness.
-        blinded: bool,
-        /// Key size for the client's ephemeral key.
         key_bits: usize,
     },
     /// Run one deterministic simulation campaign and render its
@@ -262,7 +247,6 @@ USAGE:
   pps sim run  --scenario NAME [--seed S] [--population N]
   pps sim list
   pps multiclient --data FILE | --random N [--k K] [--key-bits B]
-  pps multidb     --data FILE | --random N [--k K] [--blinded] [--key-bits B]
   pps keygen --bits B --out FILE
   pps help
 
@@ -299,10 +283,9 @@ query --shards fans one query out over the listed workers — --select
 takes global row indices over the concatenated partitions, each leg
 retries and resumes independently, and the partials combine to the
 exact sum with no worker revealing its share.
-multiclient / multidb reproduce the paper's §3.5 simulations in
-process: k cooperating clients (or k database partitions, optionally
---blinded) over a modeled gigabit link, verified against the plaintext
-oracle.
+multiclient reproduces the paper's §3.5 simulation in process: k
+cooperating clients over a modeled gigabit link, verified against the
+plaintext oracle.
 Simulation campaigns: pps sim run drives a named population-scale
 scenario (pps sim list) through the deterministic discrete-event
 harness — real protocol state machines over a simulated network with
@@ -571,7 +554,7 @@ fn parse_command(sub: &str, action: Option<&str>, flags: &Flags) -> Result<Comma
                 },
             })
         }
-        "multiclient" | "multidb" => {
+        "multiclient" => {
             let data = get("data");
             let random = get("random")
                 .map(|v| {
@@ -581,7 +564,7 @@ fn parse_command(sub: &str, action: Option<&str>, flags: &Flags) -> Result<Comma
                 .transpose()?;
             if data.is_some() == random.is_some() {
                 return Err(CliError::usage(format!(
-                    "{sub} needs exactly one of --data or --random\n{USAGE}"
+                    "multiclient needs exactly one of --data or --random\n{USAGE}"
                 )));
             }
             let k = get("k")
@@ -597,22 +580,12 @@ fn parse_command(sub: &str, action: Option<&str>, flags: &Flags) -> Result<Comma
                 .map(|v| v.parse().map_err(|_| CliError::usage("bad --key-bits")))
                 .transpose()?
                 .unwrap_or(pps_crypto::DEFAULT_KEY_BITS);
-            if sub == "multiclient" {
-                Ok(Command::MultiClient {
-                    data,
-                    random,
-                    k,
-                    key_bits,
-                })
-            } else {
-                Ok(Command::MultiDb {
-                    data,
-                    random,
-                    k,
-                    blinded: flags.has("blinded"),
-                    key_bits,
-                })
-            }
+            Ok(Command::MultiClient {
+                data,
+                random,
+                k,
+                key_bits,
+            })
         }
         "keygen" => {
             let bits = get("bits")
@@ -1189,71 +1162,6 @@ pub fn run_multiclient_sim(
     Ok(())
 }
 
-/// Runs the §3.5 multi-database protocol in process: the values split
-/// into `k` contiguous horizontal partitions, each privately queried
-/// with a random half-density selection; with `blinded` the partials
-/// carry correlated blinding that cancels in the combined total. The
-/// library verifies the total against the plaintext oracle.
-///
-/// # Errors
-/// [`CliError`] on a bad database, a degenerate split, or (blinded) a
-/// key too narrow to blind.
-pub fn run_multidb_sim(
-    values: Vec<u64>,
-    k: usize,
-    blinded: bool,
-    key_bits: usize,
-    rng: &mut StdRng,
-    out: &mut dyn std::io::Write,
-) -> Result<(), CliError> {
-    let n = values.len();
-    if n < k {
-        return Err(CliError::runtime(format!(
-            "need at least one row per partition ({n} rows < {k} partitions)"
-        )));
-    }
-    let base = n / k;
-    let mut partitions = Vec::with_capacity(k);
-    let mut start = 0;
-    for i in 0..k {
-        let end = if i == k - 1 { n } else { start + base };
-        let db = Database::new(values[start..end].to_vec())
-            .map_err(|e| CliError::runtime(format!("bad partition: {e}")))?;
-        let selection = Selection::random(end - start, 0.5, rng)
-            .map_err(|e| CliError::runtime(format!("bad selection: {e}")))?;
-        partitions.push(Partition { db, selection });
-        start = end;
-    }
-    let client = SumClient::generate(key_bits, rng)
-        .map_err(|e| CliError::runtime(format!("keygen failed: {e}")))?;
-    let link = LinkProfile::gigabit_lan();
-    if blinded {
-        let (report, total) = run_multidb_blinded(&partitions, &client, link, rng)
-            .map_err(|e| CliError::runtime(format!("multidb failed: {e}")))?;
-        let _ = writeln!(
-            out,
-            "multi-DB blinded sum: k={k} partitions, {n} rows, {key_bits}-bit key",
-        );
-        let _ = writeln!(
-            out,
-            "total {total} (oracle-checked; every partial blinded mod 2^(key_bits-2)); parallel online {:?}",
-            report.total_online(),
-        );
-    } else {
-        let (reports, total) = run_multidb(&partitions, &client, link, rng)
-            .map_err(|e| CliError::runtime(format!("multidb failed: {e}")))?;
-        let _ = writeln!(
-            out,
-            "multi-DB sum: k={k} partitions, {n} rows, {key_bits}-bit key",
-        );
-        for (i, r) in reports.iter().enumerate() {
-            let _ = writeln!(out, "  partition {i}: partial {}", r.result);
-        }
-        let _ = writeln!(out, "total {total} (oracle-checked)");
-    }
-    Ok(())
-}
-
 /// Generates a keypair and writes the secret bytes to `out`.
 ///
 /// # Errors
@@ -1355,17 +1263,6 @@ pub fn run(args: &[String], out: &mut (dyn std::io::Write + Send)) -> Result<(),
             let values = resolve_values(data, random)?;
             let mut rng = StdRng::from_entropy();
             run_multiclient_sim(values, k, key_bits, &mut rng, out)
-        }
-        Command::MultiDb {
-            data,
-            random,
-            k,
-            blinded,
-            key_bits,
-        } => {
-            let values = resolve_values(data, random)?;
-            let mut rng = StdRng::from_entropy();
-            run_multidb_sim(values, k, blinded, key_bits, &mut rng, out)
         }
         Command::SimRun {
             scenario,
@@ -1530,8 +1427,6 @@ mod tests {
         // The first unread flag is the one named.
         let err = parse_args(&args("serve --random 8 --enigne x --workers 2")).unwrap_err();
         assert!(err.message.contains("--enigne"), "{}", err.message);
-        // A presence flag counts as read where the subcommand takes it.
-        assert!(parse_args(&args("multidb --random 8 --blinded")).is_ok());
     }
 
     #[test]
@@ -1807,25 +1702,17 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(
-            parse_args(&args("multidb --random 24 --k 2 --blinded --key-bits 128")).unwrap(),
-            Command::MultiDb {
-                data: None,
-                random: Some(24),
-                k: 2,
-                blinded: true,
-                key_bits: 128,
-            }
-        );
-        match parse_args(&args("multidb --data f.txt")).unwrap() {
-            Command::MultiDb { blinded, data, .. } => {
-                assert!(!blinded);
-                assert_eq!(data.as_deref(), Some("f.txt"));
-            }
+        match parse_args(&args("multiclient --data f.txt")).unwrap() {
+            Command::MultiClient { data, .. } => assert_eq!(data.as_deref(), Some("f.txt")),
             other => panic!("{other:?}"),
         }
         assert!(parse_args(&args("multiclient")).is_err(), "needs a source");
-        assert!(parse_args(&args("multidb --data f --random 5")).is_err());
+        assert!(parse_args(&args("multiclient --data f --random 5")).is_err());
+        // `multidb` is not a subcommand; `query --shards` is the
+        // multi-database path.
+        let err = parse_args(&args("multidb --random 24 --k 2 --blinded")).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("unknown command"), "{}", err.message);
         assert!(parse_args(&args("multiclient --random 8 --k 0")).is_err());
         assert!(parse_args(&args("multiclient --random 8 --k x")).is_err());
     }

@@ -40,6 +40,16 @@ fn bad_arguments_exit_2() {
         .unwrap()
         .contains("unknown command"));
 
+    // `multidb` is not a subcommand; `query --shards` is the multi-database path.
+    let out = Command::new(bin())
+        .args(["multidb", "--random", "8"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8(out.stderr)
+        .unwrap()
+        .contains("unknown command"));
+
     let out = Command::new(bin())
         .args(["query", "--select", "1"])
         .output()

@@ -61,8 +61,8 @@ pub use pps_transport as transport;
 
 pub use pps_protocol::{
     run_basic, run_batched, run_combined, run_download_baseline, run_multiclient,
-    run_plain_baseline, run_preprocessed, run_threaded, run_weighted, Database, ProtocolError,
-    RunReport, Selection, SumClient, Variant,
+    run_plain_baseline, run_preprocessed, run_weighted, Database, ProtocolError, RunReport,
+    Selection, SumClient, Variant,
 };
 pub use pps_stats::{private_moments, private_weighted_mean, run_stats_query, StatsReport, Wants};
 pub use pps_transport::LinkProfile;

@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod damgard_jurik;
 mod error;
 mod general;
 mod hmac;
@@ -54,7 +53,6 @@ mod pool;
 mod prg;
 mod sha256;
 
-pub use damgard_jurik::{DamgardJurik, DjCiphertext, DjPublicKey, MAX_S};
 pub use error::CryptoError;
 pub use general::GeneralPaillier;
 pub use hmac::{ct_eq, hmac_sha256};

@@ -45,13 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod recursive;
-
-pub use recursive::{
-    run_recursive_pir, CubeShape, RecursivePirClient, RecursivePirQuery, RecursivePirReply,
-    RecursivePirReport, RecursivePirServer,
-};
-
 use std::fmt;
 use std::time::{Duration, Instant};
 

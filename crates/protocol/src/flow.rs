@@ -18,9 +18,9 @@ use pps_transport::Frame;
 use crate::data::Database;
 use crate::error::ProtocolError;
 use crate::messages::{Hello, HelloAck, MsgType, Resume, ResumeAck, ShardHello};
-use crate::multidb::leg_blinding;
 use crate::resume::SessionTable;
 use crate::server::{ServerSession, ServerStats};
+use crate::shard::leg_blinding;
 
 /// What one [`SessionFlow::on_frame`] step produced: zero or more reply
 /// frames (sent in order) and whether this step granted a resume.

@@ -35,7 +35,6 @@
 //!   non-private alternatives;
 //! * [`run_weighted`] — the weighted-sum generalization the paper
 //!   sketches in §2;
-//! * [`run_threaded`] — the same state machines over real threads;
 //! * [`TcpServer`] — the concurrent deployment runtime: one thread per
 //!   accepted TCP connection, all sessions sharing one database, with
 //!   per-session deadlines, admission control, and graceful shutdown;
@@ -75,7 +74,6 @@ mod error;
 pub mod flow;
 pub mod messages;
 mod multiclient;
-mod multidb;
 mod obs;
 mod perturb;
 mod plan;
@@ -94,10 +92,6 @@ pub use data::{check_message_space, Database, Selection};
 pub use error::ProtocolError;
 pub use flow::{FlowStep, SessionFlow};
 pub use multiclient::{run_multiclient, ClientLeg, MultiClientReport};
-pub use multidb::{
-    leg_blinding, pair_blinding, run_multidb, run_multidb_blinded, server_blinding, Partition,
-    MIN_BLINDING_KEY_BITS,
-};
 pub use obs::{FoldPlanObs, PhaseTotals, QueryObs, ServerObs, ShardObs};
 pub use perturb::{flip_probability_for_epsilon, run_randomized_response, PerturbedReport};
 pub use plan::{FoldPlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
@@ -105,12 +99,12 @@ pub use report::{RunReport, Variant};
 pub use resume::{ResumptionConfig, SessionTable};
 pub use run::{
     run_basic, run_basic_parallel, run_batched, run_batched_parallel, run_combined,
-    run_download_baseline, run_plain_baseline, run_preprocessed, run_threaded, run_weighted,
-    RunConfig,
+    run_download_baseline, run_plain_baseline, run_preprocessed, run_weighted, RunConfig,
 };
 pub use server::{FoldCheckpoint, FoldStrategy, ServerSession, ServerStats};
 pub use shard::{
-    run_sharded_query, run_sharded_query_with, ShardLegReport, ShardQueryConfig, ShardQueryOutcome,
+    deal_pairwise_seeds, leg_blinding, pair_blinding, run_sharded_query, run_sharded_query_with,
+    LegSeeds, ShardLegReport, ShardQueryConfig, ShardQueryOutcome, MIN_BLINDING_KEY_BITS,
 };
 pub use tcp_client::{
     run_stream_query_with_resume, run_tcp_query, run_tcp_query_observed, run_tcp_query_with_retry,

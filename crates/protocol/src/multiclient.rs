@@ -114,11 +114,11 @@ pub fn run_multiclient(
     // `M = 2^(min_bits − 2)` below: with no floor on the requested key
     // width the subtraction underflows (and `shl` then aborts on an
     // absurd shift) instead of failing typed.
-    if key_bits < crate::multidb::MIN_BLINDING_KEY_BITS {
+    if key_bits < crate::shard::MIN_BLINDING_KEY_BITS {
         return Err(ProtocolError::Config(format!(
             "key width {key_bits} bits is too small for a blinding modulus \
              (need at least {})",
-            crate::multidb::MIN_BLINDING_KEY_BITS
+            crate::shard::MIN_BLINDING_KEY_BITS
         )));
     }
 

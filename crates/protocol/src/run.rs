@@ -5,17 +5,11 @@
 //! oracle, and returns the paper's four-component [`RunReport`].
 //! Computation is *measured* (real wall time of the actual cryptographic
 //! work on this machine); communication is *simulated* by the link model.
-//!
-//! [`run_threaded`] additionally executes the identical state machines
-//! over a real cross-thread [`ChannelWire`], which integration tests use
-//! to show the protocol is driver-independent.
 
 use std::time::{Duration, Instant};
 
 use pps_crypto::{BitEncryptionPool, RandomizerPool};
-use pps_transport::{
-    pipeline_makespan, ChannelWire, Frame, LinkProfile, SimLink, TransportError, Wire,
-};
+use pps_transport::{pipeline_makespan, LinkProfile, SimLink, TransportError, Wire};
 use rand::RngCore;
 
 use crate::client::{ClientSendStats, IndexSource, SumClient};
@@ -535,54 +529,6 @@ pub fn run_download_baseline(
     })
 }
 
-/// Runs the basic protocol with client and server on real concurrent
-/// threads over a [`ChannelWire`] — proof that the same state machines
-/// work under genuine concurrency (used by integration tests).
-///
-/// Returns the decrypted sum.
-///
-/// # Errors
-/// Any failure on either thread.
-pub fn run_threaded(
-    db: &Database,
-    selection: &Selection,
-    client: &SumClient,
-    batch_size: usize,
-    rng: &mut dyn RngCore,
-) -> Result<u128, ProtocolError> {
-    let (mut cw, mut sw) = ChannelWire::pair();
-    let db_clone = db.clone();
-    let server_thread = std::thread::spawn(move || -> Result<(), ProtocolError> {
-        let mut server = ServerSession::new(&db_clone);
-        while !server.is_done() {
-            let frame: Frame = sw.recv()?;
-            if let Some(reply) = server.on_frame(&frame)? {
-                sw.send(reply)?;
-            }
-        }
-        Ok(())
-    });
-
-    let mut source = IndexSource::Fresh(rng);
-    client.send_query(&mut cw, selection, batch_size.max(1), &mut source)?;
-    let (sum, _) = client.receive_result(&mut cw)?;
-
-    server_thread
-        .join()
-        .map_err(|_| ProtocolError::Config("server thread panicked".into()))??;
-
-    let got = sum
-        .to_u128()
-        .ok_or_else(|| ProtocolError::Config("sum exceeds 128 bits".into()))?;
-    let expected = db.oracle_sum(selection)?;
-    if got != expected {
-        return Err(ProtocolError::Config(format!(
-            "threaded result {got} disagrees with oracle {expected}"
-        )));
-    }
-    Ok(got)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,13 +654,6 @@ mod tests {
         // Weighted selections are rejected by the plain baseline.
         let w = Selection::weighted(vec![2; 30]);
         assert!(run_plain_baseline(&db, &w, LinkProfile::gigabit_lan()).is_err());
-    }
-
-    #[test]
-    fn threaded_matches_oracle() {
-        let (db, sel, client, mut rng) = setup(25);
-        let sum = run_threaded(&db, &sel, &client, 7, &mut rng).unwrap();
-        assert_eq!(sum, db.oracle_sum(&sel).unwrap());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Networked sharded queries: blinded partial sums over `k` parallel
-//! TCP shard legs (§3.5, promoted from the in-process simulation in
-//! [`multidb`](crate::multidb)).
+//! TCP shard legs (§3.5's multi-database extension).
 //!
 //! Each shard worker owns one horizontal partition of the database and
 //! answers the ordinary streaming protocol — except that the very first
@@ -27,25 +26,26 @@
 //! time, standing in for the out-of-band pairwise enrollment the paper
 //! assumes between servers. That shortcut has a real cost: because the
 //! client dealt **every** seed, it can recompute each worker's `R_i`
-//! ([`leg_blinding`](crate::multidb::leg_blinding) is deterministic in
-//! the seeds) and unblind each partial by itself — in this deployment
-//! the blinding provides **no privacy against the client**. What it
-//! does protect is the workers from *each other* and from transport
-//! observers: worker `i` misses the pairwise seeds it is not party to,
-//! so worker `j`'s partial is uniform in `M` from its point of view,
-//! and a coalition must reach `k − 1` workers (plus the wire) before
-//! the remaining partial falls. The paper's stronger bound — partials
-//! hidden even from the querier, colluding with up to `k − 1` servers
-//! — requires the servers to establish the pairwise seeds out-of-band
-//! among themselves; the wire protocol already carries everything else
-//! needed for that deployment, only the seed dealer changes. The
-//! `k = 1` degenerate fan-out has no pairs and therefore `R_0 = 0`:
-//! the one partial *is* the total, which the client learns anyway.
+//! ([`leg_blinding`] is deterministic in the seeds) and unblind each
+//! partial by itself — in this deployment the blinding provides **no
+//! privacy against the client**. What it does protect is the workers
+//! from *each other* and from transport observers: worker `i` misses
+//! the pairwise seeds it is not party to, so worker `j`'s partial is
+//! uniform in `M` from its point of view, and a coalition must reach
+//! `k − 1` workers (plus the wire) before the remaining partial falls.
+//! The paper's stronger bound — partials hidden even from the querier,
+//! colluding with up to `k − 1` servers — requires the servers to
+//! establish the pairwise seeds out-of-band among themselves; the wire
+//! protocol already carries everything else needed for that
+//! deployment, only the seed dealer ([`deal_pairwise_seeds`]) changes.
+//! The `k = 1` degenerate fan-out has no pairs and therefore
+//! `R_0 = 0`: the one partial *is* the total, which the client learns
+//! anyway.
 
 use std::io::{Read, Write};
 
 use pps_bignum::Uint;
-use pps_crypto::CryptoError;
+use pps_crypto::{CryptoError, CtrPrg};
 use pps_transport::{StreamWire, TcpWire, TrafficStats, Wire};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -54,14 +54,81 @@ use crate::client::SumClient;
 use crate::data::Selection;
 use crate::error::ProtocolError;
 use crate::messages::{ShardHello, SizeReply, SizeRequest};
-use crate::multidb::MIN_BLINDING_KEY_BITS;
 use crate::obs::ShardObs;
 use crate::tcp_client::{
     run_stream_query_raw, LegTrace, PresetQuery, RawQueryOutcome, TcpQueryConfig,
 };
 
-/// Width in bytes of each pairwise blinding seed the engine generates.
+/// Width in bytes of each pairwise blinding seed the dealer draws.
 const SEED_BYTES: usize = 32;
+
+/// Narrowest key a blinded fan-out accepts: the blinding modulus is
+/// `M = 2^(key_bits − 2)`, and below this floor `M` has no room for any
+/// actual sum (and the subtraction itself would underflow at 0/1 bits).
+pub const MIN_BLINDING_KEY_BITS: usize = 16;
+
+/// One leg's share of the pairwise blinding seeds: the two lists its
+/// [`ShardHello`] carries.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LegSeeds {
+    /// Seeds of the leg's pairs `(i, j)`, `j > i`: their shares are added.
+    pub seeds_add: Vec<Vec<u8>>,
+    /// Seeds of the pairs `(j, i)`, `j < i`: their shares are subtracted.
+    pub seeds_sub: Vec<Vec<u8>>,
+}
+
+/// Deals the pairwise blinding seeds of a `k`-leg fan-out, one
+/// [`LegSeeds`] per leg. One seed is drawn per pair `i < j`, in
+/// row-major order (`(0, 1), (0, 2), …, (1, 2), …`), and handed to both
+/// legs of the pair, so the `k` net blindings [`leg_blinding`] derives
+/// cancel mod `M`.
+pub fn deal_pairwise_seeds(k: usize, rng: &mut dyn RngCore) -> Vec<LegSeeds> {
+    let mut legs = vec![LegSeeds::default(); k];
+    for i in 0..k {
+        for j in i + 1..k {
+            let mut seed = vec![0u8; SEED_BYTES];
+            rng.fill_bytes(&mut seed);
+            legs[j].seeds_sub.push(seed.clone());
+            legs[i].seeds_add.push(seed);
+        }
+    }
+    legs
+}
+
+/// Derives the blinding value shared by legs `i < j` from their pair
+/// seed: both endpoints compute the identical `r_ij ∈ [0, M)`.
+///
+/// # Errors
+/// Propagates bignum sampling failures (a zero modulus).
+pub fn pair_blinding(seed: &[u8], m: &Uint) -> Result<Uint, ProtocolError> {
+    let mut prg = CtrPrg::new(seed);
+    Uint::random_below(&mut prg, m).map_err(bignum)
+}
+
+/// Computes one worker's net blinding `R_i` from the two seed lists its
+/// `ShardHello` carries: shares derived from `seeds_add` are added,
+/// shares from `seeds_sub` subtracted (mod `M`). A worker never sees
+/// the seeds of pairs it is not part of.
+///
+/// # Errors
+/// Propagates bignum sampling/arithmetic failures.
+pub fn leg_blinding(
+    seeds_add: &[Vec<u8>],
+    seeds_sub: &[Vec<u8>],
+    m: &Uint,
+) -> Result<Uint, ProtocolError> {
+    let mut r = Uint::zero();
+    for seed in seeds_add {
+        let share = pair_blinding(seed, m)?;
+        r = r.mod_add(&share, m).map_err(bignum)?;
+    }
+    for seed in seeds_sub {
+        let share = pair_blinding(seed, m)?;
+        let neg = share.mod_neg(m).map_err(bignum)?;
+        r = r.mod_add(&neg, m).map_err(bignum)?;
+    }
+    Ok(r)
+}
 
 /// Upper bound on the row count a single shard may claim at size
 /// discovery. `SizeReply.n` is attacker-controlled (a malicious or
@@ -229,32 +296,29 @@ where
     let m_bits = key_bits - 2;
     let m = Uint::one().shl(m_bits);
 
-    // Pairwise seeds, matrix-addressed as seeds[i][j - i - 1] for i < j
-    // (the multidb convention): leg i adds its row, subtracts column i.
-    let seeds: Vec<Vec<Vec<u8>>> = (0..k)
-        .map(|i| {
-            (i + 1..k)
-                .map(|_| {
-                    let mut s = vec![0u8; SEED_BYTES];
-                    rng.fill_bytes(&mut s);
-                    s
-                })
-                .collect()
-        })
-        .collect();
-    let hellos: Vec<pps_transport::Frame> = (0..k)
-        .map(|i| {
-            ShardHello {
-                shard_index: i as u32,
-                shard_count: k as u32,
-                m_bits: m_bits as u32,
-                seeds_add: seeds[i].clone(),
-                seeds_sub: (0..i).map(|j| seeds[j][i - j - 1].clone()).collect(),
-                trace: config.tcp.trace,
-            }
-            .encode()
-            .map_err(ProtocolError::from)
-        })
+    let hellos: Vec<pps_transport::Frame> = deal_pairwise_seeds(k, rng)
+        .into_iter()
+        .enumerate()
+        .map(
+            |(
+                i,
+                LegSeeds {
+                    seeds_add,
+                    seeds_sub,
+                },
+            )| {
+                ShardHello {
+                    shard_index: i as u32,
+                    shard_count: k as u32,
+                    m_bits: m_bits as u32,
+                    seeds_add,
+                    seeds_sub,
+                    trace: config.tcp.trace,
+                }
+                .encode()
+                .map_err(ProtocolError::from)
+            },
+        )
         .collect::<Result<_, _>>()?;
 
     // Phase A — sequential size discovery. Each leg's first connection
@@ -441,6 +505,83 @@ pub fn run_sharded_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pps_crypto::PaillierKeypair;
+
+    #[test]
+    fn pairwise_seeds_are_symmetric() {
+        let m = Uint::one().shl(60);
+        let a = pair_blinding(b"shared-seed-42", &m).unwrap();
+        let b = pair_blinding(b"shared-seed-42", &m).unwrap();
+        assert_eq!(a, b, "both endpoints derive the same share");
+        let c = pair_blinding(b"different-seed", &m).unwrap();
+        assert_ne!(a, c);
+    }
+
+    #[test]
+    fn blindings_cancel_for_many_servers() {
+        let mut rng = StdRng::seed_from_u64(506);
+        let m = Uint::one().shl(100);
+        for k in [1usize, 2, 3, 5, 8] {
+            let legs = deal_pairwise_seeds(k, &mut rng);
+            let mut acc = Uint::zero();
+            for (i, leg) in legs.iter().enumerate() {
+                // Leg i subtracts exactly the seed leg j < i adds for
+                // their pair, so only the two of them ever hold it.
+                assert_eq!(leg.seeds_add.len(), k - i - 1, "k={k}");
+                assert_eq!(leg.seeds_sub.len(), i, "k={k}");
+                for (j, seed) in leg.seeds_sub.iter().enumerate() {
+                    assert_eq!(
+                        seed,
+                        &legs[j].seeds_add[i - j - 1],
+                        "k={k}: pair ({j}, {i})"
+                    );
+                }
+                let r = leg_blinding(&leg.seeds_add, &leg.seeds_sub, &m).unwrap();
+                acc = acc.mod_add(&r, &m).unwrap();
+            }
+            assert_eq!(acc, Uint::zero(), "k={k}");
+        }
+    }
+
+    #[test]
+    fn dealer_draws_one_seed_per_pair_in_row_major_order() {
+        // The draw order fixes the ShardHello bytes a given rng state
+        // produces; it must not move.
+        let mut dealt = StdRng::seed_from_u64(9);
+        let legs = deal_pairwise_seeds(4, &mut dealt);
+        let mut manual = StdRng::seed_from_u64(9);
+        for (i, leg) in legs.iter().enumerate() {
+            for (j, dealt_seed) in (i + 1..).zip(&leg.seeds_add) {
+                let mut seed = vec![0u8; SEED_BYTES];
+                manual.fill_bytes(&mut seed);
+                assert_eq!(dealt_seed, &seed, "pair ({i}, {j})");
+            }
+        }
+        assert_eq!(dealt.next_u64(), manual.next_u64(), "no extra draws");
+    }
+
+    #[test]
+    fn key_below_the_blinding_floor_is_a_config_error() {
+        // N = 11 · 13 = 143: an 8-bit modulus leaves no room for M.
+        let keypair = PaillierKeypair::from_primes(Uint::from_u64(11), Uint::from_u64(13)).unwrap();
+        let client = SumClient::new(keypair);
+        assert!(client.keypair().public.key_bits() < MIN_BLINDING_KEY_BITS);
+        let mut rng = StdRng::seed_from_u64(2);
+        // The check runs before any leg connects.
+        let err = run_sharded_query(
+            &["127.0.0.1:1".to_string()],
+            &client,
+            &[0],
+            &ShardQueryConfig::default(),
+            None,
+            &mut rng,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, ProtocolError::Config(msg) if msg.contains("too small")),
+            "{err:?}"
+        );
+    }
 
     #[test]
     fn empty_fanout_is_a_config_error() {

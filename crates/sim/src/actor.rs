@@ -14,7 +14,7 @@
 use bytes::Bytes;
 use pps_bignum::Uint;
 use pps_protocol::messages::{Hello, IndexBatch, ShardHello};
-use pps_protocol::SumClient;
+use pps_protocol::{deal_pairwise_seeds, SumClient};
 use rand::rngs::StdRng;
 use rand::RngCore;
 
@@ -251,9 +251,8 @@ fn sabotage(script: &mut Script, behavior: Behavior, rng: &mut StdRng) -> Result
 }
 
 /// Builds the `k` pairwise-seeded `ShardHello` frames for one shard
-/// group (the multidb convention: leg `i` adds seeds for pairs `(i,j)`,
-/// `j > i`, and subtracts seeds for pairs `(j,i)`, `j < i`) and
-/// prepends each to the matching leg's script.
+/// group, with the seeds [`deal_pairwise_seeds`] deals, and prepends each
+/// to the matching leg's script.
 ///
 /// # Errors
 /// Encoding failures (cannot occur for valid geometry).
@@ -263,24 +262,14 @@ pub fn prepend_shard_hello(
     rng: &mut StdRng,
 ) -> Result<(), SimError> {
     let k = scripts.len();
-    let seeds: Vec<Vec<Vec<u8>>> = (0..k)
-        .map(|i| {
-            (i + 1..k)
-                .map(|_| {
-                    let mut s = vec![0u8; 32];
-                    rng.fill_bytes(&mut s);
-                    s
-                })
-                .collect()
-        })
-        .collect();
-    for (i, script) in scripts.iter_mut().enumerate() {
+    let legs = deal_pairwise_seeds(k, rng);
+    for (i, (script, seeds)) in scripts.iter_mut().zip(legs).enumerate() {
         let frame = ShardHello {
             shard_index: i as u32,
             shard_count: k as u32,
             m_bits,
-            seeds_add: seeds[i].clone(),
-            seeds_sub: (0..i).map(|j| seeds[j][i - j - 1].clone()).collect(),
+            seeds_add: seeds.seeds_add,
+            seeds_sub: seeds.seeds_sub,
             trace: None,
         }
         .encode()

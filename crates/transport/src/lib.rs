@@ -11,10 +11,9 @@
 //! * [`Frame`] — a minimal length-prefixed wire format with byte-exact
 //!   accounting, so the communication component of every figure reflects
 //!   real serialized protocol bytes;
-//! * [`Wire`] with three implementations: [`SimLink`] (in-memory,
-//!   virtual clock, sequential orchestration), [`ChannelWire`]
-//!   (crossbeam channels, real threads), and [`TcpWire`] (framing over a
-//!   real socket, with read/write deadlines);
+//! * [`Wire`] with two implementations: [`SimLink`] (in-memory,
+//!   virtual clock, sequential orchestration) and [`TcpWire`] (framing
+//!   over a real socket, with read/write deadlines);
 //! * [`pipeline_makespan`] — flow-shop makespan model for the §3.2
 //!   batching/pipelining experiment;
 //! * fault tolerance: [`RetryPolicy`] (exponential backoff with
@@ -44,4 +43,4 @@ pub use pipeline::{pipeline_makespan, uniform_pipeline_makespan};
 pub use profile::LinkProfile;
 pub use retry::{RetryPolicy, RetryStats};
 pub use tcp::{StreamWire, TcpWire};
-pub use wire::{ChannelWire, SimLink, TrafficStats, Wire};
+pub use wire::{SimLink, TrafficStats, Wire};

@@ -1,14 +1,11 @@
-//! Wire abstractions: the [`Wire`] trait plus two implementations —
-//! an in-memory [`SimLink`] with virtual-clock accounting (used by the
-//! figure harnesses) and a crossbeam-channel [`ChannelWire`] for real
-//! concurrent client/server threads (used by integration tests and the
-//! pipelined protocol variant).
+//! Wire abstractions: the [`Wire`] trait plus the in-memory [`SimLink`]
+//! with virtual-clock accounting (used by the figure harnesses); the
+//! socket implementation is [`StreamWire`](crate::StreamWire).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::error::TransportError;
@@ -177,57 +174,6 @@ impl Drop for SimLink {
     }
 }
 
-// ---------------------------------------------------------------------
-// ChannelWire: cross-thread wire over crossbeam channels.
-// ---------------------------------------------------------------------
-
-/// One endpoint of a cross-thread wire; `recv` blocks until a message
-/// arrives or the peer disconnects.
-pub struct ChannelWire {
-    tx: Sender<Frame>,
-    rx: Receiver<Frame>,
-    stats: TrafficStats,
-}
-
-impl ChannelWire {
-    /// Creates a connected pair of endpoints.
-    pub fn pair() -> (ChannelWire, ChannelWire) {
-        let (tx_ab, rx_ab) = unbounded();
-        let (tx_ba, rx_ba) = unbounded();
-        (
-            ChannelWire {
-                tx: tx_ab,
-                rx: rx_ba,
-                stats: TrafficStats::default(),
-            },
-            ChannelWire {
-                tx: tx_ba,
-                rx: rx_ab,
-                stats: TrafficStats::default(),
-            },
-        )
-    }
-}
-
-impl Wire for ChannelWire {
-    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
-        self.stats.record_send(&frame);
-        self.tx
-            .send(frame)
-            .map_err(|_| TransportError::Disconnected)
-    }
-
-    fn recv(&mut self) -> Result<Frame, TransportError> {
-        let f = self.rx.recv().map_err(|_| TransportError::Disconnected)?;
-        self.stats.record_recv(&f);
-        Ok(f)
-    }
-
-    fn stats(&self) -> TrafficStats {
-        self.stats.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,26 +245,5 @@ mod tests {
         // The queued message is still deliverable.
         assert_eq!(b.recv().unwrap().msg_type, 9);
         assert_eq!(b.recv(), Err(TransportError::Disconnected));
-    }
-
-    #[test]
-    fn channel_wire_across_threads() {
-        let (mut a, mut b) = ChannelWire::pair();
-        let t = std::thread::spawn(move || {
-            let got = b.recv().unwrap();
-            b.send(frame(got.msg_type + 1, 0)).unwrap();
-            b.stats().messages_received
-        });
-        a.send(frame(41, 8)).unwrap();
-        assert_eq!(a.recv().unwrap().msg_type, 42);
-        assert_eq!(t.join().unwrap(), 1);
-    }
-
-    #[test]
-    fn channel_wire_disconnect() {
-        let (mut a, b) = ChannelWire::pair();
-        drop(b);
-        assert_eq!(a.send(frame(1, 0)), Err(TransportError::Disconnected));
-        assert_eq!(a.recv(), Err(TransportError::Disconnected));
     }
 }

@@ -1,10 +1,10 @@
-//! Federated databases and bivariate statistics — the §1 extension.
+//! Bivariate statistics at one hospital of a federated registry.
 //!
-//! Three hospitals each hold a partition of a patient registry. A public
-//! health researcher computes the combined total across all three (with
-//! server-side correlated blinding, so not even per-hospital subtotals
-//! leak), and then, against a single hospital, the private correlation
-//! between two clinical columns over a hidden cohort.
+//! A public health researcher computes, against a single hospital, the
+//! private correlation between two clinical columns over a hidden
+//! cohort: one pass of encrypted index bits yields all six aggregates.
+//! (A sum across several hospitals' partitions is the networked sharded
+//! query, `pps query --shards`.)
 //!
 //! Run with:
 //! ```sh
@@ -12,38 +12,14 @@
 //! ```
 
 use pps::prelude::*;
-use pps::protocol::{run_multidb_blinded, Partition};
 use pps::stats::{private_paired_moments, PairedDatabase};
 use rand::{Rng, SeedableRng};
 
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
 
-    // --- Part 1: blinded total across three hospital partitions. ---
-    println!("=== combined total across 3 hospitals (blinded partials) ===");
-    let partitions: Vec<Partition> = [180usize, 240, 150]
-        .iter()
-        .map(|&n| Partition {
-            db: Database::random(n, 500, &mut rng).expect("non-empty"),
-            selection: Selection::random(n, 0.25, &mut rng).expect("valid p"),
-        })
-        .collect();
-
-    let client = SumClient::generate(512, &mut rng).expect("keygen");
-    let (report, total) =
-        run_multidb_blinded(&partitions, &client, LinkProfile::gigabit_lan(), &mut rng)
-            .expect("multi-database run");
-
-    println!("combined cohort total : {total}");
-    println!("rows across hospitals : {}", report.n);
-    println!("cohort size           : {}", report.selected);
-    println!(
-        "each hospital blinds its reply with correlated randomness (Σ Rᵢ ≡ 0 mod M),\n\
-         so the researcher never sees a per-hospital subtotal.\n"
-    );
-
-    // --- Part 2: private correlation between two columns. ---
     println!("=== private correlation: age vs blood pressure, hidden cohort ===");
+    let client = SumClient::generate(512, &mut rng).expect("keygen");
     let n = 300;
     let ages: Vec<u64> = (0..n).map(|_| rng.gen_range(20..90)).collect();
     // Blood pressure loosely increases with age, plus noise.

@@ -6,8 +6,7 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 
 use pps_cli::{
-    load_values, run_keygen, run_multiclient_sim, run_multidb_sim, run_query, run_server,
-    QueryOptions, ServeOptions,
+    load_values, run_keygen, run_multiclient_sim, run_query, run_server, QueryOptions, ServeOptions,
 };
 use pps_obs::JsonValue;
 use pps_protocol::FoldStrategy;
@@ -294,29 +293,6 @@ fn multiclient_sim_reports_oracle_checked_total() {
     let text = String::from_utf8(out).unwrap();
     assert!(text.contains("k=4 clients"), "{text}");
     assert!(text.contains("oracle-checked"), "{text}");
-}
-
-#[test]
-fn multidb_sim_blinded_and_plain() {
-    let mut rng = StdRng::seed_from_u64(9);
-    let mut out = Vec::new();
-    run_multidb_sim((1..=30).collect(), 3, true, 128, &mut rng, &mut out).unwrap();
-    let blinded = String::from_utf8(out).unwrap();
-    assert!(blinded.contains("oracle-checked"), "{blinded}");
-    assert!(blinded.contains("blinded mod 2^(key_bits-2)"), "{blinded}");
-
-    let mut out = Vec::new();
-    run_multidb_sim((1..=30).collect(), 3, false, 128, &mut rng, &mut out).unwrap();
-    let plain = String::from_utf8(out).unwrap();
-    assert!(plain.contains("partition 2: partial"), "{plain}");
-    assert!(plain.contains("oracle-checked"), "{plain}");
-
-    let err = run_multidb_sim(vec![1, 2], 3, true, 128, &mut rng, &mut Vec::new()).unwrap_err();
-    assert!(
-        err.message.contains("at least one row per partition"),
-        "{}",
-        err.message
-    );
 }
 
 #[test]

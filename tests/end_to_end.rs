@@ -61,15 +61,6 @@ fn all_variants_agree_on_one_workload() {
 }
 
 #[test]
-fn threaded_driver_matches_virtual_driver() {
-    let (db, sel, client, mut rng) = setup(150, 3, 256);
-    let threaded = pps::run_threaded(&db, &sel, &client, 32, &mut rng).unwrap();
-    let virtual_run =
-        pps::run_basic(&db, &sel, &client, LinkProfile::gigabit_lan(), &mut rng).unwrap();
-    assert_eq!(threaded, virtual_run.result);
-}
-
-#[test]
 fn batch_size_does_not_change_result() {
     let (db, sel, client, mut rng) = setup(97, 4, 256);
     let expected = db.oracle_sum(&sel).unwrap();

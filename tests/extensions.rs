@@ -1,10 +1,10 @@
 //! Integration tests for the extension features beyond the paper's core
-//! experiments: the real TCP transport, multi-database queries, bivariate
-//! statistics, free-XOR garbling, and key serialization — each exercised
-//! across crate boundaries.
+//! experiments: the real TCP transport, bivariate statistics, free-XOR
+//! garbling, and key serialization — each exercised across crate
+//! boundaries.
 
 use pps::prelude::*;
-use pps::protocol::{run_multidb, run_multidb_blinded, IndexSource, Partition, ServerSession};
+use pps::protocol::{IndexSource, ServerSession};
 use pps::stats::{private_paired_moments, PairedDatabase};
 use pps::transport::{LinkProfile, TcpWire, Wire};
 use rand::rngs::StdRng;
@@ -44,29 +44,6 @@ fn full_protocol_over_real_tcp_sockets() {
         cw.stats().payload_bytes_sent,
         "bytes counted identically at both socket endpoints"
     );
-}
-
-#[test]
-fn multidb_plain_and_blinded_agree() {
-    let mut rng = StdRng::seed_from_u64(9001);
-    let partitions: Vec<Partition> = [30usize, 45, 25]
-        .iter()
-        .map(|&n| Partition {
-            db: Database::random(n, 2_000, &mut rng).unwrap(),
-            selection: Selection::random(n, 0.4, &mut rng).unwrap(),
-        })
-        .collect();
-    let client = SumClient::generate(192, &mut rng).unwrap();
-
-    let (_, plain_total) =
-        run_multidb(&partitions, &client, LinkProfile::gigabit_lan(), &mut rng).unwrap();
-    let (report, blinded_total) =
-        run_multidb_blinded(&partitions, &client, LinkProfile::gigabit_lan(), &mut rng).unwrap();
-
-    assert_eq!(plain_total, blinded_total);
-    assert_eq!(report.n, 100);
-    // Blinded flavor sends the same upstream traffic (same index vectors).
-    assert!(report.bytes_to_server >= 100 * client.keypair().public.ciphertext_bytes());
 }
 
 #[test]

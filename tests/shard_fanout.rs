@@ -433,3 +433,101 @@ fn implausible_shard_size_is_a_config_error() {
     );
     worker.join().unwrap();
 }
+
+/// With one shard there are no pairs, so `R_0 = 0`: the single leg's
+/// decrypted partial is already the exact sum.
+#[test]
+fn single_shard_fanout_returns_the_exact_sum() {
+    let server = TcpServer::bind(shard_db(0), "127.0.0.1:0", FoldStrategy::default())
+        .unwrap()
+        .require_shard_handshake();
+    let addr = server.local_addr().unwrap().to_string();
+    let select: Vec<usize> = (0..ROWS_PER_SHARD).step_by(3).collect();
+    let expected: u128 = select.iter().map(|&g| value(g) as u128).sum();
+
+    let outcome = std::thread::scope(|scope| {
+        let handle = scope.spawn(move || server.serve(Some(1)));
+        let mut rng = StdRng::seed_from_u64(75);
+        let client = SumClient::generate(128, &mut rng).unwrap();
+        let outcome = run_sharded_query(
+            &[addr],
+            &client,
+            &select,
+            &config(RetryPolicy::default()),
+            None,
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(handle.join().unwrap().failed, 0);
+        outcome
+    });
+
+    assert_eq!(outcome.sum, expected);
+    assert_eq!(outcome.legs.len(), 1);
+    assert_eq!(
+        outcome.legs[0].blinded_partial,
+        Uint::from_u128(expected),
+        "k = 1: no pairs, so nothing blinds the one partial"
+    );
+}
+
+/// A `value_bound` whose worst case `n · bound` does not fit the
+/// blinding modulus `M = 2^(key_bits − 2)` fails typed once the shard
+/// sizes are known, before any leg streams an index batch: each worker
+/// sees its `ShardHello` and `SizeRequest`, then the client hangs up.
+#[test]
+fn value_bound_beyond_the_blinding_modulus_fails_before_any_batch() {
+    use pps_protocol::messages::{MsgType, SizeReply};
+    use pps_transport::{TcpWire, Wire};
+
+    let (addrs, workers): (Vec<String>, Vec<_>) = (0..2)
+        .map(|_| {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let worker = std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                let mut wire = TcpWire::new(stream);
+                let mut seen = vec![wire.recv().unwrap().msg_type];
+                seen.push(wire.recv().unwrap().msg_type);
+                wire.send(
+                    SizeReply {
+                        n: ROWS_PER_SHARD as u64,
+                    }
+                    .encode()
+                    .unwrap(),
+                )
+                .unwrap();
+                while let Ok(frame) = wire.recv() {
+                    seen.push(frame.msg_type);
+                }
+                seen
+            });
+            (addr, worker)
+        })
+        .unzip();
+
+    // A 64-bit key blinds mod 2^62; 32 rows of values below 2^60 can
+    // reach 2^65, a 66-bit sum.
+    let mut rng = StdRng::seed_from_u64(76);
+    let client = SumClient::generate(64, &mut rng).unwrap();
+    let available_bits = client.keypair().public.key_bits() - 2;
+    let config = ShardQueryConfig {
+        value_bound: Some(1 << 60),
+        ..config(RetryPolicy::default())
+    };
+    let err = run_sharded_query(&addrs, &client, &[0, 20], &config, None, &mut rng).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ProtocolError::SumOverflow { needed_bits: 66, available_bits: a } if a == available_bits
+        ),
+        "{err:?}"
+    );
+    for worker in workers {
+        assert_eq!(
+            worker.join().unwrap(),
+            vec![MsgType::ShardHello as u8, MsgType::SizeRequest as u8],
+            "size discovery only: no index batch reached a worker"
+        );
+    }
+}
