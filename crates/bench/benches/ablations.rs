@@ -95,12 +95,10 @@ fn ablation_garbling(c: &mut Criterion) {
 }
 
 /// Server fold ablation: the paper's element-by-element loop vs the
-/// shared per-database plan `pps serve` folds through.
+/// session's bucket fold `pps serve` folds with.
 fn ablation_server_fold(c: &mut Criterion) {
-    use pps_bignum::MultiExpPlan;
     use pps_protocol::messages::{Hello, IndexBatch};
-    use pps_protocol::{Database, Selection, ServerSession, SumClient};
-    use std::sync::Arc;
+    use pps_protocol::{Database, FoldStrategy, Selection, ServerSession, SumClient};
 
     let mut rng = StdRng::seed_from_u64(7);
     let n = 64;
@@ -130,14 +128,13 @@ fn ablation_server_fold(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("ablation_server_fold_n64_512bit");
     g.sample_size(20);
-    let plan = Arc::new(MultiExpPlan::build(db.values()));
-    for (name, plan) in [("incremental", None), ("precomputed", Some(plan))] {
+    for (name, fold) in [
+        ("incremental", FoldStrategy::Incremental),
+        ("precomputed", FoldStrategy::Precomputed),
+    ] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let mut s = match &plan {
-                    Some(plan) => ServerSession::with_fold_plan(&db, Arc::clone(plan)).unwrap(),
-                    None => ServerSession::new(&db),
-                };
+                let mut s = ServerSession::with_fold(&db, fold);
                 s.on_frame(&hello).unwrap();
                 s.on_frame(&batch).unwrap().unwrap()
             });
@@ -149,10 +146,10 @@ fn ablation_server_fold(c: &mut Criterion) {
 /// Fold ablation at deployment scale: n = 10k–100k index ciphertexts
 /// folded with the paper's loop and with Straus `fold_product` (PIR's
 /// server fold), measured at the crypto layer; `fold_precompute` times
-/// the plan against both. A small pool of real ciphertexts is cycled out
-/// to length n — the fold's cost depends only on the count and exponent
-/// widths, not on ciphertext distinctness — so setup stays seconds
-/// instead of minutes.
+/// the session's bucket fold against both. A small pool of real
+/// ciphertexts is cycled out to length n — the fold's cost depends only
+/// on the count and exponent widths, not on ciphertext distinctness — so
+/// setup stays seconds instead of minutes.
 fn ablation_server_fold_scale(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(8);
     let kp = PaillierKeypair::generate(512, &mut rng).unwrap();

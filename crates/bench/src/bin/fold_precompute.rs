@@ -1,5 +1,5 @@
-//! `fold_precompute` ablation: what does the per-database
-//! multi-exponentiation plan buy the server's hot fold path?
+//! `fold_precompute` ablation: what does the session's bucket fold buy
+//! the server's hot fold path?
 //!
 //! Three strategies fold the same encrypted index vector against the
 //! same fixed database exponents `x_i`:
@@ -8,24 +8,23 @@
 //!   scalar exponentiation plus one homomorphic add per row;
 //! * **multiexp** — bit-serial Straus: the rows share one
 //!   squaring chain but every base still pays per-bit multiplies;
-//! * **precomputed** — [`pps_bignum::MultiExpPlan`]: the windowed digit
-//!   decomposition and Pippenger bucket assignment of every `x_i` are
-//!   built **once per database**, so a fold reduces to ≈1 modmul per
-//!   base per window plus a shared bucket-reduction chain.
+//! * **precomputed** — [`pps_bignum::SessionFold`], the serving
+//!   default: every base is multiplied into the Pippenger bucket of its
+//!   row's digit in each window (≈ 1 modmul per base per window), and
+//!   the buckets are reduced once, at the product. The window is chosen
+//!   from the row count and widest row within a fixed bucket-memory
+//!   budget, which caps it at 6 bits at 512-bit keys.
 //!
-//! The plan build is timed separately (it amortizes across every query
-//! the database ever serves) and its digit-table size is reported as a
-//! memory column. A window-width sweep (4/8/12 effective bits) shows
-//! the bucket-count/batch-length tradeoff the plan's cost model
-//! navigates. Every fold is oracle-checked: the result is decrypted and
-//! compared against the plaintext selected sum.
+//! Every fold is oracle-checked: the result is decrypted and compared
+//! against the plaintext selected sum.
 //!
-//! Whole-vector folds pick 8- or 12-bit windows, but a server folds
-//! one `IndexBatch` at a time. The `serving` rows therefore stream a
-//! query of n = 2000 rows through a `ServerSession` in batches of 100
-//! rows (`pps query`'s default), 10 rows and 1 row (a short last
-//! batch), under the paper's `Incremental` loop and under the default
-//! strategy, and report the median of several replays of each.
+//! A server folds one query as a stream of `IndexBatch`es into one set
+//! of buckets. The `serving` rows therefore stream a query of n = 2000
+//! rows through a `ServerSession` in batches of 100 rows (`pps query`'s
+//! default), 10, 3, 2 and 1 rows, under the paper's `Incremental` loop
+//! and under the default strategy, and report the median of several
+//! replays of each. The bucket fold's cost per row should not depend on
+//! the batch length.
 //!
 //! To keep the runtime dominated by the thing being measured (the
 //! fold), the index vector is encrypted with **one shared randomizer**
@@ -41,10 +40,9 @@
 //! PPS_NS=1000 cargo run --release -p pps-bench --bin fold_precompute -- --key-bits 256
 //! ```
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use pps_bignum::{MultiExpPlan, Uint};
+use pps_bignum::Uint;
 use pps_crypto::{Ciphertext, PaillierKeypair};
 use pps_obs::JsonValue;
 use pps_protocol::messages::{Hello, IndexBatch, Product};
@@ -62,16 +60,8 @@ const SERVING_N: usize = 2000;
 const SERVING_BATCHES: &[usize] = &[100, 10, 3, 2, 1];
 const SERVING_REPLAYS: usize = 9;
 
-/// Effective window widths swept for the precomputed plan.
-const WINDOW_SWEEP: &[usize] = &[4, 8, 12];
-
 const USAGE: &str = "usage: fold_precompute [--key-bits B] [--out PATH]
 env: PPS_NS=comma,separated,sizes overrides the n sweep";
-
-struct WindowPoint {
-    window_bits: usize,
-    fold_secs: f64,
-}
 
 struct Row {
     n: usize,
@@ -79,9 +69,7 @@ struct Row {
     multiexp_fold_secs: f64,
     precomputed_fold_secs: f64,
     chosen_window_bits: usize,
-    plan_build_secs: f64,
-    plan_table_bytes: usize,
-    window_sweep: Vec<WindowPoint>,
+    bucket_bytes: usize,
 }
 
 /// One strategy's replays of the streamed query: medians of the fold
@@ -209,28 +197,19 @@ fn main() {
         let (me, multiexp_fold_secs) = time(|| key.fold_product(&cts, &weights).expect("multiexp"));
         check(&me, "multiexp");
 
-        // Precomputed: build the per-database plan (timed separately —
-        // it amortizes over every query), then fold through it.
-        let (plan, plan_build_secs) = time(|| MultiExpPlan::build(&values));
-        let chosen_window_bits = plan.window_bits_for(n);
-        let (pc, precomputed_fold_secs) =
-            time(|| key.fold_product_planned(&cts, &plan, 0).expect("planned"));
+        // Precomputed: the session's bucket fold over the whole
+        // vector, its window choice and allocation included.
+        let ((pc, chosen_window_bits, bucket_bytes), precomputed_fold_secs) = time(|| {
+            let mut fold = key.session_fold(&values);
+            fold.absorb(&cts, &values).expect("absorb");
+            let buckets = fold.buckets();
+            (
+                fold.product(),
+                buckets.window_bits(),
+                buckets.bucket_bytes(),
+            )
+        });
         check(&pc, "precomputed");
-
-        let window_sweep: Vec<WindowPoint> = WINDOW_SWEEP
-            .iter()
-            .map(|&window_bits| {
-                let (ct, fold_secs) = time(|| {
-                    key.fold_product_planned_with_window(&cts, &plan, 0, window_bits)
-                        .expect("sweep fold")
-                });
-                check(&ct, "window-sweep");
-                WindowPoint {
-                    window_bits,
-                    fold_secs,
-                }
-            })
-            .collect();
 
         let row = Row {
             n,
@@ -238,28 +217,19 @@ fn main() {
             multiexp_fold_secs,
             precomputed_fold_secs,
             chosen_window_bits,
-            plan_build_secs,
-            plan_table_bytes: plan.table_bytes(),
-            window_sweep,
+            bucket_bytes,
         };
         println!(
             "n = {:>6}: incremental {:>8.3}s | multiexp {:>8.3}s | precomputed {:>8.3}s \
-             ({:.2}x vs multiexp, w={}) | plan build {:>6.3}s, table {} bytes",
+             ({:.2}x vs multiexp, w={}, {} bucket bytes)",
             row.n,
             row.incremental_fold_secs,
             row.multiexp_fold_secs,
             row.precomputed_fold_secs,
             row.multiexp_fold_secs / row.precomputed_fold_secs.max(1e-9),
             row.chosen_window_bits,
-            row.plan_build_secs,
-            row.plan_table_bytes,
+            row.bucket_bytes,
         );
-        for p in &row.window_sweep {
-            println!(
-                "            window {:>2} bits: {:>8.3}s",
-                p.window_bits, p.fold_secs
-            );
-        }
         rows.push(row);
     }
 
@@ -282,14 +252,12 @@ fn main() {
 }
 
 /// Streams one n = [`SERVING_N`] query in `batch`-row batches through a
-/// `ServerSession` under `Incremental` and under the default strategy
-/// (one plan shared by every replay, as `TcpServer` shares it),
+/// `ServerSession` under `Incremental` and under the default strategy,
 /// alternating the two, and oracle-checks every product.
 fn serving_row(kp: &PaillierKeypair, rn: &Uint, batch: usize) -> Serving {
     let key = &kp.public;
     let values = database_values(SERVING_N);
     let db = Database::new(values.clone()).expect("database");
-    let plan = Arc::new(MultiExpPlan::build(&values));
     let oracle: u128 = values.iter().step_by(2).map(|&x| u128::from(x)).sum();
     let hello = Hello {
         modulus: key.n().clone(),
@@ -320,12 +288,7 @@ fn serving_row(kp: &PaillierKeypair, rn: &Uint, batch: usize) -> Serving {
     let mut samples = vec![(Vec::new(), Vec::new()); strategies.len()];
     for _ in 0..SERVING_REPLAYS {
         for (strategy, (folds, sessions)) in strategies.iter().zip(&mut samples) {
-            let mut session = match strategy {
-                FoldStrategy::Precomputed => {
-                    ServerSession::with_fold_plan(&db, Arc::clone(&plan)).expect("plan covers db")
-                }
-                FoldStrategy::Incremental => ServerSession::new(&db),
-            };
+            let mut session = ServerSession::with_fold(&db, *strategy);
             let start = Instant::now();
             session.on_frame(&hello).expect("hello accepted");
             let mut reply = None;
@@ -345,7 +308,7 @@ fn serving_row(kp: &PaillierKeypair, rn: &Uint, batch: usize) -> Serving {
     }
     Serving {
         batch,
-        window_bits: plan.window_bits_for(batch),
+        window_bits: key.session_fold(&values).buckets().window_bits(),
         points: strategies
             .iter()
             .zip(samples)
@@ -391,16 +354,7 @@ fn row_json(r: &Row) -> JsonValue {
             "speedup_vs_incremental",
             r.incremental_fold_secs / r.precomputed_fold_secs.max(1e-9),
         )
-        .field("plan_build_secs", r.plan_build_secs)
-        .field("plan_table_bytes", r.plan_table_bytes)
-        .field(
-            "window_sweep",
-            JsonValue::array(r.window_sweep.iter().map(|p| {
-                JsonValue::object()
-                    .field("window_bits", p.window_bits)
-                    .field("fold_secs", p.fold_secs)
-            })),
-        )
+        .field("bucket_bytes", r.bucket_bytes)
 }
 
 /// The results file, serialized through the workspace's one JSON writer
@@ -411,7 +365,7 @@ fn render_json(key_bits: usize, rows: &[Row], serving: &[Serving]) -> String {
         JsonValue::object().field("key_bits", key_bits).field(
             "note",
             "every fold is oracle-checked against the plaintext selected sum; \
-             plan_build_secs amortizes across all queries a database serves",
+             precomputed is the session's bucket fold, window choice and allocation included",
         ),
     )
     .field("rows", JsonValue::array(rows.iter().map(row_json)))

@@ -2,10 +2,10 @@
 //! choice of body by width.
 //!
 //! Every loop in the crate that multiplies in Montgomery form — the
-//! window loop ([`crate::FixedExponentPlan::pow_mont`]), the plan's
-//! bucket fold and the Straus `multi_pow` — is generic over [`Kernel`],
-//! and [`with_kernel!`] picks the kernel from [`Montgomery::width`] once
-//! per power, fold or product. A 512-bit key runs three widths, and each
+//! window loop ([`crate::FixedExponentPlan::pow_mont`]), the session's
+//! bucket fold ([`crate::SessionFold`]) and the Straus `multi_pow` — is
+//! generic over [`Kernel`], and [`with_kernel!`] picks the kernel from
+//! [`Montgomery::width`] once per power, batch or product. A 512-bit key runs three widths, and each
 //! gets stack operands and bodies whose bounds are compile-time
 //! constants, chosen from the measured rows in DESIGN.md:
 //!
@@ -59,11 +59,22 @@ pub(crate) trait Kernel {
         self.load(self.ctx().r_mod_n.limbs())
     }
 
+    /// The Montgomery form of `R`.
+    fn radix(&self) -> Self::Elem {
+        self.load(self.ctx().r2_mod_n.limbs())
+    }
+
+    /// `v` (reduced mod `n` first) loaded as it is, with no product: as
+    /// an operand it stands for `v·R⁻¹`.
+    fn load_raw(&self, v: &Uint) -> Self::Elem {
+        self.load(self.ctx().reduced(v).limbs())
+    }
+
     /// `v` (reduced mod `n` first) into Montgomery form: one product by
     /// `R²`.
     fn enter(&mut self, v: &Uint) -> Self::Elem {
-        let mut e = self.load(self.ctx().reduced(v).limbs());
-        let r2 = self.load(self.ctx().r2_mod_n.limbs());
+        let mut e = self.load_raw(v);
+        let r2 = self.radix();
         self.mul(&mut e, &r2);
         e
     }
@@ -209,6 +220,49 @@ impl<const K: usize, const W: usize> Kernel for Fixed<'_, K, W> {
     #[inline(always)]
     fn square(&mut self, a: &mut [u64; K]) {
         *a = sos_square::<K, W>(a, self.n, self.ctx.n_prime);
+    }
+}
+
+/// A kernel that counts its products and squarings: exact,
+/// host-independent work for the tests' gates.
+#[cfg(test)]
+pub(crate) struct Counting<K> {
+    inner: K,
+    /// Products and squarings so far.
+    pub(crate) products: usize,
+}
+
+#[cfg(test)]
+impl<K> Counting<K> {
+    pub(crate) fn new(inner: K) -> Self {
+        Counting { inner, products: 0 }
+    }
+}
+
+#[cfg(test)]
+impl<K: Kernel> Kernel for Counting<K> {
+    type Elem = K::Elem;
+
+    fn ctx(&self) -> &Montgomery {
+        self.inner.ctx()
+    }
+
+    fn load(&self, limbs: &[u64]) -> K::Elem {
+        self.inner.load(limbs)
+    }
+
+    fn limbs<'e>(&self, e: &'e K::Elem) -> &'e [u64] {
+        self.inner.limbs(e)
+    }
+
+    fn mul(&mut self, a: &mut K::Elem, b: &K::Elem) {
+        self.products += 1;
+        self.inner.mul(a, b);
+    }
+
+    fn square(&mut self, a: &mut K::Elem) {
+        self.products += 1;
+        self.inner.square(a);
     }
 }
 

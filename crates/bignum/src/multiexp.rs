@@ -5,9 +5,9 @@
 //! ~`n·(W squarings + W/2 muls)` for `W`-bit exponents; interleaving
 //! shares the squaring chain across **all** bases: `W` squarings total
 //! plus one multiplication per set exponent bit (~`n·W/2`). PIR's server
-//! folds with it, and it is the reference the per-database
-//! [`crate::MultiExpPlan`] (the selected-sum server's fold) is tested
-//! against. The `server_fold_scale` ablation bench times it.
+//! folds with it, and it is the reference the selected-sum server's
+//! [`crate::SessionFold`] is tested against. The `server_fold_scale`
+//! ablation bench times it.
 
 use crate::montgomery::kernel::{with_kernel, Kernel};
 use crate::montgomery::{MontElem, Montgomery};

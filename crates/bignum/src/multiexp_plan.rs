@@ -1,295 +1,370 @@
-//! Precomputed fixed-exponent plans for the two hot exponentiation paths.
+//! The two hot exponentiation paths: the server's session fold and the
+//! client's fixed-exponent plan.
 //!
-//! The selected-sum server evaluates `Π bᵢ^{xᵢ} mod N²` where the
-//! database exponents `xᵢ` are **fixed across every query** while the
-//! bases (ciphertexts) change per query; the client evaluates `r^N mod
-//! N²` where the exponent `N` is fixed per key while the base `r` is
-//! fresh per randomizer. Both paths today re-derive their exponent
-//! recoding (window digits) on every call. This module pays that
-//! recoding **once**:
+//! The selected-sum server evaluates `Π bᵢ^{xᵢ} mod N²`, where the bases
+//! `bᵢ` are one query's ciphertexts, arriving batch by batch, and the
+//! exponents `xᵢ` are the database rows; the client evaluates `r^N mod
+//! N²`, where the exponent `N` is fixed per key while the base `r` is
+//! fresh per randomizer.
 //!
-//! * [`MultiExpPlan`] — a per-database table of 4-bit window digits for
-//!   every `xᵢ`, stored column-major so a streaming fold over a row
-//!   range touches contiguous memory. Evaluation is Pippenger-style
-//!   bucketization: per window, each base costs **one** Montgomery
-//!   multiplication into its digit's bucket, and a single shared
-//!   suffix-product chain (≈ `2·2^w` muls) reduces the buckets — versus
-//!   the interleaved Straus fold's one multiplication per *set bit*
-//!   (≈ 16 per base for 32-bit exponents). Because the server folds in
-//!   batches, the effective window width (4, 8 or 12 bits, merged from
-//!   the stored 4-bit digits at ~zero cost) is chosen per batch by a
-//!   cost model: small batches can't amortize large bucket sets.
+//! * [`SessionFold`] — one query's Pippenger buckets, kept for the whole
+//!   session. Each batch multiplies every base into the bucket of its
+//!   row's digit in every window, one Montgomery product per base per
+//!   window; [`SessionFold::product`] reduces the buckets, one
+//!   suffix-product pass per window, once per query rather than once per
+//!   batch. The interleaved Straus fold ([`Montgomery::multi_pow`]) pays
+//!   one product per *set bit* instead (≈ 16 a base for 32-bit rows).
 //! * [`FixedExponentPlan`] — the window digits of one fixed exponent,
 //!   recoded once, so each `r^N` pays only the per-base table build and
 //!   the multiply/square chain, not the exponent bit-scan.
 //!
-//! Both plans are immutable after construction and `Send + Sync`, so one
-//! `Arc`-shared instance serves every concurrent session, shard worker,
-//! and resumed checkpoint.
-//!
-//! Both evaluations pick their Montgomery kernel from the modulus width
-//! once per call, not per product: at 4, 8 and 16 limbs they run on
-//! `[u64; K]` stack operands with width-specialised bodies, the window
-//! loop's squarings on the dedicated squaring; at other widths on the
-//! slice kernel. The loops themselves are written once, generic over the
-//! kernel.
+//! Both pick their Montgomery kernel from the modulus width: at 4, 8 and
+//! 16 limbs they run on `[u64; K]` stack operands with width-specialised
+//! bodies, the window loop's squarings on the dedicated squaring; at
+//! other widths on the slice kernel. The loops themselves are written
+//! once, generic over the kernel.
 
 use crate::error::BignumError;
-use crate::montgomery::kernel::{with_kernel, Kernel};
+use crate::montgomery::kernel::{with_kernel, Fixed, Kernel, Slice};
 use crate::montgomery::{MontElem, Montgomery};
 use crate::uint::Uint;
 
-/// Granularity of the stored digit decomposition. Evaluation merges
-/// 1–3 adjacent stored digits into an effective window of 4, 8 or 12
-/// bits, so one table serves every batch size.
+/// Granularity of the fixed-exponent plan's window digits.
 const BASE_WINDOW_BITS: usize = 4;
 
-/// Effective window widths the evaluation cost model chooses between.
-const EFFECTIVE_WINDOWS: [usize; 3] = [4, 8, 12];
+/// Widest window the session fold's cost model considers.
+const WIDEST_WINDOW_BITS: usize = 8;
 
-/// Largest effective window accepted by the forced-width entry point
-/// (buckets are `2^w`; beyond 16 bits the bucket set dwarfs any batch).
-const MAX_WINDOW_BITS: usize = 16;
+/// Bucket memory one [`SessionFold`] may hold, in bytes; it bounds the
+/// window. At a 512-bit key (128-byte operands modulo `N²`) it allows
+/// 6-bit windows for 32-bit rows: 6 × 63 buckets, 48 KiB. Every live
+/// session holds its buckets, so a wider window trades resident memory
+/// for speed. In the window-cap sweep on the benchmark's
+/// `replay_saturate` (two sessions live at once, 2-vCPU VM), caps of 6,
+/// 7 and 8 bits raised throughput 36.8 %, 43.6 % and 59.0 % over the
+/// per-batch fold and `peak_rss_mib` 2.1 %, 7.1 % and 12.1 %, against
+/// the benchmark's 10 % bound (DESIGN.md, the session fold).
+const BUCKET_BUDGET_BYTES: usize = 64 * 1024;
 
-/// A per-database multi-exponentiation plan: the windowed digit
-/// decomposition and bucket assignment of every fixed exponent `xᵢ`,
-/// computed once and reused by every fold over that database.
+// Compile-time audit: a fixed-exponent plan is shared read-only behind
+// an `Arc` by every encryption worker. Interior mutability added here
+// would silently serialize or break that sharing; make it a build
+// failure instead.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<FixedExponentPlan>();
+};
+
+/// One query's bucket fold `Π bᵢ^{xᵢ} mod n`, kept for a whole session:
+/// built once for the rows the session will fold, fed batch by batch
+/// with [`SessionFold::absorb`], and reduced with
+/// [`SessionFold::product`].
 ///
-/// Build with [`MultiExpPlan::build`]; evaluate a batch with
-/// [`MultiExpPlan::fold_range`].
+/// In every window of `w` bits, each absorbed base is multiplied into
+/// the bucket of its row's digit there: one Montgomery product per base
+/// per window, whatever the batch length. The product raises each bucket
+/// to its digit with one suffix-product pass per window, ≈ `2·2^w`
+/// products, paid once per query.
+///
+/// The bases enter as they are, not in Montgomery form: in a Montgomery
+/// kernel a value `b < n` stands for `b·R⁻¹`. So the buckets reduce to
+/// `P·R^(−S)`, where `S` is the sum of the absorbed rows' values, and
+/// the product multiplies by `R^S` once (≈ 66 products for 2000 32-bit
+/// rows) instead of each base paying a product by `R²`.
 ///
 /// # Examples
 ///
 /// ```
-/// use pps_bignum::{Montgomery, MultiExpPlan, Uint};
+/// use pps_bignum::{Montgomery, SessionFold, Uint};
 ///
 /// let ctx = Montgomery::new(Uint::from_u64(101 * 103)).unwrap();
-/// let exps = [3u64, 0, 7];
-/// let plan = MultiExpPlan::build(&exps);
+/// let rows = [3u64, 0, 7];
 /// let bases = [Uint::from_u64(2), Uint::from_u64(5), Uint::from_u64(9)];
-/// let got = plan.fold_range(&ctx, &bases, 0).unwrap();
-/// let want = ctx.multi_pow(&bases, &[Uint::from_u64(3), Uint::zero(), Uint::from_u64(7)]);
-/// assert_eq!(got, want);
+/// let mut fold = SessionFold::new(&ctx, &rows);
+/// fold.absorb(&bases[..2], &rows[..2]).unwrap();
+/// fold.absorb(&bases[2..], &rows[2..]).unwrap();
+/// let exps = [Uint::from_u64(3), Uint::zero(), Uint::from_u64(7)];
+/// assert_eq!(fold.product(), ctx.multi_pow(&bases, &exps));
 /// ```
-#[derive(Clone, Debug)]
-pub struct MultiExpPlan {
-    /// Number of exponents (database rows) covered by the plan.
-    rows: usize,
-    /// Stored 4-bit windows per exponent: `ceil(max_bit_len / 4)`.
-    windows: usize,
-    /// Column-major digit table: `digits[w * rows + row]` is window `w`
-    /// (least-significant first) of exponent `row`.
-    digits: Vec<u8>,
+pub struct SessionFold {
+    ctx: Montgomery,
+    shape: Shape,
+    /// The sum of the absorbed rows' values: the power of `R⁻¹` the
+    /// buckets carry.
+    exponent_sum: u128,
+    buckets: Buckets,
 }
 
-// Compile-time audit: plans are built once and shared read-only behind
-// an `Arc` across every session thread, shard worker, and resumed
-// checkpoint. Interior mutability added here would silently serialize
-// or break that sharing; make it a build failure instead.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<MultiExpPlan>();
-    assert_send_sync::<FixedExponentPlan>();
-};
+/// The window width and count of one fold.
+#[derive(Clone, Copy)]
+struct Shape {
+    window_bits: usize,
+    windows: usize,
+}
 
-impl MultiExpPlan {
-    /// Recodes every exponent into 4-bit window digits, column-major.
-    ///
-    /// This is the once-per-database cost the plan amortizes: `O(rows)`
-    /// integer work, no modular arithmetic. All-zero exponent sets
-    /// produce an empty table whose folds return 1.
-    pub fn build(exps: &[u64]) -> Self {
-        let max_bits = exps
+impl Shape {
+    /// `windows(w)` windows of `w` bits covering `value_bits`.
+    fn new(window_bits: usize, value_bits: usize) -> Self {
+        Shape {
+            window_bits,
+            windows: value_bits.div_ceil(window_bits),
+        }
+    }
+
+    /// The window for folding `rows` rows of at most `value_bits` bits
+    /// into buckets of `operand_bytes` each: of the widths 1 to
+    /// [`WIDEST_WINDOW_BITS`] whose buckets fit [`BUCKET_BUDGET_BYTES`],
+    /// the one that minimizes `rows·windows(w) + windows(w)·2^(w+1)`,
+    /// the scatter's products plus the reduction's.
+    fn for_rows(rows: usize, value_bits: usize, operand_bytes: usize) -> Self {
+        let window_bits = (1..=WIDEST_WINDOW_BITS)
+            .filter(|&w| Shape::new(w, value_bits).buckets() * operand_bytes <= BUCKET_BUDGET_BYTES)
+            .min_by_key(|&w| {
+                let windows = Shape::new(w, value_bits).windows;
+                windows * rows + windows * (1 << (w + 1))
+            })
+            .unwrap_or(1);
+        Shape::new(window_bits, value_bits)
+    }
+
+    /// Buckets per window: one for each nonzero digit.
+    fn per_window(self) -> usize {
+        (1 << self.window_bits) - 1
+    }
+
+    /// Buckets in all.
+    fn buckets(self) -> usize {
+        self.windows * self.per_window()
+    }
+
+    /// Bits of a row value the windows cover.
+    fn value_bits(self) -> usize {
+        self.windows * self.window_bits
+    }
+}
+
+/// The buckets, stored as the operands of the kernel for the modulus
+/// width.
+enum Buckets {
+    L4(Slots<[u64; 4]>),
+    L8(Slots<[u64; 8]>),
+    L16(Slots<[u64; 16]>),
+    Any(Slots<Vec<u64>>),
+}
+
+/// Runs `$body` with `$kr` bound to the kernel for `$ctx` and `$slots`
+/// to the buckets, which are stored as that kernel's operands.
+macro_rules! on_buckets {
+    ($ctx:expr, $buckets:expr, |$kr:ident, $slots:ident| $body:expr) => {
+        match $buckets {
+            Buckets::L4($slots) => {
+                let $kr = &mut Fixed::<4, 8>::new($ctx);
+                $body
+            }
+            Buckets::L8($slots) => {
+                let $kr = &mut Fixed::<8, 16>::new($ctx);
+                $body
+            }
+            Buckets::L16($slots) => {
+                let $kr = &mut Fixed::<16, 32>::new($ctx);
+                $body
+            }
+            Buckets::Any($slots) => {
+                let $kr = &mut Slice::new($ctx);
+                $body
+            }
+        }
+    };
+}
+
+impl SessionFold {
+    /// A fold for `rows`, the values of the rows the session will fold.
+    /// The window is chosen here, once, from their number and the bit
+    /// length of the largest, and the buckets are allocated here; they
+    /// are freed with the fold.
+    pub fn new(ctx: &Montgomery, rows: &[u64]) -> Self {
+        let value_bits = rows
             .iter()
             .map(|&x| 64 - x.leading_zeros() as usize)
             .max()
             .unwrap_or(0);
-        let windows = max_bits.div_ceil(BASE_WINDOW_BITS);
-        let rows = exps.len();
-        let mut digits = vec![0u8; windows * rows];
-        for (row, &x) in exps.iter().enumerate() {
-            for w in 0..windows {
-                digits[w * rows + row] = ((x >> (w * BASE_WINDOW_BITS)) & 0xf) as u8;
+        let operand_bytes = ctx.width() * std::mem::size_of::<u64>();
+        Self::with_shape(ctx, Shape::for_rows(rows.len(), value_bits, operand_bytes))
+    }
+
+    fn with_shape(ctx: &Montgomery, shape: Shape) -> Self {
+        let count = shape.buckets();
+        let buckets = match ctx.width() {
+            4 => Buckets::L4(Slots::new(&Fixed::<4, 8>::new(ctx), count)),
+            8 => Buckets::L8(Slots::new(&Fixed::<8, 16>::new(ctx), count)),
+            16 => Buckets::L16(Slots::new(&Fixed::<16, 32>::new(ctx), count)),
+            _ => Buckets::Any(Slots::new(&Slice::new(ctx), count)),
+        };
+        SessionFold {
+            ctx: ctx.clone(),
+            shape,
+            exponent_sum: 0,
+            buckets,
+        }
+    }
+
+    /// The window width in bits, chosen at construction.
+    pub fn window_bits(&self) -> usize {
+        self.shape.window_bits
+    }
+
+    /// Heap bytes the bucket operands hold: `windows × (2^w − 1)`
+    /// operands as wide as the modulus.
+    pub fn bucket_bytes(&self) -> usize {
+        self.shape.buckets() * self.ctx.width() * std::mem::size_of::<u64>()
+    }
+
+    /// Scatters one batch: each of `bases` (a base `≥ n` is reduced
+    /// first) is to be raised to the value at the same position in
+    /// `values`, its row's.
+    ///
+    /// # Errors
+    /// [`BignumError::ValueTooLarge`] when a value is wider than the rows
+    /// the fold was built for; nothing is absorbed then.
+    ///
+    /// # Panics
+    /// When `bases` and `values` differ in length (a caller bug).
+    pub fn absorb<'a, I>(&mut self, bases: I, values: &[u64]) -> Result<(), BignumError>
+    where
+        I: IntoIterator<Item = &'a Uint>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let bases = bases.into_iter();
+        assert_eq!(bases.len(), values.len(), "bases/values length mismatch");
+        let covered = self.shape.value_bits();
+        if let Some(&x) = values.iter().find(|&&x| covered < 64 && x >> covered != 0) {
+            return Err(BignumError::ValueTooLarge {
+                bits: 64 - x.leading_zeros() as usize,
+                capacity_bits: covered,
+            });
+        }
+        let SessionFold {
+            ctx,
+            shape,
+            exponent_sum,
+            buckets,
+        } = self;
+        on_buckets!(ctx, buckets, |kr, slots| slots
+            .scatter(kr, *shape, bases, values));
+        *exponent_sum += values.iter().map(|&x| u128::from(x)).sum::<u128>();
+        Ok(())
+    }
+
+    /// The product of every base absorbed so far raised to its row's
+    /// value, as an ordinary value in `[0, n)`. The buckets are left as
+    /// they are, so absorbing can go on: a checkpoint takes the product
+    /// mid-stream.
+    pub fn product(&self) -> Uint {
+        let SessionFold {
+            ctx,
+            shape,
+            exponent_sum,
+            buckets,
+        } = self;
+        on_buckets!(ctx, buckets, |kr, slots| slots.product(
+            kr,
+            *shape,
+            *exponent_sum
+        ))
+    }
+}
+
+/// The bucket operands of one fold, window by window: `elems[i]` holds
+/// the product of the bases scattered into bucket `i` once `filled[i]`
+/// is set. Bucket `win·(2^w − 1) + d − 1` is digit `d` of window `win`.
+struct Slots<E> {
+    elems: Vec<E>,
+    filled: Vec<bool>,
+}
+
+impl<E: Clone> Slots<E> {
+    fn new<K: Kernel<Elem = E>>(kr: &K, count: usize) -> Self {
+        Slots {
+            elems: vec![kr.one(); count],
+            filled: vec![false; count],
+        }
+    }
+
+    /// One product per base per window with a nonzero digit: the base,
+    /// loaded as it is, into the bucket of that digit.
+    fn scatter<'a, K: Kernel<Elem = E>>(
+        &mut self,
+        kr: &mut K,
+        shape: Shape,
+        bases: impl Iterator<Item = &'a Uint>,
+        values: &[u64],
+    ) {
+        let mask = shape.per_window() as u64;
+        for (base, &x) in bases.zip(values) {
+            if x == 0 {
+                continue;
+            }
+            let base = kr.load_raw(base);
+            let (mut rest, mut window_start) = (x, 0);
+            while rest != 0 {
+                let d = (rest & mask) as usize;
+                if d != 0 {
+                    let i = window_start + d - 1;
+                    accumulate(kr, &mut self.elems[i], &mut self.filled[i], &base);
+                }
+                rest >>= shape.window_bits;
+                window_start += shape.per_window();
             }
         }
-        MultiExpPlan {
-            rows,
-            windows,
-            digits,
-        }
     }
 
-    /// Number of exponents (database rows) this plan covers.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Heap bytes held by the digit table — the memory cost of caching
-    /// the plan (`rows × ceil(max_exponent_bits / 4)` bytes).
-    pub fn table_bytes(&self) -> usize {
-        self.digits.len()
-    }
-
-    /// The effective window width (bits) the cost model picks for a
-    /// fold over `len` bases: minimizes `len·windows(w) + windows(w)·2^(w+1)`
-    /// — bucket-accumulation muls plus the shared bucket-reduction
-    /// chain. Small batches get 4-bit windows (small bucket sets),
-    /// large folds get 8 or 12 bits.
-    pub fn window_bits_for(&self, len: usize) -> usize {
-        let max_bits = self.windows * BASE_WINDOW_BITS;
-        EFFECTIVE_WINDOWS
-            .iter()
-            .copied()
-            .min_by_key(|&w| {
-                let nwin = max_bits.div_ceil(w).max(1);
-                nwin * len + nwin * (1usize << (w + 1))
-            })
-            .unwrap_or(BASE_WINDOW_BITS)
-    }
-
-    /// Folds `Π basesᵢ^{x_{start+i}} mod n` for ordinary bases, using
-    /// the cost-model window width. The result is an ordinary value.
-    ///
-    /// Each base is converted straight into the fold's limb stripe with
-    /// one Montgomery product (a base `≥ n` is reduced first), so the
-    /// caller can hand over borrowed values — the server passes its
-    /// batch's ciphertexts without copying them.
-    ///
-    /// # Errors
-    /// [`BignumError::ValueTooLarge`] when `start + bases.len()`
-    /// exceeds the plan's row count.
-    pub fn fold_range<'a, I>(
-        &self,
-        ctx: &Montgomery,
-        bases: I,
-        start: usize,
-    ) -> Result<Uint, BignumError>
-    where
-        I: IntoIterator<Item = &'a Uint>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let bases = bases.into_iter();
-        let window_bits = self.window_bits_for(bases.len());
-        self.fold_range_with_window(ctx, bases, start, window_bits)
-    }
-
-    /// As [`MultiExpPlan::fold_range`] but with a caller-forced
-    /// effective window width (the bench's window-width sweep).
-    ///
-    /// # Errors
-    /// [`BignumError::ValueTooLarge`] on a bad range or a width that is
-    /// not a positive multiple of 4 up to 16.
-    pub fn fold_range_with_window<'a, I>(
-        &self,
-        ctx: &Montgomery,
-        bases: I,
-        start: usize,
-        window_bits: usize,
-    ) -> Result<Uint, BignumError>
-    where
-        I: IntoIterator<Item = &'a Uint>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let bases = bases.into_iter();
-        let len = bases.len();
-        if window_bits == 0
-            || !window_bits.is_multiple_of(BASE_WINDOW_BITS)
-            || window_bits > MAX_WINDOW_BITS
-        {
-            return Err(BignumError::ValueTooLarge {
-                bits: window_bits,
-                capacity_bits: MAX_WINDOW_BITS,
-            });
-        }
-        if start.checked_add(len).filter(|&e| e <= self.rows).is_none() {
-            return Err(BignumError::ValueTooLarge {
-                bits: start.saturating_add(len),
-                capacity_bits: self.rows,
-            });
-        }
-        Ok(with_kernel!(ctx, |kr| {
-            let stripe: Vec<_> = bases.map(|base| kr.enter(base)).collect();
-            let acc = self.fold_stripe(kr, &stripe, start, window_bits);
-            kr.leave(acc)
-        }))
-    }
-
-    /// The bucket fold over `stripe`, the bases in Montgomery form for
-    /// rows `start..`, with a checked width and range.
-    ///
-    /// Every product is one kernel product on operands allocated once per
-    /// call: the `2^w − 1` buckets, each with an occupancy flag, and the
-    /// accumulator, the running suffix product and the bucket sum.
-    fn fold_stripe<K: Kernel>(
-        &self,
-        kr: &mut K,
-        stripe: &[K::Elem],
-        start: usize,
-        window_bits: usize,
-    ) -> K::Elem {
-        // How many stored 4-bit digits merge into one effective window.
-        let merge = window_bits / BASE_WINDOW_BITS;
-        let eff_windows = self.windows.div_ceil(merge);
-        let top = (1usize << window_bits) - 1;
-        // buckets[d - 1] holds the product of the bases whose current
-        // digit is d, once filled[d - 1] is set.
+    /// The buckets reduced, most significant window first: `w`
+    /// squarings of the accumulator between windows, and per window the
+    /// running suffix product (Pippenger), which raises each bucket to
+    /// its digit in ≈ `2·2^w` products. `None` when no bucket is filled:
+    /// the product is 1.
+    fn reduce<K: Kernel<Elem = E>>(&self, kr: &mut K, shape: Shape) -> Option<E> {
+        let per_window = shape.per_window();
         let one = kr.one();
-        let mut buckets = vec![one.clone(); top];
-        let mut filled = vec![false; top];
-        let (mut acc, mut running, mut sum) = (one.clone(), one.clone(), one);
-        let mut acc_set = false;
-        for ew in (0..eff_windows).rev() {
+        let (mut acc, mut acc_set) = (one.clone(), false);
+        for win in (0..shape.windows).rev() {
             if acc_set {
-                for _ in 0..window_bits {
+                for _ in 0..shape.window_bits {
                     kr.square(&mut acc);
                 }
             }
-            // Scatter: one multiplication per base with a nonzero digit.
-            let mut any = false;
-            for (i, base) in stripe.iter().enumerate() {
-                let d = self.effective_digit(start + i, ew, merge);
-                if d == 0 {
-                    continue;
-                }
-                any = true;
-                accumulate(kr, &mut buckets[d - 1], &mut filled[d - 1], base);
-            }
-            if !any {
-                continue;
-            }
-            // Shared bucket reduction: Π_d bucket[d]^d via the running
-            // suffix product (Pippenger), ≈ 2·2^w muls for the whole
-            // batch. Clearing the flags drains the buckets for the next
-            // window.
-            let (mut running_set, mut sum_set) = (false, false);
-            for d in (1..=top).rev() {
-                if std::mem::take(&mut filled[d - 1]) {
-                    accumulate(kr, &mut running, &mut running_set, &buckets[d - 1]);
+            let (mut running, mut running_set) = (one.clone(), false);
+            let (mut sum, mut sum_set) = (one.clone(), false);
+            for i in (win * per_window..(win + 1) * per_window).rev() {
+                if self.filled[i] {
+                    accumulate(kr, &mut running, &mut running_set, &self.elems[i]);
                 }
                 if running_set {
                     accumulate(kr, &mut sum, &mut sum_set, &running);
                 }
             }
-            accumulate(kr, &mut acc, &mut acc_set, &sum);
+            if sum_set {
+                accumulate(kr, &mut acc, &mut acc_set, &sum);
+            }
         }
-        if acc_set {
-            acc
-        } else {
-            kr.one()
-        }
+        acc_set.then_some(acc)
     }
 
-    /// Merges `merge` adjacent stored 4-bit digits of `row` into the
-    /// effective digit for effective-window `ew`.
-    #[inline]
-    fn effective_digit(&self, row: usize, ew: usize, merge: usize) -> usize {
-        let lo = ew * merge;
-        let hi = (lo + merge).min(self.windows);
-        let mut d = 0usize;
-        for (shift, w) in (lo..hi).enumerate() {
-            d |= (self.digits[w * self.rows + row] as usize) << (BASE_WINDOW_BITS * shift);
-        }
-        d
+    /// The reduced buckets, `P·R^(−S)` in Montgomery form, times `R^S`:
+    /// the ordinary value `P`.
+    fn product<K: Kernel<Elem = E>>(&self, kr: &mut K, shape: Shape, exponent_sum: u128) -> Uint {
+        let Some(mut acc) = self.reduce(kr, shape) else {
+            return Uint::one();
+        };
+        // A filled bucket means a nonzero value was absorbed, so S ≥ 1.
+        // R^S mod n is the Montgomery form of R^(S−1), and one product of
+        // acc = P·R^(−S)·R by it leaves P·R^(−S)·R·R^S·R⁻¹ = P, already
+        // out of Montgomery form.
+        let radix = kr.radix();
+        let r_to_the_s =
+            FixedExponentPlan::new(&Uint::from_u128(exponent_sum - 1)).pow_in(kr, radix);
+        kr.mul(&mut acc, &r_to_the_s);
+        kr.to_uint(&acc)
     }
 }
 
@@ -434,6 +509,7 @@ impl FixedExponentPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montgomery::kernel::Counting;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -444,21 +520,46 @@ mod tests {
         Montgomery::new(n).unwrap()
     }
 
+    /// `count` random bases below the modulus and 32-bit row values.
+    fn rows(c: &Montgomery, count: usize, rng: &mut StdRng) -> (Vec<Uint>, Vec<u64>) {
+        let values = (0..count).map(|_| u64::from(rng.gen::<u32>())).collect();
+        let bases = (0..count)
+            .map(|_| Uint::random_below(rng, c.modulus()).unwrap())
+            .collect();
+        (bases, values)
+    }
+
+    /// The interleaved Straus product, the reference.
+    fn straus(c: &Montgomery, bases: &[Uint], values: &[u64]) -> Uint {
+        let exps: Vec<Uint> = values.iter().map(|&x| Uint::from_u64(x)).collect();
+        c.multi_pow(bases, &exps)
+    }
+
+    /// A fold over all of `values`, absorbed `chunk` rows at a time.
+    fn fold_in_chunks(c: &Montgomery, bases: &[Uint], values: &[u64], chunk: usize) -> SessionFold {
+        let mut fold = SessionFold::new(c, values);
+        for (b, v) in bases.chunks(chunk).zip(values.chunks(chunk)) {
+            fold.absorb(b, v).unwrap();
+        }
+        fold
+    }
+
     #[test]
     fn empty_plan_folds_to_one() {
         let c = ctx(128, 1);
-        let plan = MultiExpPlan::build(&[]);
-        assert_eq!(plan.rows(), 0);
-        assert_eq!(plan.table_bytes(), 0);
-        assert_eq!(plan.fold_range(&c, &[], 0).unwrap(), Uint::one());
+        let fold = SessionFold::new(&c, &[]);
+        assert_eq!(fold.bucket_bytes(), 0);
+        assert_eq!(fold.product(), Uint::one());
     }
 
     #[test]
     fn all_zero_exponents_fold_to_one() {
         let c = ctx(128, 2);
-        let plan = MultiExpPlan::build(&[0, 0, 0]);
         let bases = [Uint::from_u64(7), Uint::from_u64(9), Uint::from_u64(11)];
-        assert_eq!(plan.fold_range(&c, &bases, 0).unwrap(), Uint::one());
+        let mut fold = SessionFold::new(&c, &[0, 0, 0]);
+        fold.absorb(&bases, &[0, 0, 0]).unwrap();
+        assert_eq!(fold.bucket_bytes(), 0, "no bits, no buckets");
+        assert_eq!(fold.product(), Uint::one());
     }
 
     #[test]
@@ -466,18 +567,9 @@ mod tests {
         let c = ctx(256, 3);
         let mut rng = StdRng::seed_from_u64(4);
         for count in [1usize, 2, 7, 33, 100] {
-            let exps: Vec<u64> = (0..count).map(|_| rng.gen::<u32>() as u64).collect();
-            let bases: Vec<Uint> = (0..count)
-                .map(|_| Uint::random_below(&mut rng, c.modulus()).unwrap())
-                .collect();
-            let plan = MultiExpPlan::build(&exps);
-            let exps_u: Vec<Uint> = exps.iter().map(|&x| Uint::from_u64(x)).collect();
-            let want = c.multi_pow(&bases, &exps_u);
-            assert_eq!(
-                plan.fold_range(&c, &bases, 0).unwrap(),
-                want,
-                "count={count}"
-            );
+            let (bases, values) = rows(&c, count, &mut rng);
+            let fold = fold_in_chunks(&c, &bases, &values, count);
+            assert_eq!(fold.product(), straus(&c, &bases, &values), "count={count}");
         }
     }
 
@@ -485,82 +577,167 @@ mod tests {
     fn every_window_width_agrees() {
         let c = ctx(192, 5);
         let mut rng = StdRng::seed_from_u64(6);
-        let exps: Vec<u64> = (0..40).map(|_| rng.gen::<u32>() as u64).collect();
-        let bases: Vec<Uint> = (0..40)
-            .map(|_| Uint::random_below(&mut rng, c.modulus()).unwrap())
-            .collect();
-        let plan = MultiExpPlan::build(&exps);
-        let exps_u: Vec<Uint> = exps.iter().map(|&x| Uint::from_u64(x)).collect();
-        let want = c.multi_pow(&bases, &exps_u);
-        for w in [4usize, 8, 12, 16] {
-            assert_eq!(
-                plan.fold_range_with_window(&c, &bases, 0, w).unwrap(),
-                want,
-                "window={w}"
-            );
+        let (bases, values) = rows(&c, 40, &mut rng);
+        let want = straus(&c, &bases, &values);
+        for w in 1..=WIDEST_WINDOW_BITS {
+            let mut fold = SessionFold::with_shape(&c, Shape::new(w, 32));
+            fold.absorb(&bases, &values).unwrap();
+            assert_eq!(fold.product(), want, "window={w}");
         }
     }
 
     #[test]
     fn range_folds_compose_like_one_fold() {
-        // Streaming batches must multiply up to the same product as one
-        // whole-database fold — the server's resume invariant.
+        // Absorbing batch by batch must give the product of one absorb:
+        // the invariant a resumed session relies on.
         let c = ctx(256, 7);
         let mut rng = StdRng::seed_from_u64(8);
-        let n = 57usize;
-        let exps: Vec<u64> = (0..n).map(|_| rng.gen::<u32>() as u64).collect();
-        let bases: Vec<Uint> = (0..n)
+        let (bases, values) = rows(&c, 250, &mut rng);
+        let whole = fold_in_chunks(&c, &bases, &values, values.len()).product();
+        assert_eq!(whole, straus(&c, &bases, &values));
+        for chunk in [1usize, 7, 100] {
+            let fold = fold_in_chunks(&c, &bases, &values, chunk);
+            assert_eq!(fold.product(), whole, "chunk={chunk}");
+        }
+    }
+
+    #[test]
+    fn product_mid_stream_is_the_product_so_far() {
+        let c = ctx(256, 9);
+        let mut rng = StdRng::seed_from_u64(10);
+        let (bases, values) = rows(&c, 60, &mut rng);
+        let mut fold = SessionFold::new(&c, &values);
+        fold.absorb(&bases[..25], &values[..25]).unwrap();
+        assert_eq!(fold.product(), straus(&c, &bases[..25], &values[..25]));
+        // Taking the product left the buckets as they were.
+        assert_eq!(fold.product(), straus(&c, &bases[..25], &values[..25]));
+        fold.absorb(&bases[25..], &values[25..]).unwrap();
+        assert_eq!(fold.product(), straus(&c, &bases, &values));
+    }
+
+    #[test]
+    fn extreme_rows_and_a_sum_beyond_u64() {
+        let c = ctx(320, 11);
+        let mut rng = StdRng::seed_from_u64(12);
+        let values = [u64::MAX, 0, u64::MAX, 1, u64::MAX, 0];
+        assert!(values.iter().map(|&x| u128::from(x)).sum::<u128>() > u128::from(u64::MAX));
+        let bases: Vec<Uint> = (0..values.len())
             .map(|_| Uint::random_below(&mut rng, c.modulus()).unwrap())
             .collect();
-        let plan = MultiExpPlan::build(&exps);
-        let whole = plan.fold_range(&c, &bases, 0).unwrap();
-        let mut acc = Uint::one();
-        let mut cursor = 0usize;
-        for chunk in bases.chunks(13) {
-            let part = plan.fold_range(&c, chunk, cursor).unwrap();
-            acc = acc.mod_mul(&part, c.modulus()).unwrap();
-            cursor += chunk.len();
+        for chunk in [1usize, values.len()] {
+            let fold = fold_in_chunks(&c, &bases, &values, chunk);
+            assert_eq!(fold.product(), straus(&c, &bases, &values), "chunk={chunk}");
         }
-        assert_eq!(acc, whole);
+    }
+
+    #[test]
+    fn every_kernel_width_matches_straus() {
+        // 4, 8 and 16 limbs run the fixed-width kernels, 12 the slice
+        // kernel.
+        let mut rng = StdRng::seed_from_u64(13);
+        for limbs in [4usize, 8, 12, 16] {
+            let c = ctx(64 * limbs, 14 + limbs as u64);
+            assert_eq!(c.width(), limbs);
+            let (bases, values) = rows(&c, 30, &mut rng);
+            let fold = fold_in_chunks(&c, &bases, &values, 7);
+            assert_eq!(fold.product(), straus(&c, &bases, &values), "limbs={limbs}");
+        }
     }
 
     #[test]
     fn out_of_range_rejected() {
-        let c = ctx(128, 9);
-        let plan = MultiExpPlan::build(&[1, 2, 3]);
+        let c = ctx(128, 15);
+        let mut fold = SessionFold::new(&c, &[1, 2, 3]);
+        let covered = fold.shape.value_bits();
         let bases = [Uint::from_u64(5), Uint::from_u64(6)];
-        assert!(plan.fold_range(&c, &bases, 2).is_err());
-        assert!(plan.fold_range(&c, &bases, usize::MAX).is_err());
-        assert!(plan.fold_range(&c, &bases, 1).is_ok());
-    }
-
-    #[test]
-    fn bad_window_width_rejected() {
-        let c = ctx(128, 10);
-        let plan = MultiExpPlan::build(&[1, 2, 3]);
-        let bases = [Uint::from_u64(5)];
-        for w in [0usize, 3, 5, 20] {
-            assert!(
-                plan.fold_range_with_window(&c, &bases, 0, w).is_err(),
-                "window={w}"
-            );
-        }
+        assert!(fold.absorb(&bases, &[1, 1 << covered]).is_err());
+        // The rejected batch absorbed nothing.
+        assert_eq!(fold.product(), Uint::one());
+        fold.absorb(&bases, &[3, 2]).unwrap();
+        assert_eq!(fold.product(), straus(&c, &bases, &[3, 2]));
     }
 
     #[test]
     fn cost_model_prefers_small_windows_for_small_batches() {
-        let plan = MultiExpPlan::build(&(0..100_000u64).map(|i| i % 997).collect::<Vec<_>>());
-        assert_eq!(plan.window_bits_for(10), 4);
-        assert!(plan.window_bits_for(100_000) >= 8);
+        // Few rows cannot pay for many buckets; many rows take the widest
+        // window the bucket budget allows: 6 bits at 16 limbs, the 8-bit
+        // cap at 4 limbs.
+        assert!(Shape::for_rows(1, 32, 128).window_bits <= 2);
+        assert!(Shape::for_rows(10, 32, 128).window_bits <= 3);
+        assert_eq!(Shape::for_rows(2000, 32, 128).window_bits, 6);
+        assert_eq!(Shape::for_rows(1_000_000, 32, 128).window_bits, 6);
+        assert_eq!(Shape::for_rows(2000, 32, 32).window_bits, 8);
     }
 
     #[test]
     fn table_bytes_scales_with_rows_and_width() {
-        // 32-bit exponents → 8 stored windows → 8 bytes per row.
-        let exps: Vec<u64> = (0..1000).map(|i| (i as u64) | 0x8000_0000).collect();
-        let plan = MultiExpPlan::build(&exps);
-        assert_eq!(plan.table_bytes(), 8 * 1000);
+        // The bucket table grows with the rows a session folds (they pay
+        // for wider windows) and with the operand width, up to the
+        // budget, and never past it.
+        for limbs in [4usize, 8, 16] {
+            let c = ctx(64 * limbs, 16);
+            let mut last = 0;
+            for count in [1usize, 100, 2000, 100_000] {
+                for top in [u64::from(u8::MAX), u64::from(u32::MAX), u64::MAX] {
+                    let mut values = vec![1u64; count];
+                    values[0] = top;
+                    let fold = SessionFold::new(&c, &values);
+                    assert!(fold.bucket_bytes() <= BUCKET_BUDGET_BYTES);
+                    assert_eq!(fold.bucket_bytes(), fold.shape.buckets() * limbs * 8);
+                }
+                let fold = SessionFold::new(&c, &vec![u64::from(u32::MAX); count]);
+                assert!(fold.bucket_bytes() >= last, "limbs={limbs} count={count}");
+                last = fold.bucket_bytes();
+            }
+        }
+        // The paper's shape: 2000 32-bit rows at a 512-bit key, 6-bit
+        // windows over N²'s 16 limbs.
+        let rows = [u64::from(u32::MAX); 2000];
+        let wide = SessionFold::new(&ctx(1024, 17), &rows);
+        assert_eq!(wide.bucket_bytes(), 6 * 63 * 128);
+        let narrow = SessionFold::new(&ctx(256, 18), &rows);
+        assert!(narrow.bucket_bytes() < wide.bucket_bytes());
     }
+
+    #[test]
+    fn query_fold_takes_at_most_six_products_a_row() {
+        // The exact work of one query's fold at a 512-bit key: 2000 seeded
+        // 32-bit rows in 100-row batches on the 16-limb kernel, the R^S
+        // correction included. The per-batch plan fold it replaced took
+        // 19,782 products on the same input (9.89 a row): each batch
+        // entered its bases with a product by R² and reduced its own
+        // buckets at 4-bit windows.
+        let mut rng = StdRng::seed_from_u64(2026);
+        let mut n = Uint::random_bits_exact(&mut rng, 1024);
+        n.set_bit(0, true);
+        let c = Montgomery::new(n).unwrap();
+        let (bases, values) = {
+            let values: Vec<u64> = (0..2000).map(|_| u64::from(rng.gen::<u32>())).collect();
+            let bases: Vec<Uint> = (0..2000)
+                .map(|_| Uint::random_below(&mut rng, c.modulus()).unwrap())
+                .collect();
+            (bases, values)
+        };
+        let mut fold = SessionFold::new(&c, &values);
+        assert_eq!(fold.window_bits(), 6);
+        let shape = fold.shape;
+        let Buckets::L16(slots) = &mut fold.buckets else {
+            panic!("a 1024-bit modulus runs the 16-limb kernel");
+        };
+        let mut kr = Counting::new(Fixed::<16, 32>::new(&c));
+        for (b, v) in bases.chunks(100).zip(values.chunks(100)) {
+            slots.scatter(&mut kr, shape, b.iter(), v);
+        }
+        let sum = values.iter().map(|&x| u128::from(x)).sum();
+        let product = slots.product(&mut kr, shape, sum);
+        assert_eq!(product, straus(&c, &bases, &values));
+        let per_row = kr.products as f64 / values.len() as f64;
+        assert!(per_row <= 6.0, "{per_row:.3} products a row");
+        assert_eq!(kr.products, EXACT_PRODUCTS);
+    }
+
+    /// The pinned count of `query_fold_takes_at_most_six_products_a_row`.
+    const EXACT_PRODUCTS: usize = 11_771;
 
     #[test]
     fn fixed_exponent_plan_matches_pow_mont() {

@@ -2,7 +2,7 @@
 //! oracle, division reconstruction, modular-arithmetic laws, and codec
 //! round trips over arbitrary-size operands.
 
-use pps_bignum::{crt_combine, FixedExponentPlan, Montgomery, MultiExpPlan, Uint};
+use pps_bignum::{crt_combine, FixedExponentPlan, Montgomery, SessionFold, Uint};
 use proptest::prelude::*;
 
 /// The Montgomery kernel widths a 512-bit key runs at (`p`, `p²`, `N²`:
@@ -75,27 +75,32 @@ fn kernel_agrees(m: &Uint, a: &Uint, b: &Uint, exp: &Uint) -> Result<(), TestCas
     Ok(())
 }
 
-/// Every effective window width the plan's fold accepts.
-const ALL_WINDOWS: [usize; 4] = [4, 8, 12, 16];
-
-/// Checks `Montgomery::multi_pow`, `MultiExpPlan::fold_range` (at the
-/// cost model's width) and `MultiExpPlan::fold_range_with_window` at
-/// each of `windows` against the generic `mod_pow` / `mod_mul` product,
-/// for one modulus and `(base, exponent)` rows.
-fn fold_agrees(m: &Uint, rows: &[(Uint, u64)], windows: &[usize]) -> Result<(), TestCaseError> {
+/// Checks `Montgomery::multi_pow` and `SessionFold` against the
+/// generic `mod_pow` / `mod_mul` product, for one modulus and `(base,
+/// exponent)` rows. The fold absorbs the rows in one batch and, again,
+/// in two; the second fold's product is also checked after its first
+/// batch, with the second still to come.
+fn fold_agrees(m: &Uint, rows: &[(Uint, u64)]) -> Result<(), TestCaseError> {
     let ctx = Montgomery::new(m.clone()).unwrap();
     let (bases, exps): (Vec<Uint>, Vec<u64>) = rows.iter().cloned().unzip();
+    let product = |rows: &[(Uint, u64)]| {
+        rows.iter().fold(Uint::one(), |acc, (b, x)| {
+            acc.mod_mul(&b.mod_pow(&Uint::from_u64(*x), m).unwrap(), m)
+                .unwrap()
+        })
+    };
+    let want = product(rows);
     let exps_u: Vec<Uint> = exps.iter().map(|&x| Uint::from_u64(x)).collect();
-    let want = bases.iter().zip(&exps_u).fold(Uint::one(), |acc, (b, x)| {
-        acc.mod_mul(&b.mod_pow(x, m).unwrap(), m).unwrap()
-    });
     prop_assert_eq!(ctx.multi_pow(&bases, &exps_u), want.clone());
-    let plan = MultiExpPlan::build(&exps);
-    prop_assert_eq!(plan.fold_range(&ctx, &bases, 0).unwrap(), want.clone());
-    for &width in windows {
-        let got = plan.fold_range_with_window(&ctx, &bases, 0, width).unwrap();
-        prop_assert_eq!((width, got), (width, want.clone()));
-    }
+    let mut whole = SessionFold::new(&ctx, &exps);
+    whole.absorb(&bases, &exps).unwrap();
+    prop_assert_eq!(whole.product(), want.clone());
+    let half = rows.len() / 2;
+    let mut split = SessionFold::new(&ctx, &exps);
+    split.absorb(&bases[..half], &exps[..half]).unwrap();
+    prop_assert_eq!(split.product(), product(&rows[..half]));
+    split.absorb(&bases[half..], &exps[half..]).unwrap();
+    prop_assert_eq!(split.product(), want);
     Ok(())
 }
 
@@ -367,11 +372,12 @@ proptest! {
 }
 
 proptest! {
-    // A 16-bit window reduces up to 2^16 buckets per window, so these
-    // run fewer cases than the kernel properties above.
+    // Each case reduces the buckets three times and checks against a
+    // generic power per row, so these run fewer cases than the kernel
+    // properties above.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // --- the plan's bucket fold agrees with Straus ---
+    // --- the session's bucket fold agrees with Straus ---
 
     #[test]
     fn fold_top_limb_max_modulus(
@@ -380,41 +386,38 @@ proptest! {
         wide in at_kernel_widths(|k| (top_limb_max_modulus_exact(k), batch_exact(k, 6))),
         x in any::<u32>(),
     ) {
-        fold_agrees(&m, &rows, &ALL_WINDOWS)?;
+        fold_agrees(&m, &rows)?;
         // At every kernel width, full-width bases plus the edge bases 0,
-        // 1 and n − 1. The windows stop at 12 bits: a 16-bit window
-        // adds 2^17 bucket products per window, which made this test
-        // take 44 s instead of 5 s in a debug build, and the bucket
-        // logic it exercises does not depend on the width.
+        // 1 and n − 1.
         for (m, mut rows) in wide {
             for pick in 1..4 {
                 rows.push((edge_or(&Uint::zero(), &m, pick), u64::from(x)));
             }
-            fold_agrees(&m, &rows, &ALL_WINDOWS[..3])?;
+            fold_agrees(&m, &rows)?;
         }
     }
 
     #[test]
     fn fold_one_limb_modulus(m in 3u64.., rows in batch(1, 8)) {
-        fold_agrees(&Uint::from_u64(m | 1), &rows, &ALL_WINDOWS)?;
+        fold_agrees(&Uint::from_u64(m | 1), &rows)?;
     }
 
     #[test]
     fn fold_bases_shorter_than_modulus(m in uint(5), rows in batch(2, 8)) {
         prop_assume!(m.is_odd() && m.limbs().len() >= 3);
-        fold_agrees(&m, &rows, &ALL_WINDOWS)?;
+        fold_agrees(&m, &rows)?;
     }
 
     #[test]
     fn fold_bases_at_least_modulus(m in uint(3), rows in batch(3, 8)) {
         prop_assume!(m.is_odd() && m.bit_len() >= 2);
         let rows: Vec<_> = rows.into_iter().map(|(extra, x)| (&m + &extra, x)).collect();
-        fold_agrees(&m, &rows, &ALL_WINDOWS)?;
+        fold_agrees(&m, &rows)?;
     }
 
     #[test]
     fn fold_one_base(m in top_limb_max_modulus(3), base in uint(3), x in any::<u32>()) {
-        fold_agrees(&m, &[(base, u64::from(x))], &ALL_WINDOWS)?;
+        fold_agrees(&m, &[(base, u64::from(x))])?;
     }
 
     #[test]
@@ -430,18 +433,18 @@ proptest! {
             .into_iter()
             .map(|(base, i)| (base, u64::from(pool[i % pool.len()])))
             .collect();
-        fold_agrees(&m, &rows, &ALL_WINDOWS)?;
+        fold_agrees(&m, &rows)?;
     }
 
     #[test]
     fn fold_all_zero_window(m in uint(3), rows in batch(3, 8)) {
         prop_assume!(m.is_odd() && m.bit_len() >= 2);
-        // Bits 16..24 are clear in every exponent: two empty 4-bit
-        // windows and one empty 8-bit window between nonzero ones.
+        // Bits 16..24 are clear in every exponent: at the narrow windows
+        // a few rows get, whole windows between nonzero ones are empty.
         let rows: Vec<_> = rows
             .into_iter()
             .map(|(base, x)| (base, x & !0x00ff_0000 | 0x0100_0001))
             .collect();
-        fold_agrees(&m, &rows, &ALL_WINDOWS)?;
+        fold_agrees(&m, &rows)?;
     }
 }

@@ -254,15 +254,18 @@ Serve hardening: --max-concurrent caps simultaneously active sessions
 (excess connections queue, or are refused with --admission refuse);
 --session-timeout bounds each session's wall clock (0 disables every
 deadline); --shutdown-after drains and exits gracefully after N seconds.
---fold precomputed (the default) digit-decomposes every database row
-once (~8 bytes per row) into a plan shared by all sessions, shard legs,
-and resumes; incremental is the paper's per-row loop.
+--fold precomputed (the default) folds each query into one set of
+Pippenger buckets the session holds (48 KiB at 512-bit keys), whatever
+its batch sizes, and reduces them once, at the product; incremental is
+the paper's per-row loop.
 Serve telemetry: --metrics-addr exposes GET /metrics (Prometheus text
 format: session lifecycle counters, wire bytes, per-phase latency
 histograms) and GET /healthz (JSON) while the server runs.
-Session resumption: a disconnected client that reconnects within
---resume-ttl seconds (default 120) continues from the last acknowledged
-batch; --resume-capacity bounds the checkpoint table (default 1024).
+Session resumption: when a connection ends before the product, the
+server checkpoints the session; a client that reconnects within
+--resume-ttl seconds of that (default 120) continues from the last batch
+the server folded; --resume-capacity bounds the checkpoint table
+(default 1024).
 Query --retries N resumes from the server's checkpoint when one
 survives, and re-issues the whole query up to N extra times on
 transient transport failures otherwise, with exponential backoff.
@@ -1364,7 +1367,7 @@ mod tests {
                 assert_eq!(
                     fold,
                     FoldStrategy::Precomputed,
-                    "serve defaults to the plan"
+                    "serve defaults to the bucket fold"
                 )
             }
             other => panic!("{other:?}"),
@@ -1550,7 +1553,7 @@ mod tests {
                 assert_eq!(
                     fold,
                     FoldStrategy::Precomputed,
-                    "shard workers default to the precomputed plan"
+                    "shard workers default to the bucket fold"
                 );
             }
             other => panic!("{other:?}"),

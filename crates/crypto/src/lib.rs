@@ -58,8 +58,8 @@ pub use general::GeneralPaillier;
 pub use hmac::{ct_eq, hmac_sha256};
 pub use obs::{EncryptMetrics, PoolMetrics};
 pub use paillier::{
-    Ciphertext, PaillierKeypair, PaillierPublicKey, PaillierSecretKey, DEFAULT_KEY_BITS,
-    MIN_KEY_BITS,
+    Ciphertext, CiphertextFold, PaillierKeypair, PaillierPublicKey, PaillierSecretKey,
+    DEFAULT_KEY_BITS, MIN_KEY_BITS,
 };
 pub use parallel::{host_parallelism, ParallelEncryptor};
 pub use pool::{BitEncryptionPool, RandomizerPool, SharedBitPool};

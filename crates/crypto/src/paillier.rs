@@ -20,7 +20,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pps_bignum::{BignumError, Crt2, FixedExponentPlan, Montgomery, MultiExpPlan, Uint};
+use pps_bignum::{BignumError, Crt2, FixedExponentPlan, Montgomery, SessionFold, Uint};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -644,9 +644,9 @@ impl PaillierPublicKey {
     /// `Π ctsᵢ^{weightsᵢ} = E(Σ weightsᵢ·mᵢ)`, computed with a shared
     /// squaring chain (Straus interleaving) — roughly 2–3× faster than
     /// folding element by element for short exponents. PIR's server
-    /// folds with it; the selected-sum server, whose exponents are fixed
-    /// per database, folds through
-    /// [`PaillierPublicKey::fold_product_planned`].
+    /// folds with it; the selected-sum server, which folds one query in
+    /// batches, keeps a [`CiphertextFold`] for the session
+    /// ([`PaillierPublicKey::session_fold`]).
     ///
     /// # Errors
     /// Propagates bignum errors; never fails for valid ciphertexts.
@@ -667,50 +667,12 @@ impl PaillierPublicKey {
         Ok(Ciphertext(self.inner.mont.multi_pow(&bases, weights)))
     }
 
-    /// The server's batch fold against a precomputed per-database
-    /// [`MultiExpPlan`]: `Π ctsᵢ^{x_{start+i}}` where the plan holds the
-    /// window recoding and Pippenger bucket assignment of every fixed
-    /// database exponent, built once and shared across queries. Decrypts
-    /// to the identical selected sum as
-    /// [`PaillierPublicKey::fold_product`].
-    ///
-    /// # Errors
-    /// Propagates bignum errors — notably when
-    /// `start + cts.len()` exceeds the plan's rows (plan built for a
-    /// different database).
-    pub fn fold_product_planned(
-        &self,
-        cts: &[Ciphertext],
-        plan: &MultiExpPlan,
-        start: usize,
-    ) -> Result<Ciphertext, CryptoError> {
-        Ok(Ciphertext(plan.fold_range(
-            &self.inner.mont,
-            cts.iter().map(Ciphertext::raw),
-            start,
-        )?))
-    }
-
-    /// [`PaillierPublicKey::fold_product_planned`] with a caller-forced
-    /// effective window width instead of the plan's cost-model choice —
-    /// the `fold_precompute` bench uses this for its window sweep.
-    ///
-    /// # Errors
-    /// As [`PaillierPublicKey::fold_product_planned`]; additionally when
-    /// `window_bits` is not a positive multiple of 4 up to 16.
-    pub fn fold_product_planned_with_window(
-        &self,
-        cts: &[Ciphertext],
-        plan: &MultiExpPlan,
-        start: usize,
-        window_bits: usize,
-    ) -> Result<Ciphertext, CryptoError> {
-        Ok(Ciphertext(plan.fold_range_with_window(
-            &self.inner.mont,
-            cts.iter().map(Ciphertext::raw),
-            start,
-            window_bits,
-        )?))
+    /// The server's fold of one query whose ciphertexts will be raised
+    /// to `rows`, the database values the session folds: the bucket
+    /// fold modulo `N²`, with its window chosen and its buckets
+    /// allocated here.
+    pub fn session_fold(&self, rows: &[u64]) -> CiphertextFold {
+        CiphertextFold(SessionFold::new(&self.inner.mont, rows))
     }
 
     /// Homomorphic negation: `E(a) ↦ E(N - a) = E(-a mod N)`.
@@ -863,6 +825,38 @@ impl Ciphertext {
             return Err(CryptoError::Decode("wrong ciphertext length"));
         }
         key.validate(&Uint::from_bytes_be(bytes))
+    }
+}
+
+/// The server's fold of one query, `Π E(Iᵢ)^{xᵢ} = E(Σ xᵢ·Iᵢ)` over
+/// ciphertexts that arrive in batches: a [`SessionFold`] modulo `N²`,
+/// built by [`PaillierPublicKey::session_fold`]. Its buckets live as
+/// long as it does.
+pub struct CiphertextFold(SessionFold);
+
+impl CiphertextFold {
+    /// Folds one batch: `cts[i]` is raised to `values[i]`, its row's
+    /// value.
+    ///
+    /// # Errors
+    /// [`CryptoError::Bignum`] when a value is wider than the rows the
+    /// fold was built for.
+    ///
+    /// # Panics
+    /// When the slice lengths differ (caller bug).
+    pub fn absorb(&mut self, cts: &[Ciphertext], values: &[u64]) -> Result<(), CryptoError> {
+        Ok(self.0.absorb(cts.iter().map(Ciphertext::raw), values)?)
+    }
+
+    /// The fold of every batch absorbed so far, `E(Σ xᵢ·Iᵢ)`. Absorbing
+    /// can go on afterwards.
+    pub fn product(&self) -> Ciphertext {
+        Ciphertext(self.0.product())
+    }
+
+    /// The bucket fold underneath: its window and bucket memory.
+    pub fn buckets(&self) -> &SessionFold {
+        &self.0
     }
 }
 
@@ -1199,7 +1193,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_product_planned_matches_straus() {
+    fn session_fold_matches_straus() {
         let kp = small_keypair();
         let mut r = rng();
         let exps: Vec<u64> = (0..23).map(|i| (i * 37 + 5) % 997).collect();
@@ -1207,25 +1201,16 @@ mod tests {
             .map(|i| kp.public.encrypt_u64(i % 2, &mut r).unwrap())
             .collect();
         let weights: Vec<Uint> = exps.iter().map(|&x| Uint::from_u64(x)).collect();
-        let plan = MultiExpPlan::build(&exps);
         let want = kp.public.fold_product(&cts, &weights).unwrap();
-        let got = kp.public.fold_product_planned(&cts, &plan, 0).unwrap();
-        assert_eq!(
-            kp.secret.decrypt(&got).unwrap(),
-            kp.secret.decrypt(&want).unwrap()
-        );
-        // Mid-stream ranges fold the matching exponent rows.
-        let part = kp
-            .public
-            .fold_product_planned(&cts[5..9], &plan, 5)
-            .unwrap();
-        let part_want = kp.public.fold_product(&cts[5..9], &weights[5..9]).unwrap();
-        assert_eq!(
-            kp.secret.decrypt(&part).unwrap(),
-            kp.secret.decrypt(&part_want).unwrap()
-        );
-        // A range beyond the plan is a caller bug, reported not folded.
-        assert!(kp.public.fold_product_planned(&cts, &plan, 1).is_err());
+        let mut fold = kp.public.session_fold(&exps);
+        for (c, x) in cts.chunks(5).zip(exps.chunks(5)) {
+            fold.absorb(c, x).unwrap();
+        }
+        // The same group element, not merely the same plaintext.
+        assert_eq!(fold.product(), want);
+        // A value wider than the fold's rows is reported, not folded.
+        let mut narrow = kp.public.session_fold(&[1, 2, 3]);
+        assert!(narrow.absorb(&cts[..1], &[u64::MAX]).is_err());
     }
 
     #[test]

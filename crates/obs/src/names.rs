@@ -71,16 +71,6 @@ pub const SHARD_RESUMES_TOTAL: &str = "pps_shard_resumes_total";
 /// Server-side fold (homomorphic accumulation) time per batch.
 pub const FOLD_SECONDS: &str = "pps_fold_seconds";
 
-/// Multi-exponentiation fold plans built from a database's exponents
-/// (one per distinct database reaching the plan cache).
-pub const FOLD_PLAN_BUILDS_TOTAL: &str = "pps_fold_plan_builds_total";
-/// Plan-cache lookups served by an already-built fold plan.
-pub const FOLD_PLAN_HITS_TOTAL: &str = "pps_fold_plan_hits_total";
-/// Duration of fold-plan builds (digit decomposition of every `x_i`).
-pub const FOLD_PLAN_BUILD_SECONDS: &str = "pps_fold_plan_build_seconds";
-/// Bytes currently held by cached fold-plan digit tables.
-pub const FOLD_PLAN_BYTES: &str = "pps_fold_plan_bytes";
-
 /// Pool takes served from precomputed ciphertexts.
 pub const POOL_HITS_TOTAL: &str = "pps_pool_hits_total";
 /// Pool takes that fell back to an on-demand encryption.

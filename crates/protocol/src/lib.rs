@@ -76,7 +76,6 @@ pub mod messages;
 mod multiclient;
 mod obs;
 mod perturb;
-mod plan;
 mod report;
 pub mod resume;
 mod run;
@@ -92,9 +91,8 @@ pub use data::{check_message_space, Database, Selection};
 pub use error::ProtocolError;
 pub use flow::{FlowStep, SessionFlow};
 pub use multiclient::{run_multiclient, ClientLeg, MultiClientReport};
-pub use obs::{FoldPlanObs, PhaseTotals, QueryObs, ServerObs, ShardObs};
+pub use obs::{PhaseTotals, QueryObs, ServerObs, ShardObs};
 pub use perturb::{flip_probability_for_epsilon, run_randomized_response, PerturbedReport};
-pub use plan::{FoldPlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use report::{RunReport, Variant};
 pub use resume::{ResumptionConfig, SessionTable};
 pub use run::{

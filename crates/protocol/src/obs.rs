@@ -34,41 +34,6 @@ use pps_transport::WireMetrics;
 
 use crate::report::RunReport;
 
-/// Metric handles for the fold-plan cache: build/hit counters, the
-/// build-duration histogram, and a gauge tracking the bytes held by
-/// cached digit tables. Cheap to clone; clones share every atomic.
-#[derive(Clone)]
-pub struct FoldPlanObs {
-    pub(crate) builds: Arc<Counter>,
-    pub(crate) hits: Arc<Counter>,
-    pub(crate) build_seconds: Arc<Histogram>,
-    pub(crate) bytes: Arc<Gauge>,
-}
-
-impl FoldPlanObs {
-    /// Registers the four `pps_fold_plan_*` families in `registry`.
-    pub fn new(registry: &Registry) -> Self {
-        FoldPlanObs {
-            builds: registry.counter(
-                names::FOLD_PLAN_BUILDS_TOTAL,
-                "multi-exponentiation fold plans built from database exponents",
-            ),
-            hits: registry.counter(
-                names::FOLD_PLAN_HITS_TOTAL,
-                "plan-cache lookups served by an already-built fold plan",
-            ),
-            build_seconds: registry.histogram(
-                names::FOLD_PLAN_BUILD_SECONDS,
-                "duration of fold-plan builds",
-            ),
-            bytes: registry.gauge(
-                names::FOLD_PLAN_BYTES,
-                "bytes currently held by cached fold-plan digit tables",
-            ),
-        }
-    }
-}
-
 /// Metric handles the server runtime updates while serving sessions.
 /// Cheap to clone; clones share every underlying atomic.
 #[derive(Clone)]
@@ -76,7 +41,6 @@ pub struct ServerObs {
     registry: Arc<Registry>,
     tracer: Tracer,
     pub(crate) wire: WireMetrics,
-    pub(crate) fold_plan: FoldPlanObs,
     pub(crate) accepted: Arc<Counter>,
     pub(crate) completed: Arc<Counter>,
     pub(crate) failed: Arc<Counter>,
@@ -119,7 +83,6 @@ impl ServerObs {
             .set(1);
         ServerObs {
             wire,
-            fold_plan: FoldPlanObs::new(&registry),
             accepted: registry.counter(
                 names::SESSIONS_ACCEPTED_TOTAL,
                 "sessions admitted by the server",
@@ -191,11 +154,6 @@ impl ServerObs {
     /// The tracer session spans are emitted through.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// The fold-plan cache handles registered alongside this bundle.
-    pub fn fold_plan(&self) -> &FoldPlanObs {
-        &self.fold_plan
     }
 }
 
@@ -421,11 +379,6 @@ mod tests {
         let text = registry.render_prometheus();
         assert!(text.contains("pps_sessions_accepted_total 1"));
         assert!(text.contains("pps_retry_attempts_total 1"));
-        // The fold-plan families register eagerly (zero readings) so a
-        // scrape shows them before the first Precomputed session.
-        assert!(text.contains("pps_fold_plan_builds_total 0"));
-        assert!(text.contains("pps_fold_plan_hits_total 0"));
-        assert!(text.contains("pps_fold_plan_bytes 0"));
         assert!(text.contains(r#"pps_phase_duration_seconds_bucket{phase="client_encrypt""#));
         // Both bundles share the one wire-counter family.
         server.wire.frames_sent.inc();

@@ -1,12 +1,14 @@
 //! The server's session-resumption table: bounded, TTL-evicted storage
 //! for mid-stream fold checkpoints.
 //!
-//! The resumable TCP runtime snapshots every session's
-//! [`FoldCheckpoint`] after each acknowledged batch. When a client
-//! reconnects with `Resume { session_id, .. }`, the checkpoint is
-//! *taken* (removed) from the table — two connections can never fold
-//! forward from the same snapshot concurrently — and re-stored as the
-//! resumed stream makes progress.
+//! A serving runtime stores a session's [`FoldCheckpoint`] when the
+//! session's connection ends before the product (the session *parks*,
+//! [`crate::SessionFlow::park`]). When a client reconnects with
+//! `Resume { session_id, .. }`, the checkpoint is *taken* (removed) from
+//! the table — two connections can never fold forward from the same
+//! snapshot concurrently — and stored again only if the resumed
+//! connection parks in turn. A `Resume` that arrives before the old
+//! connection has been seen to end finds nothing and is declined.
 //!
 //! The table is deliberately hostile-input-safe:
 //!
@@ -38,7 +40,8 @@ pub struct ResumptionConfig {
     /// Maximum simultaneously-stored checkpoints. At capacity the entry
     /// closest to expiry is evicted to make room.
     pub capacity: usize,
-    /// How long a checkpoint survives without the client touching it.
+    /// How long a checkpoint survives after it is stored (the session
+    /// parked) without a client resuming it.
     pub ttl: Duration,
 }
 
@@ -61,7 +64,9 @@ struct Inner {
     rng: StdRng,
 }
 
-/// Bounded, TTL-evicted map from session ID to [`FoldCheckpoint`].
+/// Bounded, TTL-evicted map from session ID to [`FoldCheckpoint`]: the
+/// checkpoints of parked sessions, those whose connection ended before
+/// the product. A live session has no entry.
 pub struct SessionTable {
     inner: Mutex<Inner>,
     config: ResumptionConfig,
@@ -159,7 +164,7 @@ impl SessionTable {
 
     /// Takes (removes and returns) the checkpoint for `id`. Removal is
     /// what makes a grant exclusive: a second `Resume` for the same ID
-    /// finds nothing until the first connection checkpoints again.
+    /// finds nothing until the resumed connection parks in turn.
     pub fn take(&self, id: u64) -> Option<FoldCheckpoint> {
         let mut inner = self.lock();
         let evicted = Self::prune(&mut inner, self.clock.now());

@@ -6,11 +6,9 @@
 //! and real concurrent threads over a blocking wire — and records
 //! per-batch compute times for the pipeline analysis of §3.2.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pps_bignum::MultiExpPlan;
-use pps_crypto::{Ciphertext, PaillierPublicKey};
+use pps_crypto::{Ciphertext, CiphertextFold, PaillierPublicKey};
 use pps_transport::{Frame, MAX_PAYLOAD};
 
 use crate::data::Database;
@@ -39,8 +37,14 @@ enum State {
         expected: u64,
         /// Announced batch size: an upper bound on any one batch.
         batch_size: u32,
-        /// Running homomorphic product `Π E(I_i)^{x_i}`.
+        /// Running homomorphic product `Π E(I_i)^{x_i}`: every row under
+        /// the paper's loop; under the bucket fold, the rows folded before
+        /// a resume, the rest waiting in `fold`.
         accumulator: Ciphertext,
+        /// The bucket fold of the rows since `Hello` (or the resume);
+        /// `None` under the paper's loop. Boxed: it is most of the
+        /// state's size.
+        fold: Option<Box<CiphertextFold>>,
         /// Next database row to consume.
         cursor: usize,
         /// Next-expected batch sequence number (strictly monotone).
@@ -51,12 +55,13 @@ enum State {
 }
 
 /// A point-in-time snapshot of a mid-stream session: the partial
-/// homomorphic accumulator plus the next-expected batch sequence number.
+/// homomorphic product plus the next-expected batch sequence number.
 ///
-/// The resumable TCP runtime stores one of these in its session table
-/// after every acknowledged [`IndexBatch`]; a client that lost its
-/// connection resumes via [`ServerSession::resume`] and continues from
-/// the last acked chunk instead of re-sending the whole index vector.
+/// A serving runtime stores one of these in its session table when a
+/// connection ends before the product (the flow *parks*,
+/// [`crate::SessionFlow::park`]); a client that lost its connection
+/// resumes via [`ServerSession::resume`] and continues from the last
+/// folded batch instead of re-sending the whole index vector.
 #[derive(Clone, Debug)]
 pub struct FoldCheckpoint {
     /// The client's Paillier public key.
@@ -65,7 +70,8 @@ pub struct FoldCheckpoint {
     pub expected: u64,
     /// Announced batch size (upper bound on any one batch).
     pub batch_size: u32,
-    /// Running homomorphic product `Π E(I_i)^{x_i}` so far.
+    /// Running homomorphic product `Π E(I_i)^{x_i}` so far, the bucket
+    /// fold's rows included.
     pub accumulator: Ciphertext,
     /// Next database row to consume.
     pub cursor: usize,
@@ -81,49 +87,41 @@ pub struct FoldCheckpoint {
     pub blinding: Option<pps_bignum::Uint>,
 }
 
-/// Shortest batch a session folds through its plan; a shorter one takes
-/// the paper's per-row loop. The plan's bucket reduction costs about the
-/// largest digit in products per window however short the batch: one
-/// row with a 32-bit value takes ≈ 90 products through the plan and
-/// ≈ 55 through its own exponentiation. Measured at 512-bit keys, the
-/// plan takes 1.81× the per-row loop's time at 1 row, 1.17× at 2 and
-/// 0.98× at 3 (DESIGN.md, fold plan). Both folds give the same product
-/// bytes.
-const PLANNED_FOLD_MIN_ROWS: usize = 3;
-
-/// How a serving runtime folds each batch of `E(I_i)` into its running
-/// product: the choice [`crate::TcpServer::bind`] and `pps serve --fold`
-/// make. A session itself carries only the plan (or none).
+/// How a session folds each batch of `E(I_i)` into its product: the
+/// choice [`crate::TcpServer::bind`] and `pps serve --fold` make.
 ///
 /// Both folds produce the same product bytes, so the choice never shows
 /// on the wire, in checkpoints or in shard blinding.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FoldStrategy {
     /// Element by element: `acc ← acc · E(I_i)^{x_i}` — the paper's loop,
-    /// kept as the reference the plan is checked against.
+    /// kept as the reference the bucket fold is checked against.
     Incremental,
-    /// Fold against a per-database [`MultiExpPlan`]: the window recoding
-    /// and Pippenger bucket assignment of every fixed exponent `x_i` is
-    /// precomputed **once per database** and shared (`Arc`) across all
-    /// sessions, shard workers, and resumed checkpoints, so each batch
-    /// pays ≈ one modular multiplication per base per window plus a
-    /// shared bucket-reduction chain. The default: every `TcpServer`
-    /// bound with `FoldStrategy::default()` (`pps serve`, `pps
-    /// shard-serve`) folds through the plan its fold-plan cache holds
-    /// for the database. A batch of one or two rows takes the paper's
-    /// per-row loop, which is cheaper at that length.
+    /// One set of Pippenger buckets per session
+    /// ([`pps_bignum::SessionFold`]): each batch costs one modular
+    /// multiplication per ciphertext per window, whatever its length,
+    /// and the buckets are reduced once, when the last batch arrives.
+    /// The window is chosen once per session from its row count and
+    /// widest row, within a fixed bucket-memory budget. The default:
+    /// every `TcpServer` bound with `FoldStrategy::default()` (`pps
+    /// serve`, `pps shard-serve`) and the simulator fold this way.
     #[default]
     Precomputed,
 }
 
 /// The server side of one protocol session over a fixed database.
+///
+/// Batches fold with the session's [`FoldStrategy`]. Under
+/// [`FoldStrategy::Precomputed`] the session holds one set of buckets
+/// from `Hello` to the product and reduces them once, with the last
+/// batch; [`ServerSession::checkpoint`] reduces them into a snapshot
+/// mid-stream without consuming them.
 pub struct ServerSession<'db> {
     db: &'db Database,
     state: State,
     stats: ServerStats,
-    /// The shared per-database plan batches fold through; `None` folds
-    /// with the paper's loop.
-    plan: Option<Arc<MultiExpPlan>>,
+    /// How batches fold into the product.
+    fold: FoldStrategy,
     /// Optional blinding added to the product before replying (the
     /// multi-client protocol, §3.5): `E(R_i)` is multiplied in.
     blinding: Option<pps_bignum::Uint>,
@@ -133,46 +131,23 @@ impl<'db> ServerSession<'db> {
     /// Creates a session over `db` that folds with the paper's loop,
     /// [`FoldStrategy::Incremental`]: the in-process paper runners, the
     /// local client run and `pps-stats` measure the protocol as the paper
-    /// states it. Serving runtimes fold through a shared plan with
-    /// [`ServerSession::with_fold_plan`].
+    /// states it. Serving runtimes pick their fold with
+    /// [`ServerSession::with_fold`].
     pub fn new(db: &'db Database) -> Self {
+        Self::with_fold(db, FoldStrategy::Incremental)
+    }
+
+    /// Creates a session over `db` that folds with `fold`. Under
+    /// [`FoldStrategy::Precomputed`] the buckets are allocated once
+    /// `Hello` has passed its checks and freed with the product.
+    pub fn with_fold(db: &'db Database, fold: FoldStrategy) -> Self {
         ServerSession {
             db,
             state: State::AwaitHello,
             stats: ServerStats::default(),
-            plan: None,
+            fold,
             blinding: None,
         }
-    }
-
-    /// Creates a [`FoldStrategy::Precomputed`] session that folds
-    /// against an already-built shared plan — the concurrent runtime's
-    /// path, where one plan serves every session over the database.
-    ///
-    /// # Errors
-    /// [`ProtocolError::Config`] when the plan's row count does not
-    /// match `db` (a plan built for a different database would silently
-    /// weight rows wrong).
-    pub fn with_fold_plan(
-        db: &'db Database,
-        plan: Arc<MultiExpPlan>,
-    ) -> Result<Self, ProtocolError> {
-        Self::check_plan(db, &plan)?;
-        let mut s = Self::new(db);
-        s.plan = Some(plan);
-        Ok(s)
-    }
-
-    /// Rejects plans built for a different database.
-    fn check_plan(db: &Database, plan: &MultiExpPlan) -> Result<(), ProtocolError> {
-        if plan.rows() != db.len() {
-            return Err(ProtocolError::Config(format!(
-                "fold plan covers {} rows for a database of {}",
-                plan.rows(),
-                db.len()
-            )));
-        }
-        Ok(())
     }
 
     /// Creates a session that blinds its product by adding the plaintext
@@ -188,10 +163,9 @@ impl<'db> ServerSession<'db> {
         &self.stats
     }
 
-    /// The shared per-database plan this session folds with; `None`
-    /// when it folds with the paper's loop.
-    pub fn fold_plan(&self) -> Option<&Arc<MultiExpPlan>> {
-        self.plan.as_ref()
+    /// How this session folds its batches.
+    pub fn fold_strategy(&self) -> FoldStrategy {
+        self.fold
     }
 
     /// True once the product has been produced.
@@ -214,52 +188,57 @@ impl<'db> ServerSession<'db> {
 
     /// Snapshots the fold state for the session table. `Some` only while
     /// mid-stream: a pristine or completed session has nothing worth
-    /// resuming.
+    /// resuming. Under the bucket fold this reduces the buckets into the
+    /// snapshot's accumulator, without consuming them, so the session
+    /// can fold on.
     pub fn checkpoint(&self) -> Option<FoldCheckpoint> {
-        match &self.state {
-            State::Receiving {
-                key,
-                expected,
-                batch_size,
-                accumulator,
-                cursor,
-                next_seq,
-            } => Some(FoldCheckpoint {
-                key: key.clone(),
-                expected: *expected,
-                batch_size: *batch_size,
-                accumulator: accumulator.clone(),
-                cursor: *cursor,
-                next_seq: *next_seq,
-                stats: self.stats.clone(),
-                blinding: self.blinding.clone(),
-            }),
-            _ => None,
-        }
+        let State::Receiving {
+            key,
+            expected,
+            batch_size,
+            accumulator,
+            fold,
+            cursor,
+            next_seq,
+        } = &self.state
+        else {
+            return None;
+        };
+        let accumulator = match fold {
+            // Two ciphertexts of one key always multiply; were they not
+            // to, there would be nothing sound to resume.
+            Some(fold) => key.add(accumulator, &fold.product()).ok()?,
+            None => accumulator.clone(),
+        };
+        Some(FoldCheckpoint {
+            key: key.clone(),
+            expected: *expected,
+            batch_size: *batch_size,
+            accumulator,
+            cursor: *cursor,
+            next_seq: *next_seq,
+            stats: self.stats.clone(),
+            blinding: self.blinding.clone(),
+        })
     }
 
     /// Rebuilds a mid-stream session from a checkpoint taken against the
-    /// same database, folding the rest through `plan` (the same shared
-    /// plan every live session over `db` uses) or, with `None`, the
-    /// paper's loop. The checkpoint is validated — a snapshot from a
-    /// different database (or a forged one) is rejected rather than
-    /// folded forward. It snapshots only the homomorphic accumulator and
-    /// the stream position, so a checkpoint taken under either fold
-    /// resumes soundly under the other.
+    /// same database, folding the rest with `fold`. The checkpoint is
+    /// validated — a snapshot from a different database (or a forged
+    /// one) is rejected rather than folded forward. It snapshots only the
+    /// homomorphic product and the stream position, so a checkpoint taken
+    /// under either fold resumes soundly under the other. The bucket fold
+    /// chooses its window for the rows that remain.
     ///
     /// # Errors
-    /// [`ProtocolError::Config`] when the plan or the checkpoint's
-    /// announced total does not match `db`;
-    /// [`ProtocolError::InvalidInput`] when its cursor or batch size is
-    /// out of bounds.
+    /// [`ProtocolError::Config`] when the checkpoint's announced total
+    /// does not match `db`; [`ProtocolError::InvalidInput`] when its
+    /// cursor or batch size is out of bounds.
     pub fn resume(
         db: &'db Database,
-        plan: Option<Arc<MultiExpPlan>>,
+        fold: FoldStrategy,
         cp: FoldCheckpoint,
     ) -> Result<Self, ProtocolError> {
-        if let Some(plan) = &plan {
-            Self::check_plan(db, plan)?;
-        }
         if cp.expected as usize != db.len() {
             return Err(ProtocolError::Config(format!(
                 "checkpoint expects {} indices for a database of {}",
@@ -275,6 +254,8 @@ impl<'db> ServerSession<'db> {
                 "checkpoint cursor out of bounds",
             ));
         }
+        let buckets = (fold == FoldStrategy::Precomputed)
+            .then(|| Box::new(cp.key.session_fold(&db.values()[cp.cursor..])));
         Ok(ServerSession {
             db,
             state: State::Receiving {
@@ -282,11 +263,12 @@ impl<'db> ServerSession<'db> {
                 expected: cp.expected,
                 batch_size: cp.batch_size,
                 accumulator: cp.accumulator,
+                fold: buckets,
                 cursor: cp.cursor,
                 next_seq: cp.next_seq,
             },
             stats: cp.stats,
-            plan,
+            fold,
             blinding: cp.blinding,
         })
     }
@@ -383,8 +365,11 @@ impl<'db> ServerSession<'db> {
             let product = key.identity();
             return Ok(Some(self.finalize(&key, product)?));
         }
+        let fold = (self.fold == FoldStrategy::Precomputed)
+            .then(|| Box::new(key.session_fold(self.db.values())));
         self.state = State::Receiving {
             accumulator: key.identity(),
+            fold,
             key,
             expected: hello.total,
             batch_size: hello.batch_size,
@@ -420,6 +405,7 @@ impl<'db> ServerSession<'db> {
             expected,
             batch_size,
             accumulator,
+            fold,
             cursor,
             next_seq,
         } = &mut self.state
@@ -450,34 +436,32 @@ impl<'db> ServerSession<'db> {
         *next_seq += 1;
 
         let start = Instant::now();
-        match &self.plan {
-            Some(plan) if batch.ciphertexts.len() >= PLANNED_FOLD_MIN_ROWS => {
-                // Bucket fold against the shared per-database plan: the
-                // exponent recoding was paid once at plan build, so the
-                // batch costs ≈ one multiplication per base per window
-                // plus the shared bucket reduction.
-                let folded = key.fold_product_planned(&batch.ciphertexts, plan, *cursor)?;
-                *accumulator = key.add(accumulator, &folded)?;
-                *cursor += batch.ciphertexts.len();
-            }
-            _ => {
+        let rows = &self.db.values()[*cursor..*cursor + batch.ciphertexts.len()];
+        match fold {
+            // One product per ciphertext per window into the session's
+            // buckets; they are reduced once, after the last batch.
+            Some(fold) => fold.absorb(&batch.ciphertexts, rows)?,
+            None => {
                 // The paper's server inner loop: for each received E(I_i),
                 // raise to the database value x_i and fold into the
                 // running product.
-                for ct in &batch.ciphertexts {
-                    let x = pps_bignum::Uint::from_u64(self.db.values()[*cursor]);
-                    let term = key.mul_plain(ct, &x)?;
+                for (ct, &x) in batch.ciphertexts.iter().zip(rows) {
+                    let term = key.mul_plain(ct, &pps_bignum::Uint::from_u64(x))?;
                     *accumulator = key.add(accumulator, &term)?;
-                    *cursor += 1;
                 }
             }
+        }
+        *cursor += batch.ciphertexts.len();
+        let last = *cursor == *expected as usize;
+        if let (true, Some(fold)) = (last, &fold) {
+            *accumulator = key.add(accumulator, &fold.product())?;
         }
         let elapsed = start.elapsed();
         self.stats.compute += elapsed;
         self.stats.per_batch_compute.push(elapsed);
         self.stats.folded += batch.ciphertexts.len();
 
-        if *cursor == *expected as usize {
+        if last {
             // Apply multi-client blinding, if configured, then reply.
             let key = key.clone();
             let product = accumulator.clone();
@@ -808,7 +792,7 @@ mod tests {
         assert_eq!(cp.next_seq, 1);
         drop(s); // the original connection died here
 
-        let mut resumed = ServerSession::resume(&db, None, cp).unwrap();
+        let mut resumed = ServerSession::resume(&db, FoldStrategy::Incremental, cp).unwrap();
         assert_eq!(resumed.next_seq(), Some(1));
         assert!(resumed
             .on_frame(&batch_frame(&kp, 1, &[0, 0], &mut rng))
@@ -843,7 +827,7 @@ mod tests {
         assert!(cp.blinding.is_some(), "checkpoint snapshots the blinding");
         drop(s);
 
-        let mut resumed = ServerSession::resume(&db, None, cp).unwrap();
+        let mut resumed = ServerSession::resume(&db, FoldStrategy::Incremental, cp).unwrap();
         assert!(resumed.has_blinding());
         resumed
             .on_frame(&batch_frame(&kp, 1, &[0, 0], &mut rng))
@@ -900,44 +884,26 @@ mod tests {
     #[test]
     fn precomputed_fold_matches_incremental() {
         let (kp, db, mut rng) = setup();
-        let bits = [1u64, 0, 1, 1, 0];
-
-        let mut inc = ServerSession::new(&db);
-        inc.on_frame(&hello(&kp, 5, 5)).unwrap();
-        let r1 = inc
-            .on_frame(&batch_frame(&kp, 0, &bits, &mut rng))
-            .unwrap()
-            .unwrap();
-        let s1 = kp
-            .secret
-            .decrypt(&Product::decode(&r1, &kp.public).unwrap().ciphertext)
-            .unwrap();
-
-        let plan = Arc::new(MultiExpPlan::build(db.values()));
-        let mut pre = ServerSession::with_fold_plan(&db, plan).unwrap();
-        pre.on_frame(&hello(&kp, 5, 5)).unwrap();
-        let r2 = pre
-            .on_frame(&batch_frame(&kp, 0, &bits, &mut rng))
-            .unwrap()
-            .unwrap();
-        let s2 = kp
-            .secret
-            .decrypt(&Product::decode(&r2, &kp.public).unwrap().ciphertext)
-            .unwrap();
-
-        assert_eq!(s1, s2);
-        assert_eq!(s1.to_u64(), Some(80));
+        let frame = batch_frame(&kp, 0, &[1, 0, 1, 1, 0], &mut rng);
+        let mut products = Vec::new();
+        for fold in [FoldStrategy::Incremental, FoldStrategy::Precomputed] {
+            let mut s = ServerSession::with_fold(&db, fold);
+            s.on_frame(&hello(&kp, 5, 5)).unwrap();
+            let reply = s.on_frame(&frame).unwrap().unwrap();
+            products.push(Product::decode(&reply, &kp.public).unwrap().ciphertext);
+        }
+        // The same group element from both folds, not merely the same sum.
+        assert_eq!(products[0], products[1]);
+        assert_eq!(kp.secret.decrypt(&products[1]).unwrap().to_u64(), Some(80));
     }
 
     #[test]
-    fn precomputed_fold_with_shared_plan_batched_session() {
+    fn precomputed_fold_batched_session() {
+        // Batches of two, two and one row, each folded into the same
+        // buckets; a one-row batch costs only its scatter.
         let (kp, db, mut rng) = setup();
-        let plan = Arc::new(MultiExpPlan::build(db.values()));
-        let mut s = ServerSession::with_fold_plan(&db, Arc::clone(&plan)).unwrap();
-        assert!(
-            Arc::ptr_eq(s.fold_plan().unwrap(), &plan),
-            "the session folds with the caller's shared plan, not a copy"
-        );
+        let mut s = ServerSession::with_fold(&db, FoldStrategy::Precomputed);
+        assert_eq!(s.fold_strategy(), FoldStrategy::Precomputed);
         s.on_frame(&hello(&kp, 5, 2)).unwrap();
         s.on_frame(&batch_frame(&kp, 0, &[1, 0], &mut rng)).unwrap();
         s.on_frame(&batch_frame(&kp, 1, &[0, 1], &mut rng)).unwrap();
@@ -951,33 +917,31 @@ mod tests {
             kp.secret.decrypt(&product.ciphertext).unwrap().to_u64(),
             Some(100)
         );
+        assert_eq!(s.stats().per_batch_compute.len(), 3);
     }
 
     #[test]
-    fn with_fold_plan_rejects_mismatched_plan() {
-        let (_, db, _) = setup();
-        let other = MultiExpPlan::build(&[1, 2, 3]);
-        assert!(matches!(
-            ServerSession::with_fold_plan(&db, Arc::new(other)),
-            Err(ProtocolError::Config(_))
-        ));
-    }
-
-    #[test]
-    fn precomputed_checkpoint_resumes_with_the_shared_plan() {
+    fn precomputed_checkpoint_resumes_under_the_bucket_fold() {
         let (kp, db, mut rng) = setup();
-        let plan = Arc::new(MultiExpPlan::build(db.values()));
-        let mut s = ServerSession::with_fold_plan(&db, Arc::clone(&plan)).unwrap();
+        let mut s = ServerSession::with_fold(&db, FoldStrategy::Precomputed);
         s.on_frame(&hello(&kp, 5, 2)).unwrap();
         s.on_frame(&batch_frame(&kp, 0, &[1, 1], &mut rng)).unwrap();
         let cp = s.checkpoint().expect("mid-stream checkpoint");
+        // The snapshot holds the buckets' product so far: rows 0 and 1.
+        assert_eq!(
+            kp.secret.decrypt(&cp.accumulator).unwrap().to_u64(),
+            Some(30)
+        );
+        // Taking it left the session folding on.
+        assert!(s
+            .on_frame(&batch_frame(&kp, 1, &[0, 0], &mut rng))
+            .unwrap()
+            .is_none());
         drop(s); // the original connection died here
 
-        let mut resumed = ServerSession::resume(&db, Some(Arc::clone(&plan)), cp).unwrap();
-        assert!(
-            Arc::ptr_eq(resumed.fold_plan().unwrap(), &plan),
-            "resume selects the same cached plan as the live sessions"
-        );
+        let mut resumed =
+            ServerSession::resume(&db, FoldStrategy::Precomputed, cp.clone()).unwrap();
+        assert_eq!(resumed.fold_strategy(), FoldStrategy::Precomputed);
         resumed
             .on_frame(&batch_frame(&kp, 1, &[0, 0], &mut rng))
             .unwrap();
@@ -992,36 +956,24 @@ mod tests {
             Some(80)
         );
 
-        // The plan must actually cover the resumed database.
+        // The checkpoint must cover the database it resumes against.
         let other = Database::new(vec![1, 2, 3]).unwrap();
-        let mut s = ServerSession::with_fold_plan(&db, Arc::clone(&plan)).unwrap();
-        s.on_frame(&hello(&kp, 5, 2)).unwrap();
-        s.on_frame(&batch_frame(&kp, 0, &[1, 1], &mut rng)).unwrap();
-        let cp = s.checkpoint().unwrap();
-        assert!(ServerSession::resume(&other, Some(Arc::clone(&plan)), cp.clone()).is_err());
-        // Nor may a plan built for another database fold this one.
-        let foreign = Arc::new(MultiExpPlan::build(other.values()));
         assert!(matches!(
-            ServerSession::resume(&db, Some(foreign), cp),
+            ServerSession::resume(&other, FoldStrategy::Precomputed, cp),
             Err(ProtocolError::Config(_))
         ));
     }
 
     #[test]
     fn cross_strategy_resume_is_correct() {
-        // A checkpoint snapshots only the homomorphic accumulator and
-        // stream position — nothing fold-specific — so a session may
-        // checkpoint under the plan and resume under the loop, and back.
-        // Batches of three rows, so the plan side folds through the plan.
+        // A checkpoint snapshots only the homomorphic product and stream
+        // position — nothing fold-specific — so a session may checkpoint
+        // under the buckets and resume under the loop, and back.
         let (kp, _, mut rng) = setup();
         let db = Database::new(vec![10, 20, 30, 40, 50, 60]).unwrap();
-        let plan = Arc::new(MultiExpPlan::build(db.values()));
-        for (first, second) in [(Some(Arc::clone(&plan)), None), (None, Some(plan))] {
-            let label = format!("plan {} → {}", first.is_some(), second.is_some());
-            let mut s = match first {
-                Some(plan) => ServerSession::with_fold_plan(&db, plan).unwrap(),
-                None => ServerSession::new(&db),
-            };
+        let (inc, pre) = (FoldStrategy::Incremental, FoldStrategy::Precomputed);
+        for (first, second) in [(pre, inc), (inc, pre)] {
+            let mut s = ServerSession::with_fold(&db, first);
             s.on_frame(&hello(&kp, 6, 3)).unwrap();
             s.on_frame(&batch_frame(&kp, 0, &[1, 1, 0], &mut rng))
                 .unwrap();
@@ -1038,7 +990,7 @@ mod tests {
             assert_eq!(
                 kp.secret.decrypt(&product.ciphertext).unwrap().to_u64(),
                 Some(140),
-                "checkpoint resumed across folds ({label})"
+                "checkpoint resumed across folds ({first:?} → {second:?})"
             );
         }
     }
@@ -1047,7 +999,10 @@ mod tests {
     fn serving_defaults_to_the_plan_while_new_keeps_the_papers_loop() {
         let (_, db, _) = setup();
         assert_eq!(FoldStrategy::default(), FoldStrategy::Precomputed);
-        assert!(ServerSession::new(&db).fold_plan().is_none());
+        assert_eq!(
+            ServerSession::new(&db).fold_strategy(),
+            FoldStrategy::Incremental
+        );
     }
 
     #[test]
@@ -1061,21 +1016,21 @@ mod tests {
         // Wrong database size.
         let other = Database::new(vec![1, 2, 3]).unwrap();
         assert!(matches!(
-            ServerSession::resume(&other, None, cp.clone()),
+            ServerSession::resume(&other, FoldStrategy::Incremental, cp.clone()),
             Err(ProtocolError::Config(_))
         ));
         // Forged cursor beyond the announced total.
         let mut forged = cp.clone();
         forged.cursor = 99;
         assert!(matches!(
-            ServerSession::resume(&db, None, forged),
+            ServerSession::resume(&db, FoldStrategy::Incremental, forged),
             Err(ProtocolError::InvalidInput(_))
         ));
         // Forged zero batch size.
         let mut forged = cp;
         forged.batch_size = 0;
         assert!(matches!(
-            ServerSession::resume(&db, None, forged),
+            ServerSession::resume(&db, FoldStrategy::Incremental, forged),
             Err(ProtocolError::InvalidInput(_))
         ));
     }

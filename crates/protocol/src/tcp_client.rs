@@ -10,15 +10,16 @@
 //! jittered sleep.
 //!
 //! **Resume first, re-issue second.** The server acknowledges every
-//! `Hello` with a session ID and checkpoints its fold state after each
-//! acknowledged batch (PROTOCOL.md §10). A retrying attempt therefore
-//! opens its fresh connection with `Resume { session_id, .. }`: when the
-//! checkpoint survived, the server replies with the next batch sequence
-//! number it expects and the client re-encrypts and re-sends **only the
-//! unacknowledged tail** of the index vector. Only when the checkpoint
-//! is gone (TTL expiry, capacity eviction, server restart) does the
-//! client fall back to re-issuing the whole query on the same
-//! connection.
+//! `Hello` with a session ID and checkpoints its fold state when the
+//! connection ends before the product (PROTOCOL.md §10). A retrying
+//! attempt therefore opens its fresh connection with
+//! `Resume { session_id, .. }`: when the checkpoint survived, the server
+//! replies with the next batch sequence number it expects and the
+//! client re-encrypts and re-sends **only the unfolded tail** of the
+//! index vector. Only when there is no checkpoint (TTL expiry, capacity
+//! eviction, server restart, or a server that has not yet seen the old
+//! connection end) does the client fall back to re-issuing the whole
+//! query on the same connection.
 //!
 //! **Why re-issuing a whole query is safe:** the protocol is stateless
 //! across sessions — the server keeps no record of a client between

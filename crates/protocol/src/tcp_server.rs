@@ -34,13 +34,15 @@
 //!   exponentially (50 ms doubling to ~1 s) and gives up after
 //!   [`MAX_CONSECUTIVE_ACCEPT_ERRORS`] failures in a row.
 //! * **Session resumption** — every `Hello` is answered with a
-//!   `HelloAck { session_id }`, and the session's fold state is
+//!   `HelloAck { session_id }`. When a connection ends before the
+//!   product (its read or write fails, or its deadline expires), the
+//!   connection thread parks the session: its fold state is
 //!   checkpointed into a bounded, TTL-evicted
-//!   [`SessionTable`](crate::resume::SessionTable) after each
-//!   acknowledged batch. A client that lost its connection sends
-//!   `Resume { session_id, .. }` on a fresh connection and continues
-//!   from the last acked chunk instead of re-streaming the whole index
-//!   vector (PROTOCOL.md §10).
+//!   [`SessionTable`](crate::resume::SessionTable). A client that lost
+//!   its connection sends `Resume { session_id, .. }` on a fresh
+//!   connection and continues from the last folded batch instead of
+//!   re-streaming the whole index vector (PROTOCOL.md §10). A session
+//!   whose thread panics is not parked.
 //! * **Panic isolation** — each session thread runs inside
 //!   `catch_unwind`, and every stats/gate lock recovers from poison. A
 //!   bug (or deliberately hostile input) that panics one session is
@@ -57,14 +59,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use pps_bignum::MultiExpPlan;
 use pps_transport::{TcpWire, TransportError, Wire, WireMetrics};
 
 use crate::data::Database;
 use crate::error::ProtocolError;
 use crate::flow::SessionFlow;
 use crate::obs::ServerObs;
-use crate::plan::FoldPlanCache;
 use crate::resume::{ResumptionConfig, SessionTable};
 use crate::server::{FoldStrategy, ServerStats};
 
@@ -419,7 +419,6 @@ pub struct TcpServer {
     resumption: SessionTable,
     fault_hook: Option<Arc<dyn Fn(usize) + Send + Sync>>,
     require_shard: bool,
-    plan_cache: Option<Arc<FoldPlanCache>>,
     queue_capacity: usize,
     slow_query_threshold: Option<Duration>,
     clock: pps_obs::SharedClock,
@@ -448,7 +447,6 @@ impl TcpServer {
             resumption: SessionTable::default(),
             fault_hook: None,
             require_shard: false,
-            plan_cache: None,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             slow_query_threshold: None,
             clock: pps_obs::real_clock(),
@@ -484,17 +482,6 @@ impl TcpServer {
     #[must_use]
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Replaces the fold-plan cache consulted when the strategy is
-    /// [`FoldStrategy::Precomputed`]. By default the process-wide
-    /// [`FoldPlanCache::global`] is used, so every server (and shard
-    /// worker) sharing an `Arc<Database>` also shares one digit table;
-    /// pass a private cache to isolate a server's plan lifetime.
-    #[must_use]
-    pub fn with_fold_plan_cache(mut self, cache: Arc<FoldPlanCache>) -> Self {
-        self.plan_cache = Some(cache);
         self
     }
 
@@ -608,20 +595,6 @@ impl TcpServer {
         })
     }
 
-    /// Builds (or fetches from the cache) the shared fold plan when the
-    /// strategy is [`FoldStrategy::Precomputed`]: one digit table
-    /// serves every session a serve loop admits, fresh or resumed.
-    /// [`FoldStrategy::Incremental`] maps to `None`, the paper's loop.
-    fn shared_plan(&self) -> Option<Arc<MultiExpPlan>> {
-        (self.fold == FoldStrategy::Precomputed).then(|| {
-            let cache: &FoldPlanCache = match &self.plan_cache {
-                Some(cache) => cache,
-                None => FoldPlanCache::global(),
-            };
-            cache.get_or_build(&self.db, self.obs.as_ref().map(|o| o.fold_plan()))
-        })
-    }
-
     /// Sleeps for `backoff` or until shutdown is raised, whichever
     /// comes first — the accept-error backoff must never delay a
     /// [`ShutdownHandle::shutdown`] (satellite fix: the old
@@ -674,10 +647,6 @@ impl TcpServer {
     ) -> AggregateStats {
         let start = Instant::now();
         let checkpoints_evicted_before = self.resumption.evicted();
-        // One shared plan for every session this loop admits (fresh or
-        // resumed): built at most once per database process-wide, via
-        // the configured cache or the global one.
-        let plan = self.shared_plan();
         let agg = Mutex::new(AggregateStats::default());
         // Admission gate: slot/queue counts + wakeup for queued waiters.
         let gate = (Mutex::new(GateState::default()), Condvar::new());
@@ -753,7 +722,7 @@ impl TcpServer {
                 let active_now = &active_now;
                 let peak = &peak;
                 let db = &*self.db;
-                let plan = plan.as_ref();
+                let fold = self.fold;
                 let limits = &self.limits;
                 let table = &self.resumption;
                 let require_shard = self.require_shard;
@@ -846,9 +815,14 @@ impl TcpServer {
                             hook(id);
                         }
                         let wire_metrics = obs.map(|o| o.wire.clone());
-                        let mut flow = SessionFlow::new(db, plan.cloned(), table, require_shard);
+                        let mut flow = SessionFlow::new(db, fold, table, require_shard);
                         let result =
                             drive_connection(&mut flow, stream, limits, deadline, wire_metrics);
+                        if result.is_err() {
+                            // The connection ended before the product:
+                            // keep the fold for a `Resume`.
+                            flow.park();
+                        }
                         // Stamp the peer's announced trace context onto
                         // the session span so the client-side assembler
                         // can claim it by trace id.
@@ -1302,39 +1276,39 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_server_builds_one_plan_and_reuses_it() {
-        use crate::obs::ServerObs;
-        use pps_obs::Registry;
+    fn dropped_connection_parks_one_checkpoint() {
+        use crate::messages::{Hello, IndexBatch};
 
-        let registry = Arc::new(Registry::new());
-        let obs = ServerObs::new(Arc::clone(&registry));
         let db = Arc::new(Database::new(vec![10, 20, 30, 40]).unwrap());
-        let cache = Arc::new(FoldPlanCache::new(2));
-        let server = TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::Precomputed)
-            .unwrap()
-            .with_fold_plan_cache(Arc::clone(&cache))
-            .with_observability(obs.clone());
+        let server =
+            TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::default()).unwrap();
         let addr = server.local_addr().unwrap();
-
-        // Two separate serve loops: the first builds the plan, the
-        // second finds it in the cache.
-        for (round, seed) in [(0u64, 31u64), (1, 32)] {
-            let clients = std::thread::spawn(move || {
-                query(addr, &Selection::from_indices(4, &[1, 3]).unwrap(), seed)
-            });
-            let stats = server.serve(Some(1));
-            assert_eq!(clients.join().unwrap(), 60);
-            assert_eq!(stats.sessions, 1, "round {round}");
-        }
-
-        assert_eq!(obs.fold_plan.builds.get(), 1, "built once, then cached");
-        assert_eq!(obs.fold_plan.hits.get(), 1);
-        assert!(obs.fold_plan.bytes.get() > 0);
-        assert_eq!(obs.fold_plan.build_seconds.count(), 1);
-
-        let text = registry.render_prometheus();
-        assert!(text.contains("pps_fold_plan_builds_total 1"));
-        assert!(text.contains("pps_fold_plan_hits_total 1"));
+        let client = std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(31);
+            let kp = pps_crypto::PaillierKeypair::generate(128, &mut rng).unwrap();
+            let mut wire = TcpWire::connect(&addr.to_string()).unwrap();
+            let hello = Hello {
+                modulus: kp.public.n().clone(),
+                total: 4,
+                batch_size: 2,
+                trace: None,
+            };
+            wire.send(hello.encode().unwrap()).unwrap();
+            wire.recv().unwrap(); // HelloAck
+            let ciphertexts = (0..2)
+                .map(|_| kp.public.encrypt_u64(1, &mut rng).unwrap())
+                .collect();
+            let batch = IndexBatch {
+                seq: 0,
+                ciphertexts,
+            };
+            wire.send(batch.encode(&kp.public).unwrap()).unwrap();
+            // Hang up mid-stream, two rows short of the product.
+        });
+        let stats = server.serve(Some(1));
+        client.join().unwrap();
+        assert_eq!(stats.failed, 1);
+        assert_eq!(server.session_table().len(), 1, "parked on disconnect");
     }
 
     /// Satellite regression: the active-session gauge must return to

@@ -18,7 +18,9 @@ use std::time::Duration;
 use bytes::{Bytes, BytesMut};
 use pps_obs::{names, Counter, Gauge, Registry, VirtualClock};
 use pps_protocol::messages::{HelloAck, MsgType, Resume, ResumeAck};
-use pps_protocol::{Database, ResumptionConfig, SessionFlow, SessionTable, SumClient};
+use pps_protocol::{
+    Database, FoldStrategy, ResumptionConfig, SessionFlow, SessionTable, SumClient,
+};
 use pps_transport::{Frame, LinkProfile};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -911,7 +913,12 @@ impl<'a> Runner<'a> {
         self.conns.insert(
             conn,
             ServerConn {
-                flow: SessionFlow::new(&self.dbs[server], None, &self.tables[server], server > 0),
+                flow: SessionFlow::new(
+                    &self.dbs[server],
+                    FoldStrategy::default(),
+                    &self.tables[server],
+                    server > 0,
+                ),
                 inbox: BytesMut::new(),
                 client: id,
                 server,
@@ -1027,6 +1034,9 @@ impl<'a> Runner<'a> {
             return;
         }
         sc.closed = true;
+        // The connection ended: a session short of its product keeps its
+        // fold for a `Resume`, as `pps serve` does.
+        sc.flow.park();
         let server = sc.server;
         let client = sc.client;
         self.active[server] -= 1;

@@ -1,22 +1,20 @@
 //! Fold parity: for random databases, selections, and batch
 //! geometries, both server folds — the paper's incremental loop and the
-//! precomputed per-database plan — decrypt to the **bit-identical**
-//! selected sum, which equals the plaintext oracle. The same encrypted
-//! frames are replayed into each fold's session, so any divergence is
-//! the fold's fault, not the randomness's.
+//! session's bucket fold — reply with the **bit-identical** product,
+//! which decrypts to the plaintext oracle. The same encrypted frames are
+//! replayed into each fold's session, so any divergence is the fold's
+//! fault, not the randomness's.
 //!
-//! Also proves the resume story for the plan: a checkpoint taken
-//! mid-stream under the plan resumes correctly — through the same
-//! shared plan, through a freshly built plan, and across folds in both
-//! directions (the checkpoint is fold-agnostic by construction, so
-//! cross-fold resume is *correct*, not rejected).
+//! Also proves the resume story for the bucket fold: a checkpoint taken
+//! mid-stream under it resumes correctly, under the bucket fold again
+//! and across folds in both directions (the checkpoint is fold-agnostic
+//! by construction, so cross-fold resume is *correct*, not rejected).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use pps_bignum::MultiExpPlan;
 use pps_crypto::PaillierKeypair;
 use pps_protocol::messages::{Hello, IndexBatch, Product};
-use pps_protocol::{Database, Selection, ServerSession};
+use pps_protocol::{Database, FoldStrategy, Selection, ServerSession};
 use pps_transport::Frame;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -59,27 +57,20 @@ fn encode_query(bits: &[u64], batch: usize, rng: &mut StdRng) -> Vec<Frame> {
         .collect()
 }
 
-/// A fresh session folding through `plan`, or the paper's loop.
-fn session(db: &Database, plan: Option<Arc<MultiExpPlan>>) -> ServerSession<'_> {
-    match plan {
-        Some(plan) => ServerSession::with_fold_plan(db, plan).unwrap(),
-        None => ServerSession::new(db),
-    }
-}
-
-/// Replays pre-encoded frames into a fresh session and returns the
-/// decrypted sum (as the raw decrypted `Uint`, so equality between
-/// folds is bit-level, not merely numeric-after-truncation).
-fn replay(db: &Database, frames: &[Frame], plan: Option<Arc<MultiExpPlan>>) -> (u128, Vec<u8>) {
+/// Replays pre-encoded frames into a fresh session folding with `fold`
+/// and returns the decrypted sum and the product's bytes, so equality
+/// between folds is bit-level, not merely numeric.
+fn replay(db: &Database, frames: &[Frame], fold: FoldStrategy) -> (u128, Vec<u8>) {
     let kp = keypair();
-    let mut session = session(db, plan);
+    let mut session = ServerSession::with_fold(db, fold);
     let mut reply = None;
     for frame in frames {
         reply = session.on_frame(frame).unwrap();
     }
     let product = Product::decode(&reply.expect("last batch completes"), &kp.public).unwrap();
     let sum = kp.secret.decrypt(&product.ciphertext).unwrap();
-    (sum.to_u128().unwrap(), sum.to_bytes_be())
+    let bytes = product.ciphertext.to_bytes(&kp.public).unwrap();
+    (sum.to_u128().unwrap(), bytes)
 }
 
 proptest! {
@@ -97,20 +88,19 @@ proptest! {
         let oracle = db.oracle_sum(&Selection::weighted(bits.clone())).unwrap();
         let frames = encode_query(&bits, batch, &mut rng);
 
-        let plan = Arc::new(MultiExpPlan::build(db.values()));
-        let (inc, inc_bytes) = replay(&db, &frames, None);
-        let (pre, pre_bytes) = replay(&db, &frames, Some(plan));
+        let (inc, inc_bytes) = replay(&db, &frames, FoldStrategy::Incremental);
+        let (pre, pre_bytes) = replay(&db, &frames, FoldStrategy::Precomputed);
 
         prop_assert_eq!(inc, oracle);
         prop_assert_eq!(pre, oracle);
-        // Bit-identical plaintexts, not merely equal u128 projections.
+        // Bit-identical products, not merely equal plaintexts.
         prop_assert_eq!(&pre_bytes, &inc_bytes);
     }
 
-    /// A checkpoint taken under the plan mid-stream resumes correctly —
-    /// under the same shared plan, a freshly built plan, or the paper's
-    /// loop — and so does a loop checkpoint under the plan; every
-    /// resumed path decrypts to the oracle sum.
+    /// A checkpoint taken mid-stream under the bucket fold resumes
+    /// correctly under the bucket fold or the paper's loop, and so does a
+    /// loop checkpoint under the bucket fold; every resumed path decrypts
+    /// to the oracle sum.
     #[test]
     fn precomputed_checkpoints_resume_correctly_and_cross_strategy(
         values in prop::collection::vec(0u64..1_000_000, 4..32),
@@ -127,7 +117,7 @@ proptest! {
 
         // Drive the first batch under `first`, then checkpoint.
         let checkpoint = |first| {
-            let mut s = session(&db, first);
+            let mut s = ServerSession::with_fold(&db, first);
             s.on_frame(&frames[0]).unwrap();
             s.on_frame(&frames[1]).unwrap();
             s.checkpoint().expect("mid-stream checkpoint")
@@ -145,25 +135,21 @@ proptest! {
                 .to_u128()
                 .unwrap()
         };
-        let plan = Arc::new(MultiExpPlan::build(db.values()));
-        let cp = checkpoint(Some(Arc::clone(&plan)));
+        let (inc, pre) = (FoldStrategy::Incremental, FoldStrategy::Precomputed);
+        let cp = checkpoint(pre);
 
-        // Plan → the same shared plan (the TcpServer path).
-        let shared = ServerSession::resume(&db, Some(Arc::clone(&plan)), cp.clone()).unwrap();
-        prop_assert_eq!(finish(shared), oracle);
+        // Buckets → buckets rebuilt for the remaining rows (the TcpServer
+        // path).
+        let again = ServerSession::resume(&db, pre, cp.clone()).unwrap();
+        prop_assert_eq!(finish(again), oracle);
 
-        // Plan → a plan freshly built from the database.
-        let fresh = Arc::new(MultiExpPlan::build(db.values()));
-        let rebuilt = ServerSession::resume(&db, Some(fresh), cp.clone()).unwrap();
-        prop_assert_eq!(finish(rebuilt), oracle);
-
-        // Plan → loop: the checkpoint carries only accumulator and
-        // cursor, so either fold may continue it.
-        let crossed = ServerSession::resume(&db, None, cp).unwrap();
+        // Buckets → loop: the checkpoint carries only the product so far
+        // and the cursor, so either fold may continue it.
+        let crossed = ServerSession::resume(&db, inc, cp).unwrap();
         prop_assert_eq!(finish(crossed), oracle);
 
-        // And the reverse direction: loop → plan.
-        let back = ServerSession::resume(&db, Some(plan), checkpoint(None)).unwrap();
+        // And the reverse direction: loop → buckets.
+        let back = ServerSession::resume(&db, pre, checkpoint(inc)).unwrap();
         prop_assert_eq!(finish(back), oracle);
     }
 }

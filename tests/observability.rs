@@ -18,9 +18,8 @@ use std::time::Duration;
 
 use pps_obs::{http, names, MetricsServer, Phase, Registry, RingCollector, TraceContext, Tracer};
 use pps_protocol::{
-    run_tcp_query_observed, run_tcp_query_with_retry, Database, FoldPlanCache, FoldStrategy,
-    PhaseTotals, QueryObs, ServerObs, SessionEvent, SessionLimits, SumClient, TcpQueryConfig,
-    TcpServer,
+    run_tcp_query_observed, run_tcp_query_with_retry, Database, FoldStrategy, PhaseTotals,
+    QueryObs, ServerObs, SessionEvent, SessionLimits, SumClient, TcpQueryConfig, TcpServer,
 };
 use pps_transport::FRAME_MAGIC;
 use rand::rngs::StdRng;
@@ -70,12 +69,10 @@ fn live_metrics_reconcile_with_span_bridged_reports() {
     let server_obs = ServerObs::with_tracer(Arc::clone(&registry), Tracer::new(ring.clone()));
 
     let db = Arc::new(Database::new((0..32u64).collect()).unwrap());
-    // Precomputed fold: the serve loop builds the per-database plan
-    // through a (private, deterministic) cache, so the scrape below
-    // must carry the pps_fold_plan_* families with live readings.
+    // The bucket fold: each session holds its own buckets, so there is no
+    // shared per-database state to report on the scrape below.
     let server = TcpServer::bind(db, "127.0.0.1:0", FoldStrategy::Precomputed)
         .unwrap()
-        .with_fold_plan_cache(Arc::new(FoldPlanCache::new(2)))
         .with_limits(SessionLimits {
             read_timeout: Some(Duration::from_millis(250)),
             write_timeout: Some(Duration::from_secs(2)),
@@ -191,15 +188,8 @@ fn live_metrics_reconcile_with_span_bridged_reports() {
     assert_eq!(sample(&body, "pps_checkpoints_evicted_total "), Some(0.0));
     assert_eq!(sample(&body, "pps_retry_attempts_total "), Some(3.0));
     assert_eq!(sample(&body, "pps_retry_failures_total "), Some(0.0));
-    // The fold-plan cache: one serve loop, one plan build, no rebuild
-    // across the five sessions, digit table bytes held on the gauge.
-    assert_eq!(sample(&body, "pps_fold_plan_builds_total "), Some(1.0));
-    assert_eq!(sample(&body, "pps_fold_plan_hits_total "), Some(0.0));
-    assert_eq!(
-        sample(&body, "pps_fold_plan_build_seconds_count "),
-        Some(1.0)
-    );
-    assert!(sample(&body, "pps_fold_plan_bytes ").unwrap() > 0.0);
+    // No fold-plan family is exported.
+    assert!(!body.contains("pps_fold_plan_"));
     assert!(sample(&body, "pps_wire_bytes_sent_total ").unwrap() > 0.0);
     assert!(sample(&body, "pps_wire_bytes_received_total ").unwrap() > 0.0);
     // Build identity rides on every ServerObs-backed scrape: version

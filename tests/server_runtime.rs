@@ -32,7 +32,7 @@ fn four_concurrent_sessions_with_distinct_selections() {
     let values: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..10_000)).collect();
     let db = Arc::new(Database::new(values).unwrap());
 
-    // The default fold: every session shares one plan.
+    // The default fold: each session keeps its own buckets.
     let server = TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::default()).unwrap();
     let addr = server.local_addr().unwrap();
 
