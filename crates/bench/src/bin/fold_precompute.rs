@@ -11,9 +11,10 @@
 //! * **precomputed** — [`pps_bignum::SessionFold`], the serving
 //!   default: every base is multiplied into the Pippenger bucket of its
 //!   row's digit in each window (≈ 1 modmul per base per window), and
-//!   the buckets are reduced once, at the product. The window is chosen
-//!   from the row count and widest row within a fixed bucket-memory
-//!   budget, which caps it at 6 bits at 512-bit keys.
+//!   the buckets are reduced once, at the product. The windows cover the
+//!   widest row's bits exactly in widths as equal as possible, their
+//!   count chosen from the row count within a fixed bucket-memory
+//!   budget: 7, 7, 6, 6 and 6 bits for 32-bit rows at 512-bit keys.
 //!
 //! Every fold is oracle-checked: the result is decrypted and compared
 //! against the plaintext selected sum.
@@ -23,8 +24,9 @@
 //! rows through a `ServerSession` in batches of 100 rows (`pps query`'s
 //! default), 10, 3, 2 and 1 rows, under the paper's `Incremental` loop
 //! and under the default strategy, and report the median of several
-//! replays of each. The bucket fold's cost per row should not depend on
-//! the batch length.
+//! replays of each, and the session time outside the fold: batch
+//! decoding (the check of every ciphertext) and framing. The bucket
+//! fold's cost per row should not depend on the batch length.
 //!
 //! To keep the runtime dominated by the thing being measured (the
 //! fold), the index vector is encrypted with **one shared randomizer**
@@ -68,7 +70,7 @@ struct Row {
     incremental_fold_secs: f64,
     multiexp_fold_secs: f64,
     precomputed_fold_secs: f64,
-    chosen_window_bits: usize,
+    chosen_window_bits: Vec<usize>,
     bucket_bytes: usize,
 }
 
@@ -83,7 +85,7 @@ struct ServingPoint {
 
 struct Serving {
     batch: usize,
-    window_bits: usize,
+    window_bits: Vec<usize>,
     points: Vec<ServingPoint>,
 }
 
@@ -205,7 +207,7 @@ fn main() {
             let buckets = fold.buckets();
             (
                 fold.product(),
-                buckets.window_bits(),
+                buckets.window_bits().to_vec(),
                 buckets.bucket_bytes(),
             )
         });
@@ -221,13 +223,13 @@ fn main() {
         };
         println!(
             "n = {:>6}: incremental {:>8.3}s | multiexp {:>8.3}s | precomputed {:>8.3}s \
-             ({:.2}x vs multiexp, w={}, {} bucket bytes)",
+             ({:.2}x vs multiexp, widths {:?}, {} bucket bytes)",
             row.n,
             row.incremental_fold_secs,
             row.multiexp_fold_secs,
             row.precomputed_fold_secs,
             row.multiexp_fold_secs / row.precomputed_fold_secs.max(1e-9),
-            row.chosen_window_bits,
+            &row.chosen_window_bits,
             row.bucket_bytes,
         );
         rows.push(row);
@@ -240,8 +242,13 @@ fn main() {
     for s in &serving {
         for p in &s.points {
             println!(
-                "serving n = {SERVING_N} in {}-row batches, {:?}: fold {:.4}s, session {:.4}s",
-                s.batch, p.strategy, p.fold_secs, p.session_secs
+                "serving n = {SERVING_N} in {}-row batches, {:?}: fold {:.4}s, session {:.4}s \
+                 ({:.4}s outside the fold)",
+                s.batch,
+                p.strategy,
+                p.fold_secs,
+                p.session_secs,
+                p.session_secs - p.fold_secs
             );
         }
     }
@@ -308,7 +315,7 @@ fn serving_row(kp: &PaillierKeypair, rn: &Uint, batch: usize) -> Serving {
     }
     Serving {
         batch,
-        window_bits: key.session_fold(&values).buckets().window_bits(),
+        window_bits: key.session_fold(&values).buckets().window_bits().to_vec(),
         points: strategies
             .iter()
             .zip(samples)
@@ -326,7 +333,10 @@ fn serving_json(s: &Serving) -> JsonValue {
         .field("n", SERVING_N)
         .field("batch", s.batch)
         .field("replays", SERVING_REPLAYS)
-        .field("chosen_window_bits", s.window_bits)
+        .field(
+            "chosen_window_bits",
+            JsonValue::array(s.window_bits.clone()),
+        )
         .field(
             "strategies",
             JsonValue::array(s.points.iter().map(|p| {
@@ -335,6 +345,7 @@ fn serving_json(s: &Serving) -> JsonValue {
                     .field("fold_secs", p.fold_secs)
                     .field("fold_ns_per_row", p.fold_secs * 1e9 / SERVING_N as f64)
                     .field("session_secs", p.session_secs)
+                    .field("outside_fold_secs", p.session_secs - p.fold_secs)
             })),
         )
 }
@@ -345,7 +356,10 @@ fn row_json(r: &Row) -> JsonValue {
         .field("incremental_fold_secs", r.incremental_fold_secs)
         .field("multiexp_fold_secs", r.multiexp_fold_secs)
         .field("precomputed_fold_secs", r.precomputed_fold_secs)
-        .field("chosen_window_bits", r.chosen_window_bits)
+        .field(
+            "chosen_window_bits",
+            JsonValue::array(r.chosen_window_bits.clone()),
+        )
         .field(
             "speedup_vs_multiexp",
             r.multiexp_fold_secs / r.precomputed_fold_secs.max(1e-9),

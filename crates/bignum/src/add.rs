@@ -31,7 +31,7 @@ fn add_in_place(a: &mut Vec<u64>, b: &[u64]) {
 
 /// Subtracts `b` from `a` in place; returns `true` if a borrow escaped
 /// (i.e. `b > a`), in which case the contents of `a` are meaningless.
-fn sub_in_place(a: &mut [u64], b: &[u64]) -> bool {
+pub(crate) fn sub_in_place(a: &mut [u64], b: &[u64]) -> bool {
     debug_assert!(a.len() >= b.len());
     let mut borrow = 0u64;
     for (i, al) in a.iter_mut().enumerate() {

@@ -1,7 +1,10 @@
 //! Greatest common divisor, extended Euclid, modular inverse, and lcm.
 
+use std::cmp::Ordering;
+
+use crate::add::sub_in_place;
 use crate::error::BignumError;
-use crate::uint::Uint;
+use crate::uint::{cmp_limbs, shr_in_place, Uint, LIMB_BITS};
 
 /// A signed big integer, private to this module, used only to carry the
 /// Bézout coefficients through the extended Euclidean algorithm.
@@ -69,32 +72,38 @@ impl Int {
 impl Uint {
     /// Greatest common divisor by the binary (Stein) algorithm.
     ///
-    /// `gcd(0, b) = b` and `gcd(a, 0) = a`.
+    /// `gcd(0, b) = b` and `gcd(a, 0) = a`. The loop runs in place on two
+    /// limb buffers, copies of the operands: each step subtracts the
+    /// smaller odd value from the larger and shifts the difference's
+    /// trailing zeros out, with no allocation.
     pub fn gcd(&self, rhs: &Uint) -> Uint {
-        let mut a = self.clone();
-        let mut b = rhs.clone();
-        if a.is_zero() {
-            return b;
+        if self.is_zero() {
+            return rhs.clone();
         }
-        if b.is_zero() {
-            return a;
+        if rhs.is_zero() {
+            return self.clone();
         }
-        let az = a.trailing_zeros().expect("a != 0");
-        let bz = b.trailing_zeros().expect("b != 0");
-        let common = az.min(bz);
-        a = a.shr(az);
-        b = b.shr(bz);
-        // Both odd from here on.
+        let az = self.trailing_zeros().expect("a != 0");
+        let bz = rhs.trailing_zeros().expect("b != 0");
+        let mut a = self.limbs.clone();
+        let mut b = rhs.limbs.clone();
+        shr_in_place(&mut a, az);
+        shr_in_place(&mut b, bz);
+        // Both odd from here on, so `b − a` is even and, for `b > a`,
+        // nonzero.
         loop {
-            if a > b {
-                std::mem::swap(&mut a, &mut b);
+            match cmp_limbs(&a, &b) {
+                Ordering::Equal => break,
+                Ordering::Greater => std::mem::swap(&mut a, &mut b),
+                Ordering::Less => {}
             }
-            b = &b - &a;
-            if b.is_zero() {
-                return a.shl(common);
-            }
-            b = b.shr(b.trailing_zeros().expect("b != 0"));
+            let borrowed = sub_in_place(&mut b, &a);
+            debug_assert!(!borrowed, "b > a");
+            let low = b.iter().position(|&l| l != 0).expect("b − a != 0");
+            let zeros = low * LIMB_BITS + b[low].trailing_zeros() as usize;
+            shr_in_place(&mut b, zeros);
         }
+        Uint::from_limbs(a).shl(az.min(bz))
     }
 
     /// Least common multiple. `lcm(0, x) = 0`.
@@ -147,6 +156,7 @@ impl Uint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn u(v: u64) -> Uint {
         Uint::from_u64(v)
@@ -234,5 +244,46 @@ mod tests {
         let (g2, x2) = u(24).extended_gcd_mod(&u(36)).unwrap();
         assert_eq!(g2, u(12));
         assert_eq!(u(24).mod_mul(&x2, &u(36)).unwrap(), u(12));
+    }
+
+    /// The gcd by Euclid's remainder sequence (`div_rem`), the reference.
+    fn euclid(a: &Uint, b: &Uint) -> Uint {
+        let (mut a, mut b) = (a.clone(), b.clone());
+        while !b.is_zero() {
+            let r = a.div_rem(&b).unwrap().1;
+            a = std::mem::replace(&mut b, r);
+        }
+        a
+    }
+
+    /// Strategy: a value of 0 to `max` random limbs.
+    fn uint(max: usize) -> impl Strategy<Value = Uint> {
+        prop::collection::vec(any::<u64>(), 0..=max).prop_map(Uint::from_limbs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn gcd_matches_euclid(
+            a in uint(20),
+            b in uint(20),
+            c in uint(3),
+            k in 0usize..200,
+            case in 0usize..4,
+        ) {
+            let (a, b) = match case {
+                0 => (a, b),
+                // A shared factor `c·2^k`; from k = 64 on the loop drops
+                // whole limbs.
+                1 => ((&a * &c).shl(k), (&b * &c).shl(k)),
+                2 => (a.clone(), a),
+                // One operand divides the other.
+                _ => (&a * &c, a),
+            };
+            let want = euclid(&a, &b);
+            prop_assert_eq!(a.gcd(&b), want.clone());
+            prop_assert_eq!(b.gcd(&a), want);
+        }
     }
 }

@@ -26,10 +26,11 @@
 //! ```
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 
 use crate::error::BignumError;
 use crate::multiexp_plan::FixedExponentPlan;
-use crate::uint::Uint;
+use crate::uint::{cmp_limbs, Uint};
 
 pub(crate) mod kernel;
 
@@ -135,13 +136,21 @@ impl Montgomery {
         }))
     }
 
-    /// `a·b·R⁻¹ mod n` for ordinary values, each reduced mod `n` first:
-    /// one Montgomery product with no conversion in or out. A chain of
-    /// these starting from 1 over `m` values yields their product times
-    /// `R^{-m}`; as `n` is odd, `R` is a unit mod `n`, so the result
-    /// shares exactly the plain product's common factors with `n`.
-    pub fn mul_reduce(&self, a: &Uint, b: &Uint) -> Uint {
-        self.product(&self.reduced(a), &self.reduced(b))
+    /// Whether every value in `values` is coprime to `n`, with one gcd
+    /// for the whole slice. Each value is brought to `n`'s width by one
+    /// Montgomery reduction (REDC: `v·R⁻¹ mod n`, defined for `v < n·R`,
+    /// so for any value below `n²`; a wider value is reduced mod `n`
+    /// first), and the results are chained with one product each. As
+    /// `n` is odd, `R` is a unit mod `n`, so a prime factor of `n`
+    /// divides the chain's result exactly when it divides one of the
+    /// values. A Paillier ciphertext below `N²` is thus checked at `N`'s
+    /// width, half of `N²`'s.
+    pub fn all_coprime(&self, values: &[Uint]) -> bool {
+        let product = with_kernel!(self, |kr| {
+            let acc = unit_product(kr, values);
+            kr.to_uint(&acc)
+        });
+        product.gcd(&self.n).is_one()
     }
 
     /// `v` itself when already below `n`, else `v mod n`.
@@ -150,6 +159,17 @@ impl Montgomery {
             Cow::Borrowed(v)
         } else {
             Cow::Owned(v.rem_of(&self.n).expect("modulus != 0"))
+        }
+    }
+
+    /// `v` itself when below `n·R`, the range of one Montgomery
+    /// reduction, else `v mod n`.
+    fn redc_input<'a>(&self, v: &'a Uint) -> Cow<'a, Uint> {
+        let high = v.limbs().get(self.limbs..).unwrap_or_default();
+        if cmp_limbs(high, self.n.limbs()) == Ordering::Less {
+            Cow::Borrowed(v)
+        } else {
+            self.reduced(v)
         }
     }
 
@@ -168,7 +188,11 @@ impl Montgomery {
 
     /// Montgomery product of two elements.
     pub fn mul(&self, a: &MontElem, b: &MontElem) -> MontElem {
-        MontElem(self.product(&a.0, &b.0))
+        MontElem(with_kernel!(self, |kr| {
+            let mut e = kr.load(a.limbs());
+            kr.mul(&mut e, &kr.load(b.limbs()));
+            kr.to_uint(&e)
+        }))
     }
 
     /// Montgomery square. At 4, 8 and 16 limbs it runs the dedicated SOS
@@ -198,16 +222,6 @@ impl Montgomery {
     /// the plan instead.
     pub fn pow_mont(&self, base: &MontElem, exp: &Uint) -> MontElem {
         FixedExponentPlan::new(exp).pow_mont(self, base)
-    }
-
-    /// `a·b·R⁻¹ mod n` for normalized `a, b < n` as a new value, on the
-    /// kernel for this width.
-    fn product(&self, a: &Uint, b: &Uint) -> Uint {
-        with_kernel!(self, |kr| {
-            let mut e = kr.load(a.limbs());
-            kr.mul(&mut e, &kr.load(b.limbs()));
-            kr.to_uint(&e)
-        })
     }
 
     /// The slice kernel: CIOS (Montgomery multiplication with the
@@ -251,25 +265,77 @@ impl Montgomery {
             t[k - 1] = s as u64;
             t[k] = (s >> 64) as u64;
         }
-        // t < 2n: one conditional subtraction. When the carry word is
-        // set, the borrow out of the low k limbs cancels it.
-        let below_n = t[k] == 0
-            && t[..k]
-                .iter()
-                .rev()
-                .zip(n.iter().rev())
-                .find(|(x, y)| x != y)
-                .is_some_and(|(x, y)| x < y);
-        if !below_n {
-            let mut borrow = false;
-            for (tj, &nj) in t[..k].iter_mut().zip(n) {
-                let (d, b1) = tj.overflowing_sub(nj);
-                let (d, b2) = d.overflowing_sub(u64::from(borrow));
-                *tj = d;
-                borrow = b1 | b2;
+        let carry = t[k];
+        reduce_once(&mut t[..k], carry, n);
+    }
+
+    /// The slice kernel's Montgomery reduction (REDC) at any width:
+    /// leaves `t·R⁻¹ mod n` in `t[k..]` for a `t < n·R` given as `2k`
+    /// limbs, overwriting the low half. `k` rounds each add the multiple
+    /// of `n` that clears the lowest live limb; the sum stays below
+    /// `2n·R`, so the carry out of the top limb, kept as the carry word,
+    /// is 0 or 1. The fixed-width kernels' `redc` is the same loop and is
+    /// tested against it.
+    ///
+    /// # Panics
+    /// When `t` is not `2k` limbs (a caller bug).
+    pub(crate) fn mont_redc(&self, t: &mut [u64]) {
+        let k = self.limbs;
+        assert_eq!(
+            t.len(),
+            2 * k,
+            "Montgomery reduction buffer must be 2k limbs"
+        );
+        let n = &self.n.limbs()[..k];
+        let mut top = 0u64;
+        for i in 0..k {
+            let m = t[i].wrapping_mul(self.n_prime);
+            let mut c = 0u64;
+            for j in 0..k {
+                let s = u128::from(m) * u128::from(n[j]) + u128::from(t[i + j]) + u128::from(c);
+                t[i + j] = s as u64;
+                c = (s >> 64) as u64;
             }
+            let s = u128::from(t[i + k]) + u128::from(c) + u128::from(top);
+            t[i + k] = s as u64;
+            top = (s >> 64) as u64;
+        }
+        reduce_once(&mut t[k..], top, n);
+    }
+}
+
+/// The value `carry·R + t`, known to be below `2n`, reduced below `n` in
+/// `t`: one conditional subtraction. When the carry word is set, the
+/// borrow out of the low limbs cancels it.
+fn reduce_once(t: &mut [u64], carry: u64, n: &[u64]) {
+    let below_n = carry == 0
+        && t.iter()
+            .rev()
+            .zip(n.iter().rev())
+            .find(|(x, y)| x != y)
+            .is_some_and(|(x, y)| x < y);
+    if !below_n {
+        let mut borrow = false;
+        for (tj, &nj) in t.iter_mut().zip(n) {
+            let (d, b1) = tj.overflowing_sub(nj);
+            let (d, b2) = d.overflowing_sub(u64::from(borrow));
+            *tj = d;
+            borrow = b1 | b2;
         }
     }
+}
+
+/// The chain behind [`Montgomery::all_coprime`] on one kernel: from the
+/// Montgomery form of 1, one REDC and one product per value, so `m`
+/// values cost `m` products at the modulus width and nothing wider.
+fn unit_product<K: Kernel>(kr: &mut K, values: &[Uint]) -> K::Elem {
+    let mut acc = kr.one();
+    for v in values {
+        let v = kr.ctx().redc_input(v);
+        let t = kr.redc(v.limbs());
+        kr.mul(&mut acc, &t);
+    }
+    acc
 }
 
 /// Inverse of an odd `x` modulo 2^64, by Newton–Hensel lifting
@@ -394,5 +460,31 @@ mod tests {
         let p5 = ctx.pow_mont(&b, &Uint::from_u64(5));
         let p10 = ctx.pow_mont(&b, &Uint::from_u64(10));
         assert_eq!(ctx.mul(&p5, &p5), p10);
+    }
+
+    #[test]
+    fn unit_check_takes_one_product_a_value_at_the_width_of_n() {
+        // A 512-bit N (8 limbs) and 100 ciphertext-sized values below N²
+        // (16 limbs): m values cost m reductions and m products, all on
+        // the 8-limb kernel; nothing runs at N²'s 16 limbs.
+        use kernel::{Counting, Fixed};
+        let mut rng = StdRng::seed_from_u64(2026);
+        let mut n = Uint::random_bits_exact(&mut rng, 512);
+        n.set_bit(0, true);
+        let ctx = Montgomery::new(n.clone()).unwrap();
+        assert_eq!(ctx.width(), 8);
+        let n2 = n.square();
+        for m in [0usize, 1, 2, 100] {
+            let values: Vec<Uint> = (0..m)
+                .map(|_| Uint::random_below(&mut rng, &n2).unwrap())
+                .collect();
+            let mut kr = Counting::new(Fixed::<8, 16>::new(&ctx));
+            let acc = unit_product(&mut kr, &values);
+            assert_eq!(kr.products, m, "m={m}");
+            assert_eq!(kr.reductions, m, "m={m}");
+            let want = values.iter().all(|v| v.gcd(&n).is_one());
+            assert_eq!(kr.to_uint(&acc).gcd(&n).is_one(), want);
+            assert_eq!(ctx.all_coprime(&values), want);
+        }
     }
 }

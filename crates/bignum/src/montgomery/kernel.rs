@@ -21,9 +21,12 @@
 //! forms the full double-width product first and then runs `K` reduction
 //! rounds; for a square that product needs each cross product `aᵢ·aⱼ`
 //! only once, doubled, which saves a quarter of the multiplications.
-//! Every body returns the fully reduced value, so all of them agree bit
-//! for bit with the slice kernel, which stays the reference the unit
-//! tests compare against.
+//! SOS's reduction rounds (`redc`) also run alone, as [`Kernel::redc`],
+//! to bring a value below `n²` to the modulus width for
+//! [`Montgomery::all_coprime`]; [`Montgomery::mont_redc`] is their slice
+//! form. Every body returns the fully reduced value, so all of them
+//! agree bit for bit with the slice kernel, which stays the reference
+//! the unit tests compare against.
 
 use super::Montgomery;
 use crate::uint::Uint;
@@ -53,6 +56,11 @@ pub(crate) trait Kernel {
 
     /// `a ← a²·R⁻¹ mod n`.
     fn square(&mut self, a: &mut Self::Elem);
+
+    /// `t·R⁻¹ mod n` for a `t < n·R` given as at most `2k` normalized
+    /// limbs: one Montgomery reduction and no product, so a value below
+    /// `n²` comes down to the modulus width.
+    fn redc(&mut self, t: &[u64]) -> Self::Elem;
 
     /// The Montgomery form of 1.
     fn one(&self) -> Self::Elem {
@@ -169,6 +177,14 @@ impl Kernel for Slice<'_> {
         self.ctx.mont_mul(a, a, &mut self.scratch);
         a.copy_from_slice(&self.scratch[..k]);
     }
+
+    fn redc(&mut self, t: &[u64]) -> Vec<u64> {
+        let k = self.ctx.width();
+        let mut wide = vec![0; 2 * k];
+        wide[..t.len()].copy_from_slice(t);
+        self.ctx.mont_redc(&mut wide);
+        wide.split_off(k)
+    }
 }
 
 /// The kernel for a `K`-limb modulus, on `[u64; K]` stack operands; `W`
@@ -221,21 +237,33 @@ impl<const K: usize, const W: usize> Kernel for Fixed<'_, K, W> {
     fn square(&mut self, a: &mut [u64; K]) {
         *a = sos_square::<K, W>(a, self.n, self.ctx.n_prime);
     }
+
+    fn redc(&mut self, t: &[u64]) -> [u64; K] {
+        let mut wide = [0u64; W];
+        wide[..t.len()].copy_from_slice(t);
+        redc::<K, W>(wide, self.n, self.ctx.n_prime)
+    }
 }
 
-/// A kernel that counts its products and squarings: exact,
-/// host-independent work for the tests' gates.
+/// A kernel that counts its products and squarings, and apart from them
+/// its reductions: exact, host-independent work for the tests' gates.
 #[cfg(test)]
 pub(crate) struct Counting<K> {
     inner: K,
     /// Products and squarings so far.
     pub(crate) products: usize,
+    /// Reductions ([`Kernel::redc`]) so far.
+    pub(crate) reductions: usize,
 }
 
 #[cfg(test)]
 impl<K> Counting<K> {
     pub(crate) fn new(inner: K) -> Self {
-        Counting { inner, products: 0 }
+        Counting {
+            inner,
+            products: 0,
+            reductions: 0,
+        }
     }
 }
 
@@ -263,6 +291,11 @@ impl<K: Kernel> Kernel for Counting<K> {
     fn square(&mut self, a: &mut K::Elem) {
         self.products += 1;
         self.inner.square(a);
+    }
+
+    fn redc(&mut self, t: &[u64]) -> K::Elem {
+        self.reductions += 1;
+        self.inner.redc(t)
     }
 }
 
@@ -351,11 +384,13 @@ fn sos_square<const K: usize, const W: usize>(
     redc(t, n, n_prime)
 }
 
-/// Montgomery reduction of a double-width `t < n²`: `K` rounds each add
-/// the multiple of `n` that clears the lowest live limb, leaving
-/// `t·R⁻¹ mod n` in the high half. The sum can pass `R²`, so the carry
-/// out of the top limb is kept as the carry word, which is 0 or 1 as
-/// the result is below `2n`.
+/// Montgomery reduction (REDC) of a double-width `t < n·R` (every
+/// product of two operands below `n` is below `n²`, in range): `K` rounds
+/// each add the multiple of `n` that clears the lowest live limb,
+/// leaving `t·R⁻¹ mod n` in the high half. The sum can pass `R²`, so the
+/// carry out of the top limb is kept as the carry word, which is 0 or 1
+/// as the result is below `2n`. [`Montgomery::mont_redc`] is the same
+/// loop over slices.
 #[inline(always)]
 fn redc<const K: usize, const W: usize>(mut t: [u64; W], n: &[u64; K], n_prime: u64) -> [u64; K] {
     let mut top = 0u64;
@@ -410,6 +445,12 @@ mod tests {
         t
     }
 
+    /// The slice kernel's `t·R⁻¹ mod n` for a `t < n·R` of at most `2k`
+    /// limbs, the reference.
+    fn reference_redc(ctx: &Montgomery, t: &[u64]) -> Vec<u64> {
+        Slice::new(ctx).redc(t)
+    }
+
     /// Random `K`-limb odd moduli, half of them with a top limb of
     /// `u64::MAX` (the carry word live), and for each random operands
     /// plus 0, 1 and `n − 1`.
@@ -444,8 +485,31 @@ mod tests {
                     let mut prod = a;
                     kr.mul(&mut prod, &b);
                     assert_eq!(prod.to_vec(), want, "K={K}");
+                    // The reduction body alone, on the double-width value
+                    // `a·R + b` (below n·R) and on the plain product a·b.
+                    let mut wide = [0u64; W];
+                    wide[..K].copy_from_slice(&b);
+                    wide[K..].copy_from_slice(&a);
+                    let want = reference_redc(&ctx, &wide);
+                    assert_eq!(redc::<K, W>(wide, kr.n, np).to_vec(), want, "K={K}");
+                    let wide = Uint::from_limbs(wide.to_vec());
+                    assert_eq!(kr.redc(wide.limbs()).to_vec(), want, "K={K}");
+                    let plain = &Uint::from_limbs(a.to_vec()) * &Uint::from_limbs(b.to_vec());
+                    let want = reference_redc(&ctx, plain.limbs());
+                    assert_eq!(kr.redc(plain.limbs()).to_vec(), want, "K={K}");
                 }
             }
+            // The widest input REDC takes: n·R − 1.
+            let top = &(&n * &Uint::one().shl(64 * K)) - &Uint::one();
+            let want = reference_redc(&ctx, top.limbs());
+            assert_eq!(kr.redc(top.limbs()).to_vec(), want, "K={K}");
+            assert_eq!(
+                Uint::from_limbs(want)
+                    .mod_mul(&Uint::one().shl(64 * K), &n)
+                    .unwrap(),
+                top.rem_of(&n).unwrap(),
+                "K={K}: t·R⁻¹·R ≡ t"
+            );
         }
     }
 

@@ -10,7 +10,7 @@
 //! ablation bench times it.
 
 use crate::montgomery::kernel::{with_kernel, Kernel};
-use crate::montgomery::{MontElem, Montgomery};
+use crate::montgomery::Montgomery;
 use crate::uint::Uint;
 
 impl Montgomery {
@@ -28,19 +28,6 @@ impl Montgomery {
             let acc = straus(kr, &bases, exps);
             kr.leave(acc)
         })
-    }
-
-    /// As [`Montgomery::multi_pow`] with bases already in Montgomery
-    /// form; the result stays in Montgomery form, so a caller that
-    /// converts its bases once can chain further products without
-    /// leaving it.
-    pub fn multi_pow_mont(&self, bases: &[MontElem], exps: &[Uint]) -> MontElem {
-        assert_eq!(bases.len(), exps.len(), "bases/exponents length mismatch");
-        MontElem::from_limbs(with_kernel!(self, |kr| {
-            let bases: Vec<_> = bases.iter().map(|b| kr.load(b.limbs())).collect();
-            let acc = straus(kr, &bases, exps);
-            kr.limbs(&acc).to_vec()
-        }))
     }
 }
 

@@ -36,9 +36,10 @@ const BASE_WINDOW_BITS: usize = 4;
 const WIDEST_WINDOW_BITS: usize = 8;
 
 /// Bucket memory one [`SessionFold`] may hold, in bytes; it bounds the
-/// window. At a 512-bit key (128-byte operands modulo `N²`) it allows
-/// 6-bit windows for 32-bit rows: 6 × 63 buckets, 48 KiB. Every live
-/// session holds its buckets, so a wider window trades resident memory
+/// windows. At a 512-bit key (128-byte operands modulo `N²`) it allows
+/// windows of 7, 7, 6, 6 and 6 bits for 32-bit rows: 443 buckets, 56,704
+/// bytes, where four 8-bit windows would need 130,560. Every live
+/// session holds its buckets, so wider windows trade resident memory
 /// for speed. In the window-cap sweep on the benchmark's
 /// `replay_saturate` (two sessions live at once, 2-vCPU VM), caps of 6,
 /// 7 and 8 bits raised throughput 36.8 %, 43.6 % and 59.0 % over the
@@ -60,11 +61,12 @@ const _: () = {
 /// with [`SessionFold::absorb`], and reduced with
 /// [`SessionFold::product`].
 ///
-/// In every window of `w` bits, each absorbed base is multiplied into
-/// the bucket of its row's digit there: one Montgomery product per base
-/// per window, whatever the batch length. The product raises each bucket
-/// to its digit with one suffix-product pass per window, ≈ `2·2^w`
-/// products, paid once per query.
+/// The windows cover the widest row's bits exactly, in widths as equal
+/// as possible. In every window, of `w` bits, each absorbed base is
+/// multiplied into the bucket of its row's digit there: one Montgomery
+/// product per base per window, whatever the batch length. The product
+/// raises each bucket to its digit with one suffix-product pass per
+/// window, ≈ `2·2^w` products, paid once per query.
 ///
 /// The bases enter as they are, not in Montgomery form: in a Montgomery
 /// kernel a value `b < n` stands for `b·R⁻¹`. So the buckets reduce to
@@ -95,51 +97,51 @@ pub struct SessionFold {
     buckets: Buckets,
 }
 
-/// The window width and count of one fold.
-#[derive(Clone, Copy)]
+/// The window widths of one fold, least significant first.
+#[derive(Clone)]
 struct Shape {
-    window_bits: usize,
-    windows: usize,
+    widths: Vec<usize>,
+}
+
+/// `windows` window widths, as equal as possible and the wider first,
+/// that sum to `value_bits`.
+fn even_widths(value_bits: usize, windows: usize) -> impl Iterator<Item = usize> {
+    (0..windows).map(move |i| (value_bits + windows - 1 - i) / windows)
+}
+
+/// Buckets in a window of `w` bits: one for each nonzero digit.
+fn buckets_in(w: usize) -> usize {
+    (1 << w) - 1
 }
 
 impl Shape {
-    /// `windows(w)` windows of `w` bits covering `value_bits`.
-    fn new(window_bits: usize, value_bits: usize) -> Self {
+    /// The windows for folding `rows` rows of at most `value_bits` bits
+    /// into buckets of `operand_bytes` each: `value_bits` split evenly
+    /// into the window count that minimizes `rows·windows + Σ 2^(w+1)`,
+    /// the scatter's products plus the reduction's, among the counts
+    /// whose widths are at most [`WIDEST_WINDOW_BITS`] and whose buckets
+    /// fit [`BUCKET_BUDGET_BYTES`]. No bits, no windows.
+    fn for_rows(rows: usize, value_bits: usize, operand_bytes: usize) -> Self {
+        let windows = (value_bits.div_ceil(WIDEST_WINDOW_BITS)..=value_bits)
+            .filter(|&c| {
+                let buckets: usize = even_widths(value_bits, c).map(buckets_in).sum();
+                buckets * operand_bytes <= BUCKET_BUDGET_BYTES
+            })
+            .min_by_key(|&c| rows * c + even_widths(value_bits, c).map(|w| 2 << w).sum::<usize>())
+            .unwrap_or(value_bits);
         Shape {
-            window_bits,
-            windows: value_bits.div_ceil(window_bits),
+            widths: even_widths(value_bits, windows).collect(),
         }
     }
 
-    /// The window for folding `rows` rows of at most `value_bits` bits
-    /// into buckets of `operand_bytes` each: of the widths 1 to
-    /// [`WIDEST_WINDOW_BITS`] whose buckets fit [`BUCKET_BUDGET_BYTES`],
-    /// the one that minimizes `rows·windows(w) + windows(w)·2^(w+1)`,
-    /// the scatter's products plus the reduction's.
-    fn for_rows(rows: usize, value_bits: usize, operand_bytes: usize) -> Self {
-        let window_bits = (1..=WIDEST_WINDOW_BITS)
-            .filter(|&w| Shape::new(w, value_bits).buckets() * operand_bytes <= BUCKET_BUDGET_BYTES)
-            .min_by_key(|&w| {
-                let windows = Shape::new(w, value_bits).windows;
-                windows * rows + windows * (1 << (w + 1))
-            })
-            .unwrap_or(1);
-        Shape::new(window_bits, value_bits)
-    }
-
-    /// Buckets per window: one for each nonzero digit.
-    fn per_window(self) -> usize {
-        (1 << self.window_bits) - 1
-    }
-
     /// Buckets in all.
-    fn buckets(self) -> usize {
-        self.windows * self.per_window()
+    fn buckets(&self) -> usize {
+        self.widths.iter().copied().map(buckets_in).sum()
     }
 
     /// Bits of a row value the windows cover.
-    fn value_bits(self) -> usize {
-        self.windows * self.window_bits
+    fn value_bits(&self) -> usize {
+        self.widths.iter().sum()
     }
 }
 
@@ -179,7 +181,7 @@ macro_rules! on_buckets {
 
 impl SessionFold {
     /// A fold for `rows`, the values of the rows the session will fold.
-    /// The window is chosen here, once, from their number and the bit
+    /// The windows are chosen here, once, from their number and the bit
     /// length of the largest, and the buckets are allocated here; they
     /// are freed with the fold.
     pub fn new(ctx: &Montgomery, rows: &[u64]) -> Self {
@@ -208,13 +210,14 @@ impl SessionFold {
         }
     }
 
-    /// The window width in bits, chosen at construction.
-    pub fn window_bits(&self) -> usize {
-        self.shape.window_bits
+    /// The window widths in bits, least significant first, chosen at
+    /// construction: they sum to the bit length of the widest row.
+    pub fn window_bits(&self) -> &[usize] {
+        &self.shape.widths
     }
 
-    /// Heap bytes the bucket operands hold: `windows × (2^w − 1)`
-    /// operands as wide as the modulus.
+    /// Heap bytes the bucket operands hold: `2^w − 1` operands as wide as
+    /// the modulus for each window of `w` bits.
     pub fn bucket_bytes(&self) -> usize {
         self.shape.buckets() * self.ctx.width() * std::mem::size_of::<u64>()
     }
@@ -250,7 +253,7 @@ impl SessionFold {
             buckets,
         } = self;
         on_buckets!(ctx, buckets, |kr, slots| slots
-            .scatter(kr, *shape, bases, values));
+            .scatter(kr, shape, bases, values));
         *exponent_sum += values.iter().map(|&x| u128::from(x)).sum::<u128>();
         Ok(())
     }
@@ -268,7 +271,7 @@ impl SessionFold {
         } = self;
         on_buckets!(ctx, buckets, |kr, slots| slots.product(
             kr,
-            *shape,
+            shape,
             *exponent_sum
         ))
     }
@@ -276,7 +279,8 @@ impl SessionFold {
 
 /// The bucket operands of one fold, window by window: `elems[i]` holds
 /// the product of the bases scattered into bucket `i` once `filled[i]`
-/// is set. Bucket `win·(2^w − 1) + d − 1` is digit `d` of window `win`.
+/// is set. A window of `w` bits holds `2^w − 1` consecutive buckets,
+/// least significant window first; its `d − 1`-th is digit `d`.
 struct Slots<E> {
     elems: Vec<E>,
     filled: Vec<bool>,
@@ -295,47 +299,50 @@ impl<E: Clone> Slots<E> {
     fn scatter<'a, K: Kernel<Elem = E>>(
         &mut self,
         kr: &mut K,
-        shape: Shape,
+        shape: &Shape,
         bases: impl Iterator<Item = &'a Uint>,
         values: &[u64],
     ) {
-        let mask = shape.per_window() as u64;
         for (base, &x) in bases.zip(values) {
             if x == 0 {
                 continue;
             }
             let base = kr.load_raw(base);
             let (mut rest, mut window_start) = (x, 0);
-            while rest != 0 {
-                let d = (rest & mask) as usize;
+            for &w in &shape.widths {
+                if rest == 0 {
+                    break;
+                }
+                let d = (rest & buckets_in(w) as u64) as usize;
                 if d != 0 {
                     let i = window_start + d - 1;
                     accumulate(kr, &mut self.elems[i], &mut self.filled[i], &base);
                 }
-                rest >>= shape.window_bits;
-                window_start += shape.per_window();
+                rest >>= w;
+                window_start += buckets_in(w);
             }
         }
     }
 
-    /// The buckets reduced, most significant window first: `w`
-    /// squarings of the accumulator between windows, and per window the
-    /// running suffix product (Pippenger), which raises each bucket to
-    /// its digit in ≈ `2·2^w` products. `None` when no bucket is filled:
-    /// the product is 1.
-    fn reduce<K: Kernel<Elem = E>>(&self, kr: &mut K, shape: Shape) -> Option<E> {
-        let per_window = shape.per_window();
+    /// The buckets reduced, most significant window first: before each
+    /// window after the first, as many squarings of the accumulator as
+    /// that window has bits, and per window the running suffix product
+    /// (Pippenger), which raises each bucket to its digit in ≈ `2·2^w`
+    /// products. `None` when no bucket is filled: the product is 1.
+    fn reduce<K: Kernel<Elem = E>>(&self, kr: &mut K, shape: &Shape) -> Option<E> {
         let one = kr.one();
         let (mut acc, mut acc_set) = (one.clone(), false);
-        for win in (0..shape.windows).rev() {
+        let mut end = self.elems.len();
+        for &w in shape.widths.iter().rev() {
             if acc_set {
-                for _ in 0..shape.window_bits {
+                for _ in 0..w {
                     kr.square(&mut acc);
                 }
             }
+            let start = end - buckets_in(w);
             let (mut running, mut running_set) = (one.clone(), false);
             let (mut sum, mut sum_set) = (one.clone(), false);
-            for i in (win * per_window..(win + 1) * per_window).rev() {
+            for i in (start..end).rev() {
                 if self.filled[i] {
                     accumulate(kr, &mut running, &mut running_set, &self.elems[i]);
                 }
@@ -346,13 +353,14 @@ impl<E: Clone> Slots<E> {
             if sum_set {
                 accumulate(kr, &mut acc, &mut acc_set, &sum);
             }
+            end = start;
         }
         acc_set.then_some(acc)
     }
 
     /// The reduced buckets, `P·R^(−S)` in Montgomery form, times `R^S`:
     /// the ordinary value `P`.
-    fn product<K: Kernel<Elem = E>>(&self, kr: &mut K, shape: Shape, exponent_sum: u128) -> Uint {
+    fn product<K: Kernel<Elem = E>>(&self, kr: &mut K, shape: &Shape, exponent_sum: u128) -> Uint {
         let Some(mut acc) = self.reduce(kr, shape) else {
             return Uint::one();
         };
@@ -575,14 +583,29 @@ mod tests {
 
     #[test]
     fn every_window_width_agrees() {
+        // Even shapes over the rows' 32 bits at every width 1–8, uneven
+        // shapes in either order, and shapes wider than the rows.
         let c = ctx(192, 5);
         let mut rng = StdRng::seed_from_u64(6);
         let (bases, values) = rows(&c, 40, &mut rng);
         let want = straus(&c, &bases, &values);
-        for w in 1..=WIDEST_WINDOW_BITS {
-            let mut fold = SessionFold::with_shape(&c, Shape::new(w, 32));
+        let even = (4..=32).map(|windows| even_widths(32, windows).collect::<Vec<_>>());
+        let uneven = [
+            vec![1, 8, 3, 7, 5, 8],
+            vec![6, 6, 6, 7, 7],
+            vec![2, 8, 8, 8, 6],
+            vec![6; 6],
+            vec![8; 5],
+        ];
+        for widths in even.chain(uneven) {
+            let mut fold = SessionFold::with_shape(
+                &c,
+                Shape {
+                    widths: widths.clone(),
+                },
+            );
             fold.absorb(&bases, &values).unwrap();
-            assert_eq!(fold.product(), want, "window={w}");
+            assert_eq!(fold.product(), want, "widths={widths:?}");
         }
     }
 
@@ -660,13 +683,33 @@ mod tests {
     #[test]
     fn cost_model_prefers_small_windows_for_small_batches() {
         // Few rows cannot pay for many buckets; many rows take the widest
-        // window the bucket budget allows: 6 bits at 16 limbs, the 8-bit
-        // cap at 4 limbs.
-        assert!(Shape::for_rows(1, 32, 128).window_bits <= 2);
-        assert!(Shape::for_rows(10, 32, 128).window_bits <= 3);
-        assert_eq!(Shape::for_rows(2000, 32, 128).window_bits, 6);
-        assert_eq!(Shape::for_rows(1_000_000, 32, 128).window_bits, 6);
-        assert_eq!(Shape::for_rows(2000, 32, 32).window_bits, 8);
+        // windows the bucket budget allows: 7,7,6,6,6 at 16 limbs, the
+        // 8-bit cap at 4 limbs.
+        let widest = |rows, bytes| Shape::for_rows(rows, 32, bytes).widths.into_iter().max();
+        assert!(widest(1, 128) <= Some(2));
+        assert!(widest(10, 128) <= Some(3));
+        assert_eq!(Shape::for_rows(2000, 32, 128).widths, [7, 7, 6, 6, 6]);
+        assert_eq!(Shape::for_rows(1_000_000, 32, 128).widths, [7, 7, 6, 6, 6]);
+        assert_eq!(Shape::for_rows(2000, 32, 32).widths, [8, 8, 8, 8]);
+        assert_eq!(Shape::for_rows(2000, 20, 128).widths, [7, 7, 6]);
+        // Whatever the rows, the widths cover the widest row's bits
+        // exactly, differ by at most one, wider first, and fit the budget.
+        for rows in [1usize, 3, 10, 100, 2000, 100_000] {
+            for bits in [1usize, 5, 20, 32, 33, 63, 64] {
+                let shape = Shape::for_rows(rows, bits, 128);
+                assert_eq!(shape.value_bits(), bits, "rows={rows} bits={bits}");
+                assert!(shape
+                    .widths
+                    .windows(2)
+                    .all(|w| w[0] == w[1] || w[0] == w[1] + 1));
+                assert!(shape
+                    .widths
+                    .iter()
+                    .all(|&w| (1..=WIDEST_WINDOW_BITS).contains(&w)));
+                assert!(shape.buckets() * 128 <= BUCKET_BUDGET_BYTES);
+            }
+        }
+        assert!(Shape::for_rows(2000, 0, 128).widths.is_empty());
     }
 
     #[test]
@@ -690,23 +733,22 @@ mod tests {
                 last = fold.bucket_bytes();
             }
         }
-        // The paper's shape: 2000 32-bit rows at a 512-bit key, 6-bit
-        // windows over N²'s 16 limbs.
+        // The paper's shape: 2000 32-bit rows at a 512-bit key, windows
+        // of 7, 7, 6, 6 and 6 bits over N²'s 16 limbs, 56,704 bytes.
         let rows = [u64::from(u32::MAX); 2000];
         let wide = SessionFold::new(&ctx(1024, 17), &rows);
-        assert_eq!(wide.bucket_bytes(), 6 * 63 * 128);
+        assert_eq!(wide.window_bits(), [7, 7, 6, 6, 6]);
+        assert_eq!(wide.bucket_bytes(), (2 * 127 + 3 * 63) * 128);
         let narrow = SessionFold::new(&ctx(256, 18), &rows);
         assert!(narrow.bucket_bytes() < wide.bucket_bytes());
     }
 
     #[test]
-    fn query_fold_takes_at_most_six_products_a_row() {
+    fn query_fold_takes_at_most_five_and_a_quarter_products_a_row() {
         // The exact work of one query's fold at a 512-bit key: 2000 seeded
         // 32-bit rows in 100-row batches on the 16-limb kernel, the R^S
-        // correction included. The per-batch plan fold it replaced took
-        // 19,782 products on the same input (9.89 a row): each batch
-        // entered its bases with a product by R² and reduced its own
-        // buckets at 4-bit windows.
+        // correction included. DESIGN.md's kernel ledger sets it beside
+        // the counts of the folds it replaced on the same input.
         let mut rng = StdRng::seed_from_u64(2026);
         let mut n = Uint::random_bits_exact(&mut rng, 1024);
         n.set_bit(0, true);
@@ -719,25 +761,26 @@ mod tests {
             (bases, values)
         };
         let mut fold = SessionFold::new(&c, &values);
-        assert_eq!(fold.window_bits(), 6);
-        let shape = fold.shape;
+        assert_eq!(fold.window_bits(), [7, 7, 6, 6, 6]);
+        let shape = fold.shape.clone();
         let Buckets::L16(slots) = &mut fold.buckets else {
             panic!("a 1024-bit modulus runs the 16-limb kernel");
         };
         let mut kr = Counting::new(Fixed::<16, 32>::new(&c));
         for (b, v) in bases.chunks(100).zip(values.chunks(100)) {
-            slots.scatter(&mut kr, shape, b.iter(), v);
+            slots.scatter(&mut kr, &shape, b.iter(), v);
         }
         let sum = values.iter().map(|&x| u128::from(x)).sum();
-        let product = slots.product(&mut kr, shape, sum);
+        let product = slots.product(&mut kr, &shape, sum);
         assert_eq!(product, straus(&c, &bases, &values));
         let per_row = kr.products as f64 / values.len() as f64;
-        assert!(per_row <= 6.0, "{per_row:.3} products a row");
+        assert!(per_row <= 5.25, "{per_row:.3} products a row");
         assert_eq!(kr.products, EXACT_PRODUCTS);
     }
 
-    /// The pinned count of `query_fold_takes_at_most_six_products_a_row`.
-    const EXACT_PRODUCTS: usize = 11_771;
+    /// The pinned count of
+    /// `query_fold_takes_at_most_five_and_a_quarter_products_a_row`.
+    const EXACT_PRODUCTS: usize = 10_398;
 
     #[test]
     fn fixed_exponent_plan_matches_pow_mont() {

@@ -290,27 +290,9 @@ impl Uint {
 
     /// Right shift by `bits`.
     pub fn shr(&self, bits: usize) -> Uint {
-        let limb_shift = bits / LIMB_BITS;
-        if limb_shift >= self.limbs.len() {
-            return Self::zero();
-        }
-        let bit_shift = bits % LIMB_BITS;
-        let src = &self.limbs[limb_shift..];
-        let mut limbs = Vec::with_capacity(src.len());
-        if bit_shift == 0 {
-            limbs.extend_from_slice(src);
-        } else {
-            for i in 0..src.len() {
-                let lo = src[i] >> bit_shift;
-                let hi = if i + 1 < src.len() {
-                    src[i + 1] << (LIMB_BITS - bit_shift)
-                } else {
-                    0
-                };
-                limbs.push(lo | hi);
-            }
-        }
-        Self::from_limbs(limbs)
+        let mut limbs = self.limbs.clone();
+        shr_in_place(&mut limbs, bits);
+        Uint { limbs }
     }
 
     /// `self + v` for a single limb.
@@ -379,20 +361,35 @@ impl Uint {
     }
 }
 
+/// Shifts the little-endian limbs `v` right by `bits` in place and drops
+/// the zero limbs left on top.
+pub(crate) fn shr_in_place(v: &mut Vec<u64>, bits: usize) {
+    v.drain(..(bits / LIMB_BITS).min(v.len()));
+    let bits = bits % LIMB_BITS;
+    if bits != 0 {
+        for i in 1..v.len() {
+            v[i - 1] = (v[i - 1] >> bits) | (v[i] << (LIMB_BITS - bits));
+        }
+        if let Some(top) = v.last_mut() {
+            *top >>= bits;
+        }
+    }
+    while v.last() == Some(&0) {
+        v.pop();
+    }
+}
+
+/// Compares two normalized little-endian limb slices (no most-significant
+/// zero limb) as the numbers they hold.
+pub(crate) fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
+    a.len()
+        .cmp(&b.len())
+        .then_with(|| a.iter().rev().cmp(b.iter().rev()))
+}
+
 impl Ord for Uint {
     fn cmp(&self, other: &Self) -> Ordering {
-        match self.limbs.len().cmp(&other.limbs.len()) {
-            Ordering::Equal => {
-                for (a, b) in self.limbs.iter().rev().zip(other.limbs.iter().rev()) {
-                    match a.cmp(b) {
-                        Ordering::Equal => continue,
-                        ord => return ord,
-                    }
-                }
-                Ordering::Equal
-            }
-            ord => ord,
-        }
+        cmp_limbs(&self.limbs, &other.limbs)
     }
 }
 

@@ -119,6 +119,47 @@ fn batch_exact(limbs: usize, max: usize) -> impl Strategy<Value = Vec<(Uint, u64
     )
 }
 
+/// Strategy: an odd `limbs`-limb value with its top bit set, one factor
+/// of a composite modulus exactly twice as wide.
+fn factor(limbs: usize) -> impl Strategy<Value = Uint> {
+    prop::collection::vec(any::<u64>(), limbs).prop_map(move |mut l| {
+        l[0] |= 1;
+        l[limbs - 1] |= 1 << 63;
+        Uint::from_limbs(l)
+    })
+}
+
+/// Checks `Montgomery::all_coprime` over `n = f·g` against a gcd per
+/// value, for the whole slice and for each value alone. `(seed, pick)`
+/// chooses each value: the drawn seed itself (up to `2k + 1` limbs, so
+/// sometimes past `n²`), 0, a multiple of `n`, a multiple of `f`, or a
+/// `2k`-limb value just below `n²` that is coprime to `n` or shares `f`.
+fn unit_check_agrees(f: &Uint, g: &Uint, picks: &[(Uint, usize)]) -> Result<(), TestCaseError> {
+    let n = f * g;
+    let n2 = n.square();
+    let ctx = Montgomery::new(n.clone()).unwrap();
+    let values: Vec<Uint> = picks
+        .iter()
+        .map(|(seed, pick)| {
+            let small = Uint::from_u64(seed.limbs().first().map_or(1, |&l| l | 1));
+            match pick % 8 {
+                0..=2 => seed.clone(),
+                3 => Uint::zero(),
+                4 => &n * seed,
+                5 => f * seed,
+                6 => &n2 - &small,
+                _ => &n2 - &(f * &small),
+            }
+        })
+        .collect();
+    let want = values.iter().all(|v| v.gcd(&n).is_one());
+    prop_assert_eq!(ctx.all_coprime(&values), want);
+    for v in &values {
+        prop_assert_eq!(ctx.all_coprime(std::slice::from_ref(v)), v.gcd(&n).is_one());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -368,6 +409,23 @@ proptest! {
             &[p, q],
         ).unwrap();
         prop_assert_eq!(got, x);
+    }
+
+    // --- the batch check at the modulus width agrees with a gcd per value ---
+
+    #[test]
+    fn unit_check_matches_per_value_gcd(
+        cases in at_kernel_widths(|k| (
+            factor(k / 2),
+            factor(k / 2),
+            prop::collection::vec((uint(2 * k + 1), any::<usize>()), 1..6),
+        )),
+    ) {
+        // 4, 8 and 16 limbs run the fixed-width reduction, 12 the slice
+        // kernel's.
+        for (f, g, picks) in cases {
+            unit_check_agrees(&f, &g, &picks)?;
+        }
     }
 }
 

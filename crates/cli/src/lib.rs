@@ -255,7 +255,7 @@ Serve hardening: --max-concurrent caps simultaneously active sessions
 --session-timeout bounds each session's wall clock (0 disables every
 deadline); --shutdown-after drains and exits gracefully after N seconds.
 --fold precomputed (the default) folds each query into one set of
-Pippenger buckets the session holds (48 KiB at 512-bit keys), whatever
+Pippenger buckets the session holds (55 KiB at 512-bit keys), whatever
 its batch sizes, and reduces them once, at the product; incremental is
 the paper's per-row loop.
 Serve telemetry: --metrics-addr exposes GET /metrics (Prometheus text

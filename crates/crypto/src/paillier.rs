@@ -155,6 +155,9 @@ struct PublicInner {
     n_squared: Uint,
     /// Montgomery context over `N²` for encryption and homomorphic ops.
     mont: Montgomery,
+    /// Montgomery context over `N` for the batch check
+    /// ([`PaillierPublicKey::validate_batch`]).
+    mont_n: Montgomery,
     /// `N/2`, cached for signed decoding.
     half_n: Uint,
     /// The window recoding of the fixed exponent `N`, paid once per key
@@ -305,6 +308,7 @@ impl PaillierKeypair {
         let n = &p * &q;
         let n_squared = n.square();
         let mont = Montgomery::new(n_squared.clone()).map_err(keygen_error)?;
+        let mont_n = Montgomery::new(n.clone()).map_err(keygen_error)?;
         let half_n = n.shr(1);
         let n_plan = FixedExponentPlan::new(&n);
         let public = PaillierPublicKey {
@@ -312,6 +316,7 @@ impl PaillierKeypair {
                 n: n.clone(),
                 n_squared,
                 mont,
+                mont_n,
                 half_n,
                 n_plan,
             }),
@@ -414,9 +419,10 @@ impl PaillierPublicKey {
         if n.is_even() {
             return Err(CryptoError::Decode("modulus must be odd"));
         }
+        let unusable = |_| CryptoError::Decode("modulus not usable");
         let n_squared = n.square();
-        let mont = Montgomery::new(n_squared.clone())
-            .map_err(|_| CryptoError::Decode("modulus not usable"))?;
+        let mont = Montgomery::new(n_squared.clone()).map_err(unusable)?;
+        let mont_n = Montgomery::new(n.clone()).map_err(unusable)?;
         let half_n = n.shr(1);
         let n_plan = FixedExponentPlan::new(&n);
         Ok(PaillierPublicKey {
@@ -424,6 +430,7 @@ impl PaillierPublicKey {
                 n,
                 n_squared,
                 mont,
+                mont_n,
                 half_n,
                 n_plan,
             }),
@@ -729,26 +736,21 @@ impl PaillierPublicKey {
     /// Validates a batch of received values, accepting and rejecting
     /// exactly as [`PaillierPublicKey::validate`] on each would, with one
     /// gcd for the whole batch: a prime factor of `N` divides the product
-    /// of the values modulo `N²` exactly when it divides one of them. One
-    /// Montgomery product per value ([`Montgomery::mul_reduce`]) replaces
-    /// a gcd per value; the chain's result is that product up to a power
-    /// of `R = 2^(64k)`, a unit mod `N`, so its gcd with `N` is the same.
+    /// of the values modulo `N` exactly when it divides one of them.
+    /// After the range check, [`Montgomery::all_coprime`] over `N` brings
+    /// each value to `N`'s width with one Montgomery reduction and chains
+    /// one product modulo `N` per value, instead of a gcd per value.
     ///
     /// # Errors
     /// The error [`PaillierPublicKey::validate`] gives for the first
     /// failing value: a failing batch is validated value by value.
     pub fn validate_batch(&self, raws: Vec<Uint>) -> Result<Vec<Ciphertext>, CryptoError> {
-        let mont = &self.inner.mont;
         if raws
             .iter()
             .all(|raw| !raw.is_zero() && raw < &self.inner.n_squared)
+            && self.inner.mont_n.all_coprime(&raws)
         {
-            let product = raws
-                .iter()
-                .fold(Uint::one(), |acc, raw| mont.mul_reduce(&acc, raw));
-            if product.gcd(&self.inner.n).is_one() {
-                return Ok(raws.into_iter().map(Ciphertext).collect());
-            }
+            return Ok(raws.into_iter().map(Ciphertext).collect());
         }
         raws.iter().map(|raw| self.validate(raw)).collect()
     }

@@ -103,7 +103,7 @@ impl SessionTable {
     }
 
     /// Number of checkpoints evicted so far (capacity pressure plus TTL
-    /// expiry) — clean completions are not evictions.
+    /// expiry); a checkpoint taken by a `Resume` is not an eviction.
     pub fn evicted(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
     }
@@ -172,12 +172,6 @@ impl SessionTable {
         drop(inner);
         self.evicted.fetch_add(evicted, Ordering::Relaxed);
         hit
-    }
-
-    /// Drops the checkpoint for `id` after a clean completion (not
-    /// counted as an eviction).
-    pub fn remove(&self, id: u64) {
-        self.lock().map.remove(&id);
     }
 
     /// Removes expired entries; returns how many were dropped.
@@ -337,15 +331,5 @@ mod tests {
         clock.advance(Duration::from_secs(2));
         assert!(table.take(id).is_none(), "expired in virtual time");
         assert_eq!(table.evicted(), 1);
-    }
-
-    #[test]
-    fn clean_removal_is_not_an_eviction() {
-        let table = SessionTable::default();
-        let id = table.allocate();
-        table.store(id, checkpoint());
-        table.remove(id);
-        assert!(table.is_empty());
-        assert_eq!(table.evicted(), 0);
     }
 }
