@@ -57,22 +57,6 @@ impl Uint {
     pub fn count_ones(&self) -> usize {
         self.limbs().iter().map(|l| l.count_ones() as usize).sum()
     }
-
-    /// The low `bits` bits of the value (`self mod 2^bits`).
-    pub fn low_bits(&self, bits: usize) -> Uint {
-        let full = bits / 64;
-        let partial = bits % 64;
-        let mut limbs: Vec<u64> = self.limbs().iter().take(full + 1).copied().collect();
-        if limbs.len() > full {
-            limbs.truncate(full + 1);
-            if partial == 0 {
-                limbs.truncate(full);
-            } else if limbs.len() == full + 1 {
-                limbs[full] &= (1u64 << partial) - 1;
-            }
-        }
-        Uint::from_limbs(limbs)
-    }
 }
 
 #[cfg(test)]
@@ -121,18 +105,5 @@ mod tests {
         assert_eq!(Uint::zero().count_ones(), 0);
         assert_eq!(u(0xff).count_ones(), 8);
         assert_eq!(Uint::one().shl(500).count_ones(), 1);
-    }
-
-    #[test]
-    fn low_bits() {
-        let v = Uint::from_hex("ffffffffffffffffffffffffffffffff").unwrap(); // 128 ones
-        assert_eq!(v.low_bits(8), u(0xff));
-        assert_eq!(v.low_bits(64), u(u64::MAX as u128));
-        assert_eq!(v.low_bits(65), u((u64::MAX as u128) | 1 << 64));
-        assert_eq!(v.low_bits(128), v);
-        assert_eq!(v.low_bits(200), v, "wider than the value is identity");
-        assert_eq!(v.low_bits(0), Uint::zero());
-        // Equivalent to mod 2^k.
-        assert_eq!(v.low_bits(77), v.rem_of(&Uint::one().shl(77)).unwrap());
     }
 }

@@ -99,27 +99,6 @@ impl Uint {
         }
         Err(BignumError::PrimeGenerationFailed { bits })
     }
-
-    /// Generates a prime `p` with exactly `bits` bits such that
-    /// `gcd(p - 1, co) == 1` — used by Paillier key generation to keep
-    /// `N` coprime with `λ`.
-    ///
-    /// # Errors
-    /// As [`Uint::generate_prime`].
-    pub fn generate_prime_coprime(
-        rng: &mut dyn RngCore,
-        bits: usize,
-        co: &Uint,
-    ) -> Result<Uint, BignumError> {
-        let budget = 200;
-        for _ in 0..budget {
-            let p = Self::generate_prime(rng, bits)?;
-            if (&p - &Uint::one()).gcd(co).is_one() {
-                return Ok(p);
-            }
-        }
-        Err(BignumError::PrimeGenerationFailed { bits })
-    }
 }
 
 /// One Miller–Rabin round: returns `true` when `base` is *not* a witness
@@ -217,14 +196,6 @@ mod tests {
             assert!(p.is_prime(&mut r));
         }
         assert!(Uint::generate_prime(&mut r, 1).is_err());
-    }
-
-    #[test]
-    fn generate_prime_coprime() {
-        let mut r = rng();
-        let co = Uint::from_u64(3 * 5 * 7);
-        let p = Uint::generate_prime_coprime(&mut r, 32, &co).unwrap();
-        assert!((&p - &Uint::one()).gcd(&co).is_one());
     }
 
     #[test]

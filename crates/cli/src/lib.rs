@@ -83,8 +83,6 @@ pub enum Command {
         listen: String,
         /// Serve at most this many sessions, then exit (None = forever).
         max_sessions: Option<usize>,
-        /// Server fold strategy.
-        fold: FoldStrategy,
         /// Cap on simultaneously active sessions (None = unbounded).
         max_concurrent: Option<usize>,
         /// What to do with connections over the `max_concurrent` cap.
@@ -234,7 +232,6 @@ pps — private selected-sum queries over TCP
 
 USAGE:
   pps serve  --data FILE | --random N   [--listen ADDR] [--max-sessions K]
-             [--fold precomputed|incremental]
              [--max-concurrent K] [--admission queue|refuse] [--session-timeout SECS] [--shutdown-after SECS]
              [--metrics-addr HOST:PORT] [--resume-ttl SECS] [--resume-capacity K]
              [--slow-query-ms MS]
@@ -254,10 +251,9 @@ Serve hardening: --max-concurrent caps simultaneously active sessions
 (excess connections queue, or are refused with --admission refuse);
 --session-timeout bounds each session's wall clock (0 disables every
 deadline); --shutdown-after drains and exits gracefully after N seconds.
---fold precomputed (the default) folds each query into one set of
-Pippenger buckets the session holds (55 KiB at 512-bit keys), whatever
-its batch sizes, and reduces them once, at the product; incremental is
-the paper's per-row loop.
+The server folds each query into one set of Pippenger buckets (55 KiB at
+512-bit keys), allocated at the query's first batch, whatever its batch
+sizes, and reduces them once, at the product.
 Serve telemetry: --metrics-addr exposes GET /metrics (Prometheus text
 format: session lifecycle counters, wire bytes, per-phase latency
 histograms) and GET /healthz (JSON) while the server runs.
@@ -394,14 +390,6 @@ fn parse_command(sub: &str, action: Option<&str>, flags: &Flags) -> Result<Comma
                     "serve needs exactly one of --data or --random\n{USAGE}"
                 )));
             }
-            let fold = match get("fold").as_deref() {
-                None => FoldStrategy::default(),
-                Some("incremental") => FoldStrategy::Incremental,
-                Some("precomputed") => FoldStrategy::Precomputed,
-                Some(other) => {
-                    return Err(CliError::usage(format!("unknown fold strategy {other}")))
-                }
-            };
             let max_concurrent = get("max-concurrent")
                 .map(|v| {
                     v.parse::<usize>()
@@ -424,7 +412,6 @@ fn parse_command(sub: &str, action: Option<&str>, flags: &Flags) -> Result<Comma
                 max_sessions: get("max-sessions")
                     .map(|v| v.parse().map_err(|_| CliError::usage("bad --max-sessions")))
                     .transpose()?,
-                fold,
                 max_concurrent,
                 admission,
                 session_timeout: get("session-timeout")
@@ -680,8 +667,8 @@ pub fn load_values(path: &Path) -> Result<Vec<u64>, CliError> {
     Ok(values)
 }
 
-/// Runtime knobs for [`run_server`] beyond the database and fold
-/// strategy: session count, concurrency cap, deadlines, shutdown timer.
+/// Runtime knobs for [`run_server`] beyond the database: session count,
+/// concurrency cap, deadlines, shutdown timer.
 #[derive(Clone, Debug, Default)]
 pub struct ServeOptions {
     /// Serve at most this many sessions, then exit (None = forever).
@@ -724,7 +711,6 @@ pub struct ServeOptions {
 pub fn run_server(
     values: Vec<u64>,
     listen: &str,
-    fold: FoldStrategy,
     opts: &ServeOptions,
     log: &mut (dyn std::io::Write + Send),
 ) -> Result<(), CliError> {
@@ -732,7 +718,7 @@ pub fn run_server(
         pps_protocol::Database::new(values)
             .map_err(|e| CliError::runtime(format!("bad database: {e}")))?,
     );
-    let mut server = TcpServer::bind(std::sync::Arc::clone(&db), listen, fold)
+    let mut server = TcpServer::bind(std::sync::Arc::clone(&db), listen, FoldStrategy::default())
         .map_err(|e| CliError::runtime(format!("cannot bind {listen}: {e}")))?;
     if let Some(limits) = opts.limits.clone() {
         server = server.with_limits(limits);
@@ -788,11 +774,7 @@ pub fn run_server(
     } else {
         ""
     };
-    let _ = writeln!(
-        log,
-        "serving {} rows on {local} ({fold:?}){shard_tag}",
-        db.len()
-    );
+    let _ = writeln!(log, "serving {} rows on {local}{shard_tag}", db.len());
     if let Some(metrics) = &metrics {
         let _ = writeln!(log, "metrics on http://{}/metrics", metrics.addr());
     }
@@ -1212,7 +1194,6 @@ pub fn run(args: &[String], out: &mut (dyn std::io::Write + Send)) -> Result<(),
             random,
             listen,
             max_sessions,
-            fold,
             max_concurrent,
             admission,
             session_timeout,
@@ -1255,7 +1236,7 @@ pub fn run(args: &[String], out: &mut (dyn std::io::Write + Send)) -> Result<(),
                 shard_only: shard,
                 slow_query_threshold: slow_query_ms.map(Duration::from_millis),
             };
-            run_server(values, &listen, fold, &opts, out)
+            run_server(values, &listen, &opts, out)
         }
         Command::MultiClient {
             data,
@@ -1335,10 +1316,7 @@ mod tests {
 
     #[test]
     fn parse_serve() {
-        let c = parse_args(&args(
-            "serve --random 100 --listen 0.0.0.0:9 --fold incremental",
-        ))
-        .unwrap();
+        let c = parse_args(&args("serve --random 100 --listen 0.0.0.0:9")).unwrap();
         assert_eq!(
             c,
             Command::Serve {
@@ -1346,7 +1324,6 @@ mod tests {
                 random: Some(100),
                 listen: "0.0.0.0:9".into(),
                 max_sessions: None,
-                fold: FoldStrategy::Incremental,
                 max_concurrent: None,
                 admission: Admission::Queue,
                 session_timeout: None,
@@ -1358,30 +1335,15 @@ mod tests {
                 slow_query_ms: None,
             }
         );
-        match parse_args(&args("serve --random 8 --fold precomputed")).unwrap() {
-            Command::Serve { fold, .. } => assert_eq!(fold, FoldStrategy::Precomputed),
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&args("serve --random 8")).unwrap() {
-            Command::Serve { fold, .. } => {
-                assert_eq!(
-                    fold,
-                    FoldStrategy::Precomputed,
-                    "serve defaults to the bucket fold"
-                )
-            }
-            other => panic!("{other:?}"),
-        }
         assert!(parse_args(&args("serve")).is_err(), "needs a data source");
         assert!(
             parse_args(&args("serve --data f --random 5")).is_err(),
             "not both"
         );
-        for fold in ["bogus", "multiexp", "parallel"] {
-            let err = parse_args(&args(&format!("serve --random 5 --fold {fold}"))).unwrap_err();
-            assert_eq!(err.code, 2);
-            assert!(err.message.contains(fold), "{}", err.message);
-        }
+        // One fold: the removed `--fold` is refused as an unread flag.
+        let err = parse_args(&args("serve --random 5 --fold incremental")).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("--fold"), "{}", err.message);
     }
 
     #[test]
@@ -1534,30 +1496,20 @@ mod tests {
 
     #[test]
     fn parse_shard_serve() {
-        match parse_args(&args("shard-serve --random 16 --fold incremental")).unwrap() {
-            Command::Serve { shard, fold, .. } => {
+        match parse_args(&args("shard-serve --random 16 --max-sessions 3")).unwrap() {
+            Command::Serve {
+                shard,
+                max_sessions,
+                ..
+            } => {
                 assert!(shard, "shard-serve sets the worker flag");
-                assert_eq!(fold, FoldStrategy::Incremental, "shares serve's flags");
+                assert_eq!(max_sessions, Some(3), "shares serve's flags");
             }
             other => panic!("{other:?}"),
         }
-        for fold in ["multiexp", "parallel"] {
-            let err =
-                parse_args(&args(&format!("shard-serve --random 16 --fold {fold}"))).unwrap_err();
-            assert_eq!(err.code, 2);
-            assert!(err.message.contains(fold), "{}", err.message);
-        }
-        match parse_args(&args("shard-serve --random 16")).unwrap() {
-            Command::Serve { shard, fold, .. } => {
-                assert!(shard);
-                assert_eq!(
-                    fold,
-                    FoldStrategy::Precomputed,
-                    "shard workers default to the bucket fold"
-                );
-            }
-            other => panic!("{other:?}"),
-        }
+        let err = parse_args(&args("shard-serve --random 16 --fold incremental")).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("--fold"), "{}", err.message);
         match parse_args(&args("serve --random 16")).unwrap() {
             Command::Serve { shard, .. } => assert!(!shard),
             other => panic!("{other:?}"),

@@ -62,11 +62,6 @@ impl ParallelEncryptor {
         self
     }
 
-    /// Wraps `key` with one worker per available hardware core.
-    pub fn with_host_parallelism(key: PaillierPublicKey) -> Self {
-        Self::new(key, host_parallelism())
-    }
-
     /// The worker-thread count this encryptor uses.
     pub fn threads(&self) -> usize {
         self.threads
@@ -113,20 +108,6 @@ impl ParallelEncryptor {
         let ms: Vec<Uint> = weights.iter().map(|&w| Uint::from_u64(w)).collect();
         self.encrypt_batch(&ms, rng)
     }
-
-    /// Draws `count` precomputed `r^N mod N²` factors. See
-    /// [`PaillierPublicKey::sample_randomizers_parallel`].
-    ///
-    /// # Errors
-    /// As [`PaillierPublicKey::sample_randomizer`].
-    pub fn sample_randomizers(
-        &self,
-        count: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<Uint>, CryptoError> {
-        self.key
-            .sample_randomizers_parallel(count, self.threads, rng)
-    }
 }
 
 /// Worker threads available on this host (`1` when the query fails).
@@ -167,7 +148,7 @@ mod tests {
     #[test]
     fn weights_round_trip_in_order() {
         let kp = keypair();
-        let enc = ParallelEncryptor::with_host_parallelism(kp.public.clone());
+        let enc = ParallelEncryptor::new(kp.public.clone(), host_parallelism());
         assert!(enc.threads() >= 1);
         let weights: Vec<u64> = (0..33).map(|i| i * 7).collect();
         let cts = enc
@@ -210,9 +191,9 @@ mod tests {
     #[test]
     fn pooled_randomizers_encrypt() {
         let kp = keypair();
-        let enc = ParallelEncryptor::new(kp.public.clone(), 2);
-        let rns = enc
-            .sample_randomizers(9, &mut StdRng::seed_from_u64(7))
+        let rns = kp
+            .public
+            .sample_randomizers_parallel(9, 2, &mut StdRng::seed_from_u64(7))
             .unwrap();
         assert_eq!(rns.len(), 9);
         for (i, rn) in rns.iter().enumerate() {

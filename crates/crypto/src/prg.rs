@@ -40,13 +40,6 @@ impl CtrPrg {
         }
     }
 
-    /// Returns the next `n` pseudorandom bytes.
-    pub fn next_bytes(&mut self, n: usize) -> Vec<u8> {
-        let mut v = vec![0u8; n];
-        self.fill(&mut v);
-        v
-    }
-
     fn refill(&mut self) {
         let mut h = Sha256::new();
         h.update(&self.seed);
@@ -86,32 +79,37 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = CtrPrg::new(b"seed").next_bytes(100);
-        let b = CtrPrg::new(b"seed").next_bytes(100);
+        let (mut a, mut b) = ([0u8; 100], [0u8; 100]);
+        CtrPrg::new(b"seed").fill(&mut a);
+        CtrPrg::new(b"seed").fill(&mut b);
         assert_eq!(a, b);
     }
 
     #[test]
     fn seed_sensitivity() {
-        let a = CtrPrg::new(b"seed-a").next_bytes(32);
-        let b = CtrPrg::new(b"seed-b").next_bytes(32);
+        let (mut a, mut b) = ([0u8; 32], [0u8; 32]);
+        CtrPrg::new(b"seed-a").fill(&mut a);
+        CtrPrg::new(b"seed-b").fill(&mut b);
         assert_ne!(a, b);
     }
 
     #[test]
     fn chunking_irrelevant() {
-        let mut one = CtrPrg::new(b"x");
-        let whole = one.next_bytes(100);
+        let mut whole = [0u8; 100];
+        CtrPrg::new(b"x").fill(&mut whole);
+        let mut pieces = [0u8; 100];
         let mut two = CtrPrg::new(b"x");
-        let mut pieces = two.next_bytes(33);
-        pieces.extend(two.next_bytes(67));
+        let (head, tail) = pieces.split_at_mut(33);
+        two.fill(head);
+        two.fill(tail);
         assert_eq!(whole, pieces);
     }
 
     #[test]
     fn output_is_balanced() {
         // Crude sanity check: bit frequency near 50% over 64 KiB.
-        let bytes = CtrPrg::new(b"balance").next_bytes(65_536);
+        let mut bytes = vec![0u8; 65_536];
+        CtrPrg::new(b"balance").fill(&mut bytes);
         let ones: u64 = bytes.iter().map(|b| b.count_ones() as u64).sum();
         let total = 65_536 * 8;
         let ratio = ones as f64 / total as f64;

@@ -123,17 +123,6 @@ impl Registry {
         self.counter_with(name, help, &[])
     }
 
-    /// Get-or-create a counter with one `key="value"` label.
-    pub fn counter_with_label(
-        &self,
-        name: &str,
-        help: &str,
-        key: &str,
-        value: &str,
-    ) -> Arc<Counter> {
-        self.counter_with(name, help, &[(key, value)])
-    }
-
     fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         self.series(
             name,
@@ -391,9 +380,9 @@ mod tests {
         let b = registry.counter("pps_test_total", "other help ignored");
         a.add(3);
         assert_eq!(b.get(), 3, "same underlying atomic");
-        let la = registry.counter_with_label("pps_labelled_total", "h", "phase", "comm");
-        let lb = registry.counter_with_label("pps_labelled_total", "h", "phase", "comm");
-        let lc = registry.counter_with_label("pps_labelled_total", "h", "phase", "fold");
+        let la = registry.counter_with("pps_labelled_total", "h", &[("phase", "comm")]);
+        let lb = registry.counter_with("pps_labelled_total", "h", &[("phase", "comm")]);
+        let lc = registry.counter_with("pps_labelled_total", "h", &[("phase", "fold")]);
         la.inc();
         assert_eq!(lb.get(), 1);
         assert_eq!(lc.get(), 0, "different label, different series");
@@ -501,7 +490,7 @@ mod tests {
     fn label_values_are_escaped() {
         let registry = Registry::new();
         registry
-            .counter_with_label("pps_esc_total", "h", "k", "a\"b\\c")
+            .counter_with("pps_esc_total", "h", &[("k", "a\"b\\c")])
             .inc();
         let text = registry.render_prometheus();
         assert!(text.contains(r#"pps_esc_total{k="a\"b\\c"} 1"#));

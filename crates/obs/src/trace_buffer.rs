@@ -132,17 +132,6 @@ impl TraceBuffer {
         Some(out)
     }
 
-    /// Ids of the currently held traces, oldest first.
-    pub fn trace_ids(&self) -> Vec<u128> {
-        self.inner
-            .lock()
-            .expect("trace buffer lock")
-            .traces
-            .iter()
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
     /// Whole traces evicted so far to admit newer ones.
     pub fn traces_evicted(&self) -> u64 {
         self.inner.lock().expect("trace buffer lock").traces_evicted
@@ -178,6 +167,12 @@ mod tests {
     use super::*;
     use crate::span::Phase;
 
+    /// Ids of the held traces, oldest first.
+    fn trace_ids(buf: &TraceBuffer) -> Vec<u128> {
+        let inner = buf.inner.lock().unwrap();
+        inner.traces.iter().map(|(id, _)| *id).collect()
+    }
+
     fn traced_span(trace_id: u128, name: &str, start: u64) -> SpanRecord {
         SpanRecord {
             name: name.into(),
@@ -207,7 +202,7 @@ mod tests {
             detail: String::new(),
             trace: Some(TraceContext::new(2, 7)),
         });
-        assert_eq!(buf.trace_ids(), vec![1, 2]);
+        assert_eq!(trace_ids(&buf), vec![1, 2]);
         assert_eq!(buf.records(1).unwrap().len(), 2);
         assert_eq!(buf.records(2).unwrap().len(), 2);
         assert_eq!(buf.records(3), None);
@@ -219,7 +214,7 @@ mod tests {
         buf.record_span(traced_span(1, "a", 0));
         buf.record_span(traced_span(2, "b", 0));
         buf.record_span(traced_span(3, "c", 0));
-        assert_eq!(buf.trace_ids(), vec![2, 3], "trace 1 evicted");
+        assert_eq!(trace_ids(&buf), vec![2, 3], "trace 1 evicted");
         assert_eq!(buf.traces_evicted(), 1);
         buf.record_span(traced_span(2, "d", 1));
         buf.record_span(traced_span(2, "over", 2));

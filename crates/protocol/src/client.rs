@@ -9,7 +9,6 @@ use std::time::{Duration, Instant};
 
 use pps_bignum::Uint;
 use pps_crypto::{BitEncryptionPool, Ciphertext, CryptoError, PaillierKeypair, RandomizerPool};
-use pps_obs::TraceContext;
 use pps_transport::{Frame, Wire};
 use rand::RngCore;
 
@@ -136,19 +135,6 @@ impl SumClient {
         batch_size: usize,
         source: &mut IndexSource<'_>,
     ) -> Result<ClientSendStats, ProtocolError> {
-        self.send_query_traced(wire, selection, batch_size, source, None)
-    }
-
-    /// [`SumClient::send_query`] announcing `trace` on the `Hello`
-    /// trailer; `None` sends the byte-identical untraced frame.
-    pub(crate) fn send_query_traced(
-        &self,
-        wire: &mut dyn Wire,
-        selection: &Selection,
-        batch_size: usize,
-        source: &mut IndexSource<'_>,
-        trace: Option<TraceContext>,
-    ) -> Result<ClientSendStats, ProtocolError> {
         if batch_size == 0 {
             return Err(ProtocolError::Config("batch size must be positive".into()));
         }
@@ -159,7 +145,7 @@ impl SumClient {
             modulus: self.keypair.public.n().clone(),
             total: selection.len() as u64,
             batch_size: batch_size.min(u32::MAX as usize) as u32,
-            trace,
+            trace: None,
         };
         wire.send(hello.encode()?)?;
         self.stream_batches(wire, selection, batch_size, source, 0)

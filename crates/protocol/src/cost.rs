@@ -63,14 +63,6 @@ impl CostModel {
         }
     }
 
-    /// As [`CostModel::paper_cpp`] plus the paper's Java factor (used for
-    /// Fig. 9, whose numbers come from the Java implementation).
-    pub fn paper_java(key: &PaillierPublicKey, rng: &mut dyn RngCore) -> Self {
-        let mut m = Self::paper_cpp(key, rng);
-        m.language_factor = JAVA_SLOWDOWN;
-        m
-    }
-
     /// Combined compute scale factor.
     pub fn factor(&self) -> f64 {
         self.cpu_slowdown * self.language_factor

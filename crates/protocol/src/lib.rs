@@ -23,10 +23,6 @@
 //! the four-component timing breakdown its figures plot:
 //!
 //! * [`run_basic`] — §3.1, the direct implementation;
-//! * [`run_basic_parallel`] / [`run_batched_parallel`] — the same
-//!   protocols with multi-core client-side encryption
-//!   (`IndexSource::FreshParallel`), the engineering answer to the
-//!   client bottleneck the paper measures;
 //! * [`run_batched`] — §3.2, chunked streaming with pipeline overlap;
 //! * [`run_preprocessed`] — §3.3, offline `E(0)`/`E(1)` pools;
 //! * [`run_combined`] — §3.4, both;
@@ -42,7 +38,9 @@
 //!   query over a real socket, re-issued with exponential backoff on
 //!   transient transport failures, resuming from the server's last
 //!   acknowledged batch when a checkpoint survives
-//!   ([`SessionTable`], PROTOCOL.md §10);
+//!   ([`SessionTable`], PROTOCOL.md §10); [`run_tcp_query_observed`]
+//!   runs the same attempt loop and records the paper's client-side
+//!   phases (PROTOCOL.md §9.1);
 //! * [`run_sharded_query`] — §3.5 over real sockets: `k` concurrent
 //!   shard legs, each answering with a correlated-blinded partial that
 //!   the client combines mod `M` (PROTOCOL.md §11), with per-leg
@@ -96,8 +94,8 @@ pub use perturb::{flip_probability_for_epsilon, run_randomized_response, Perturb
 pub use report::{RunReport, Variant};
 pub use resume::{ResumptionConfig, SessionTable};
 pub use run::{
-    run_basic, run_basic_parallel, run_batched, run_batched_parallel, run_combined,
-    run_download_baseline, run_plain_baseline, run_preprocessed, run_weighted, RunConfig,
+    run_basic, run_batched, run_combined, run_download_baseline, run_plain_baseline,
+    run_preprocessed, run_weighted, RunConfig,
 };
 pub use server::{FoldCheckpoint, FoldStrategy, ServerSession, ServerStats};
 pub use shard::{
@@ -105,8 +103,8 @@ pub use shard::{
     LegSeeds, ShardLegReport, ShardQueryConfig, ShardQueryOutcome, MIN_BLINDING_KEY_BITS,
 };
 pub use tcp_client::{
-    run_stream_query_with_resume, run_tcp_query, run_tcp_query_observed, run_tcp_query_with_retry,
-    TcpQueryConfig, TcpQueryOutcome,
+    run_stream_query_with_resume, run_tcp_query_observed, run_tcp_query_with_retry, TcpQueryConfig,
+    TcpQueryOutcome,
 };
 pub use tcp_server::{
     Admission, AggregateStats, SessionDeadline, SessionEvent, SessionLimits, ShutdownHandle,

@@ -122,11 +122,6 @@ impl RunReport {
             .unwrap_or_else(|| self.total_sequential())
     }
 
-    /// End-to-end cost including offline preprocessing.
-    pub fn total_with_offline(&self) -> Duration {
-        self.total_online() + self.client_offline
-    }
-
     /// The report as a JSON object — the workspace's one serialized
     /// report shape, shared by the CLI's `--trace json` output and the
     /// bench harness's `BENCH_*.json` files. Durations are fractional
@@ -212,7 +207,6 @@ mod tests {
         let r = report();
         assert_eq!(r.total_sequential(), Duration::from_millis(7010));
         assert_eq!(r.total_online(), r.total_sequential());
-        assert_eq!(r.total_with_offline(), Duration::from_millis(16_010));
     }
 
     #[test]

@@ -213,40 +213,6 @@ pub fn run_basic(
     )
 }
 
-/// [`run_basic`] with the client's index-vector encryption spread
-/// across up to `client_threads` worker threads (the multi-core attack
-/// on the paper's measured bottleneck; see
-/// `PaillierPublicKey::encrypt_batch_parallel`). `client_threads = 1`
-/// reproduces the paper-fidelity sequential path, which the figure
-/// harness pins for fig2–fig7.
-///
-/// # Errors
-/// As [`run_basic`].
-pub fn run_basic_parallel(
-    db: &Database,
-    selection: &Selection,
-    client: &SumClient,
-    link: LinkProfile,
-    client_threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<RunReport, ProtocolError> {
-    let config = RunConfig::unbatched(link);
-    let mut source = IndexSource::FreshParallel {
-        rng,
-        threads: client_threads,
-    };
-    run_private(
-        Variant::Basic,
-        db,
-        selection,
-        client,
-        &config,
-        &mut source,
-        Duration::ZERO,
-        false,
-    )
-}
-
 /// §3.2 — batching / pipeline parallelism: the index vector is processed
 /// and shipped in chunks (the paper uses 100), and the report's
 /// `pipelined_total` holds the overlapped makespan.
@@ -263,40 +229,6 @@ pub fn run_batched(
 ) -> Result<RunReport, ProtocolError> {
     let config = RunConfig::batched(link, batch_size);
     let mut source = IndexSource::Fresh(rng);
-    run_private(
-        Variant::Batched,
-        db,
-        selection,
-        client,
-        &config,
-        &mut source,
-        Duration::ZERO,
-        true,
-    )
-}
-
-/// [`run_batched`] with up to `client_threads` worker threads encrypting
-/// each chunk — the §3.2 pipeline (chunks overlap the wire) composed
-/// with intra-chunk multi-core encryption. `client_threads = 1`
-/// reproduces the paper-fidelity sequential path.
-///
-/// # Errors
-/// As [`run_basic`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_batched_parallel(
-    db: &Database,
-    selection: &Selection,
-    client: &SumClient,
-    link: LinkProfile,
-    batch_size: usize,
-    client_threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<RunReport, ProtocolError> {
-    let config = RunConfig::batched(link, batch_size);
-    let mut source = IndexSource::FreshParallel {
-        rng,
-        threads: client_threads,
-    };
     run_private(
         Variant::Batched,
         db,
@@ -571,37 +503,6 @@ mod tests {
         assert_eq!(r.result, db.oracle_sum(&sel).unwrap());
         // 60/10 batches + hello + product.
         assert_eq!(r.messages, 8);
-    }
-
-    #[test]
-    fn parallel_runners_match_oracle_all_thread_counts() {
-        let (db, sel, client, mut rng) = setup(30);
-        let expected = db.oracle_sum(&sel).unwrap();
-        for threads in [1usize, 2, 4] {
-            let basic = run_basic_parallel(
-                &db,
-                &sel,
-                &client,
-                LinkProfile::gigabit_lan(),
-                threads,
-                &mut rng,
-            )
-            .unwrap();
-            assert_eq!(basic.result, expected, "basic threads={threads}");
-            assert_eq!(basic.variant, Variant::Basic);
-            let batched = run_batched_parallel(
-                &db,
-                &sel,
-                &client,
-                LinkProfile::gigabit_lan(),
-                7,
-                threads,
-                &mut rng,
-            )
-            .unwrap();
-            assert_eq!(batched.result, expected, "batched threads={threads}");
-            assert!(batched.pipelined_total.is_some());
-        }
     }
 
     #[test]

@@ -41,9 +41,10 @@ enum State {
         /// the paper's loop; under the bucket fold, the rows folded before
         /// a resume, the rest waiting in `fold`.
         accumulator: Ciphertext,
-        /// The bucket fold of the rows since `Hello` (or the resume);
-        /// `None` under the paper's loop. Boxed: it is most of the
-        /// state's size.
+        /// The bucket fold of the rows since `Hello` (or the resume),
+        /// allocated when the first batch after either arrives; `None`
+        /// before it and under the paper's loop. Boxed: it is most of
+        /// the state's size.
         fold: Option<Box<CiphertextFold>>,
         /// Next database row to consume.
         cursor: usize,
@@ -88,7 +89,8 @@ pub struct FoldCheckpoint {
 }
 
 /// How a session folds each batch of `E(I_i)` into its product: the
-/// choice [`crate::TcpServer::bind`] and `pps serve --fold` make.
+/// choice [`crate::TcpServer::bind`] and [`ServerSession::with_fold`]
+/// make.
 ///
 /// Both folds produce the same product bytes, so the choice never shows
 /// on the wire, in checkpoints or in shard blinding.
@@ -113,9 +115,11 @@ pub enum FoldStrategy {
 ///
 /// Batches fold with the session's [`FoldStrategy`]. Under
 /// [`FoldStrategy::Precomputed`] the session holds one set of buckets
-/// from `Hello` to the product and reduces them once, with the last
-/// batch; [`ServerSession::checkpoint`] reduces them into a snapshot
-/// mid-stream without consuming them.
+/// from its first batch to the product and reduces them once, with the
+/// last batch; [`ServerSession::checkpoint`] reduces them into a
+/// snapshot mid-stream without consuming them. A session past `Hello`
+/// (or a resume) holds no buckets until a batch arrives, so a client
+/// that stalls there pins no bucket memory.
 pub struct ServerSession<'db> {
     db: &'db Database,
     state: State,
@@ -138,8 +142,8 @@ impl<'db> ServerSession<'db> {
     }
 
     /// Creates a session over `db` that folds with `fold`. Under
-    /// [`FoldStrategy::Precomputed`] the buckets are allocated once
-    /// `Hello` has passed its checks and freed with the product.
+    /// [`FoldStrategy::Precomputed`] the buckets are allocated when the
+    /// first batch arrives and freed with the product.
     pub fn with_fold(db: &'db Database, fold: FoldStrategy) -> Self {
         ServerSession {
             db,
@@ -161,11 +165,6 @@ impl<'db> ServerSession<'db> {
     /// Statistics so far.
     pub fn stats(&self) -> &ServerStats {
         &self.stats
-    }
-
-    /// How this session folds its batches.
-    pub fn fold_strategy(&self) -> FoldStrategy {
-        self.fold
     }
 
     /// True once the product has been produced.
@@ -228,7 +227,8 @@ impl<'db> ServerSession<'db> {
     /// one) is rejected rather than folded forward. It snapshots only the
     /// homomorphic product and the stream position, so a checkpoint taken
     /// under either fold resumes soundly under the other. The bucket fold
-    /// chooses its window for the rows that remain.
+    /// allocates its buckets, with a window chosen for the rows that
+    /// remain, when the first batch after the resume arrives.
     ///
     /// # Errors
     /// [`ProtocolError::Config`] when the checkpoint's announced total
@@ -254,8 +254,6 @@ impl<'db> ServerSession<'db> {
                 "checkpoint cursor out of bounds",
             ));
         }
-        let buckets = (fold == FoldStrategy::Precomputed)
-            .then(|| Box::new(cp.key.session_fold(&db.values()[cp.cursor..])));
         Ok(ServerSession {
             db,
             state: State::Receiving {
@@ -263,7 +261,7 @@ impl<'db> ServerSession<'db> {
                 expected: cp.expected,
                 batch_size: cp.batch_size,
                 accumulator: cp.accumulator,
-                fold: buckets,
+                fold: None,
                 cursor: cp.cursor,
                 next_seq: cp.next_seq,
             },
@@ -365,11 +363,9 @@ impl<'db> ServerSession<'db> {
             let product = key.identity();
             return Ok(Some(self.finalize(&key, product)?));
         }
-        let fold = (self.fold == FoldStrategy::Precomputed)
-            .then(|| Box::new(key.session_fold(self.db.values())));
         self.state = State::Receiving {
             accumulator: key.identity(),
-            fold,
+            fold: None,
             key,
             expected: hello.total,
             batch_size: hello.batch_size,
@@ -435,6 +431,11 @@ impl<'db> ServerSession<'db> {
         }
         *next_seq += 1;
 
+        if self.fold == FoldStrategy::Precomputed && fold.is_none() {
+            // The first batch since `Hello` or the resume: the buckets
+            // cover every row that remains.
+            *fold = Some(Box::new(key.session_fold(&self.db.values()[*cursor..])));
+        }
         let start = Instant::now();
         let rows = &self.db.values()[*cursor..*cursor + batch.ciphertexts.len()];
         match fold {
@@ -903,7 +904,7 @@ mod tests {
         // buckets; a one-row batch costs only its scatter.
         let (kp, db, mut rng) = setup();
         let mut s = ServerSession::with_fold(&db, FoldStrategy::Precomputed);
-        assert_eq!(s.fold_strategy(), FoldStrategy::Precomputed);
+        assert_eq!(s.fold, FoldStrategy::Precomputed);
         s.on_frame(&hello(&kp, 5, 2)).unwrap();
         s.on_frame(&batch_frame(&kp, 0, &[1, 0], &mut rng)).unwrap();
         s.on_frame(&batch_frame(&kp, 1, &[0, 1], &mut rng)).unwrap();
@@ -941,7 +942,7 @@ mod tests {
 
         let mut resumed =
             ServerSession::resume(&db, FoldStrategy::Precomputed, cp.clone()).unwrap();
-        assert_eq!(resumed.fold_strategy(), FoldStrategy::Precomputed);
+        assert_eq!(resumed.fold, FoldStrategy::Precomputed);
         resumed
             .on_frame(&batch_frame(&kp, 1, &[0, 0], &mut rng))
             .unwrap();
@@ -962,6 +963,40 @@ mod tests {
             ServerSession::resume(&other, FoldStrategy::Precomputed, cp),
             Err(ProtocolError::Config(_))
         ));
+    }
+
+    #[test]
+    fn buckets_are_allocated_at_the_first_batch() {
+        // A client that stalls after `Hello`, or after a resume, must pin
+        // no bucket memory (PROTOCOL.md §8).
+        let (kp, db, mut rng) = setup();
+        let holds_buckets =
+            |s: &ServerSession<'_>| matches!(&s.state, State::Receiving { fold: Some(_), .. });
+        let mut s = ServerSession::with_fold(&db, FoldStrategy::Precomputed);
+        s.on_frame(&hello(&kp, 5, 2)).unwrap();
+        assert!(!holds_buckets(&s), "past Hello, no batch yet");
+        s.on_frame(&batch_frame(&kp, 0, &[1, 1], &mut rng)).unwrap();
+        assert!(holds_buckets(&s), "the first batch allocates them");
+        let cp = s.checkpoint().unwrap();
+        drop(s);
+
+        let mut resumed = ServerSession::resume(&db, FoldStrategy::Precomputed, cp).unwrap();
+        assert!(!holds_buckets(&resumed), "resumed, no batch yet");
+        resumed
+            .on_frame(&batch_frame(&kp, 1, &[0, 0], &mut rng))
+            .unwrap();
+        assert!(holds_buckets(&resumed));
+        let reply = resumed
+            .on_frame(&batch_frame(&kp, 2, &[1], &mut rng))
+            .unwrap()
+            .unwrap();
+        assert!(!holds_buckets(&resumed), "freed with the product");
+        let product = Product::decode(&reply, &kp.public).unwrap();
+        // Rows 0, 1, 4 → 10 + 20 + 50.
+        assert_eq!(
+            kp.secret.decrypt(&product.ciphertext).unwrap().to_u64(),
+            Some(80)
+        );
     }
 
     #[test]
@@ -999,10 +1034,7 @@ mod tests {
     fn serving_defaults_to_the_plan_while_new_keeps_the_papers_loop() {
         let (_, db, _) = setup();
         assert_eq!(FoldStrategy::default(), FoldStrategy::Precomputed);
-        assert_eq!(
-            ServerSession::new(&db).fold_strategy(),
-            FoldStrategy::Incremental
-        );
+        assert_eq!(ServerSession::new(&db).fold, FoldStrategy::Incremental);
     }
 
     #[test]

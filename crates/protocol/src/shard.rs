@@ -56,7 +56,7 @@ use crate::error::ProtocolError;
 use crate::messages::{ShardHello, SizeReply, SizeRequest};
 use crate::obs::ShardObs;
 use crate::tcp_client::{
-    run_stream_query_raw, LegTrace, PresetQuery, RawQueryOutcome, TcpQueryConfig,
+    run_stream_query_raw, PresetQuery, QueryTrace, RawQueryOutcome, TcpQueryConfig,
 };
 
 /// Width in bytes of each pairwise blinding seed the dealer draws.
@@ -218,9 +218,10 @@ where
         n: plan.rows,
         selection: Selection::from_indices(plan.rows, &plan.local)?,
     };
-    let leg_trace = tracer.map(|tracer| LegTrace {
+    let trace = tracer.map(|tracer| QueryTrace {
         tracer,
-        leg: plan.leg as u64,
+        session: Some(plan.leg as u64),
+        obs: None,
     });
     let mut first = Some(plan.wire);
     let inner = &mut plan.connect;
@@ -244,7 +245,7 @@ where
         config,
         &mut rng,
         Some(preset),
-        leg_trace.as_ref(),
+        trace.as_ref(),
     )
 }
 

@@ -1,13 +1,14 @@
 //! Fault-tolerant TCP query client.
 //!
-//! [`run_tcp_query`] executes one complete private selected-sum query
-//! against a listening [`TcpServer`](crate::TcpServer): connect, size
-//! discovery, encrypted index stream, product decryption — all under
-//! configurable read/write deadlines. [`run_tcp_query_with_retry`] wraps
-//! it in a [`RetryPolicy`]: any *transport*-level failure (refused
-//! connect, disconnect mid-query, expired deadline) is retried from
-//! scratch after an exponentially backed-off, deterministically
-//! jittered sleep.
+//! [`run_tcp_query_with_retry`] executes one complete private
+//! selected-sum query against a listening [`TcpServer`](crate::TcpServer):
+//! connect, size discovery, encrypted index stream, product decryption —
+//! all under configurable read/write deadlines — and retries any
+//! *transport*-level failure (refused connect, disconnect mid-query,
+//! expired deadline) under a [`RetryPolicy`], after an exponentially
+//! backed-off, deterministically jittered sleep.
+//! [`run_tcp_query_observed`] runs the same loop and records the paper's
+//! client-side phases of the successful attempt (PROTOCOL.md §9.1).
 //!
 //! **Resume first, re-issue second.** The server acknowledges every
 //! `Hello` with a session ID and checkpoints its fold state when the
@@ -41,7 +42,7 @@ use pps_transport::{
 };
 use rand::RngCore;
 
-use crate::client::{IndexSource, SumClient};
+use crate::client::{ClientSendStats, IndexSource, SumClient};
 use crate::data::Selection;
 use crate::error::ProtocolError;
 use crate::messages::{Hello, HelloAck, Resume, ResumeAck, SizeReply, SizeRequest};
@@ -131,6 +132,25 @@ pub(crate) struct RawQueryOutcome {
     pub(crate) attempt_payload_bytes: Vec<usize>,
 }
 
+impl RawQueryOutcome {
+    /// The outcome of an unblinded query, whose sum fits `u128`.
+    fn into_outcome(self) -> Result<TcpQueryOutcome, ProtocolError> {
+        let sum = self
+            .sum
+            .to_u128()
+            .ok_or_else(|| ProtocolError::Config("sum exceeds 128 bits".into()))?;
+        Ok(TcpQueryOutcome {
+            sum,
+            n: self.n,
+            selected: self.selected,
+            traffic: self.traffic,
+            retry: self.retry,
+            resumed_attempts: self.resumed_attempts,
+            attempt_payload_bytes: self.attempt_payload_bytes,
+        })
+    }
+}
+
 /// A query whose size and selection are already known, so the attempt
 /// loop skips size discovery. A shard leg uses this: the fan-out engine
 /// discovers every shard's row count up front (it needs the global
@@ -141,44 +161,59 @@ pub(crate) struct PresetQuery {
     pub(crate) selection: Selection,
 }
 
-/// Client-side span instrumentation for one shard leg: the tracer the
-/// leg's phase spans go through (usually context-stamped by the traced
-/// fan-out) and the leg index used as their session tag.
-pub(crate) struct LegTrace<'a> {
+/// Client-side instrumentation of the attempt loop: PROTOCOL.md §9.1's
+/// client span set for the successful attempt and, for a traced
+/// `pps query`, its histograms and counters. The traced single-server
+/// query ([`run_tcp_query_observed`]) and the traced shard legs both
+/// use it.
+pub(crate) struct QueryTrace<'a> {
+    /// Where the spans go (context-stamped when the query is traced).
     pub(crate) tracer: &'a Tracer,
-    pub(crate) leg: u64,
+    /// Session tag on every span: the leg index of a shard leg, `None`
+    /// for a single server.
+    pub(crate) session: Option<u64>,
+    /// The phase histograms, retry counters and wire counters of
+    /// [`run_tcp_query_observed`].
+    pub(crate) obs: Option<&'a QueryObs>,
 }
 
-impl LegTrace<'_> {
-    /// Emits the leg's coarse three-phase decomposition for one
-    /// successful attempt: the batch-streaming wall
-    /// ([`Phase::ClientEncrypt`] — includes the writes it interleaves),
-    /// the wait for the product minus its decryption ([`Phase::Comm`]),
-    /// and the decryption itself ([`Phase::ClientDecrypt`]).
-    fn record_phases(&self, stream_start: u64, stream_end: u64, decrypt: Duration) {
-        let end = self.tracer.now_ns();
-        let dec_ns = u64::try_from(decrypt.as_nanos())
-            .unwrap_or(u64::MAX)
-            .min(end.saturating_sub(stream_end));
-        let span = |name: &str, phase, start_ns, end_ns| SpanRecord {
-            name: name.to_string(),
-            phase: Some(phase),
-            session: Some(self.leg),
-            batch: None,
-            start_ns,
-            end_ns,
-            trace: None, // stamped by the tracer's context
-        };
-        self.tracer.record_span(span(
-            "leg_encrypt_stream",
-            Phase::ClientEncrypt,
-            stream_start,
-            stream_end,
-        ));
+impl QueryTrace<'_> {
+    /// Records the successful attempt: one `encrypt_batch` span per
+    /// batch it streamed ([`Phase::ClientEncrypt`], tagged with the
+    /// batch's sequence number), `wire_blocked` ([`Phase::Comm`], the
+    /// time blocked on socket send/recv) and `decrypt`
+    /// ([`Phase::ClientDecrypt`]). The histograms read the same
+    /// `Duration`s, so a `/metrics` scrape and a span-bridged
+    /// [`RunReport`] agree exactly, not just within timer noise.
+    fn record(&self, attempt: &Attempt, comm: Duration) {
+        for (seq, elapsed) in (attempt.first_seq..).zip(&attempt.sent.per_batch_encrypt) {
+            let end_ns = self.tracer.now_ns();
+            let dur_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+            self.tracer.record_span(SpanRecord {
+                name: "encrypt_batch".to_string(),
+                phase: Some(Phase::ClientEncrypt),
+                session: self.session,
+                batch: Some(seq),
+                start_ns: end_ns.saturating_sub(dur_ns),
+                end_ns,
+                trace: None, // stamped by the tracer's context
+            });
+        }
         self.tracer
-            .record_span(span("leg_wire_wait", Phase::Comm, stream_end, end - dec_ns));
-        self.tracer
-            .record_span(span("leg_decrypt", Phase::ClientDecrypt, end - dec_ns, end));
+            .record_phase_total("wire_blocked", Phase::Comm, self.session, comm);
+        self.tracer.record_phase_total(
+            "decrypt",
+            Phase::ClientDecrypt,
+            self.session,
+            attempt.decrypt,
+        );
+        if let Some(obs) = self.obs {
+            for elapsed in &attempt.sent.per_batch_encrypt {
+                obs.client_encrypt.record_duration(*elapsed);
+            }
+            obs.comm.record_duration(comm);
+            obs.client_decrypt.record_duration(attempt.decrypt);
+        }
     }
 }
 
@@ -215,20 +250,30 @@ fn index_source<'a>(config: &TcpQueryConfig, rng: &'a mut dyn RngCore) -> IndexS
     }
 }
 
+/// What a successful attempt streamed and decrypted.
+struct Attempt {
+    sum: Uint,
+    /// Sequence number of the first batch this attempt streamed: 0 for a
+    /// full query, the server's `next_seq` for a resumed one.
+    first_seq: u64,
+    sent: ClientSendStats,
+    decrypt: Duration,
+}
+
 /// One attempt over an already-connected wire, resume-first: when a
 /// previous attempt holds a session ticket, ask the server to continue
 /// from its checkpoint; fall back to a full query (size discovery,
 /// `Hello`, every batch) on the same connection when the checkpoint is
 /// gone or this is the first attempt.
-fn resumable_attempt<S: Read + Write>(
-    wire: &mut StreamWire<S>,
+fn resumable_attempt(
+    wire: &mut dyn Wire,
     client: &SumClient,
     select: &[usize],
     config: &TcpQueryConfig,
     rng: &mut dyn RngCore,
     state: &mut AttemptState,
-    leg: Option<&LegTrace<'_>>,
-) -> Result<Uint, ProtocolError> {
+) -> Result<Attempt, ProtocolError> {
+    let mut first_seq = 0;
     if let Some(sid) = state.session {
         wire.send(
             Resume {
@@ -241,67 +286,56 @@ fn resumable_attempt<S: Read + Write>(
         let ack = ResumeAck::decode(&wire.recv()?)?;
         if ack.granted {
             state.resumed_attempts += 1;
-            let selection = state
-                .selection
-                .as_ref()
-                .expect("a ticket implies a prior Hello, which implies a selection");
-            // Fresh randomness for the re-encrypted tail: the resumed
-            // stream is as indistinguishable as a fresh query.
-            let mut source = index_source(config, rng);
-            let stream_start = leg.map(|l| l.tracer.now_ns());
-            client.stream_batches(
-                wire,
-                selection,
-                config.batch_size,
-                &mut source,
-                ack.next_seq,
-            )?;
-            let stream_end = leg.map(|l| l.tracer.now_ns());
-            let (sum, decrypt) = client.receive_result(wire)?;
-            if let (Some(l), Some(s), Some(e)) = (leg, stream_start, stream_end) {
-                l.record_phases(s, e, decrypt);
+            first_seq = ack.next_seq;
+        } else {
+            // Checkpoint gone (TTL, capacity, restart). The server is
+            // back at AwaitHello on this very connection; fall through
+            // to a full re-issue without reconnecting.
+            state.session = None;
+        }
+    }
+
+    if state.session.is_none() {
+        if state.n.is_none() {
+            wire.send(SizeRequest.encode()?)?;
+            let n = SizeReply::decode(&wire.recv()?)?.n as usize;
+            state.selection = Some(Selection::from_indices(n, select)?);
+            state.n = Some(n);
+        }
+        if config.batch_size == 0 {
+            return Err(ProtocolError::Config("batch size must be positive".into()));
+        }
+        let selection = state.selection.as_ref().expect("set above");
+        wire.send(
+            Hello {
+                modulus: client.keypair().public.n().clone(),
+                total: selection.len() as u64,
+                batch_size: config.batch_size.min(u32::MAX as usize) as u32,
+                trace: config.trace,
             }
-            return Ok(sum);
-        }
-        // Checkpoint gone (TTL, capacity, restart). The server is back
-        // at AwaitHello on this very connection; fall through to a full
-        // re-issue without reconnecting.
-        state.session = None;
+            .encode()?,
+        )?;
+        // Read the HelloAck eagerly — the ticket must be in hand *before*
+        // the stream starts, or a disconnect mid-stream leaves nothing to
+        // resume with.
+        state.session = Some(HelloAck::decode(&wire.recv()?)?.session_id);
     }
 
-    if state.n.is_none() {
-        wire.send(SizeRequest.encode()?)?;
-        let n = SizeReply::decode(&wire.recv()?)?.n as usize;
-        state.selection = Some(Selection::from_indices(n, select)?);
-        state.n = Some(n);
-    }
-    let selection = state.selection.as_ref().expect("set above");
-
-    if config.batch_size == 0 {
-        return Err(ProtocolError::Config("batch size must be positive".into()));
-    }
-    wire.send(
-        Hello {
-            modulus: client.keypair().public.n().clone(),
-            total: selection.len() as u64,
-            batch_size: config.batch_size.min(u32::MAX as usize) as u32,
-            trace: config.trace,
-        }
-        .encode()?,
-    )?;
-    // Read the HelloAck eagerly — the ticket must be in hand *before*
-    // the stream starts, or a disconnect mid-stream leaves nothing to
-    // resume with.
-    state.session = Some(HelloAck::decode(&wire.recv()?)?.session_id);
+    let selection = state
+        .selection
+        .as_ref()
+        .expect("a ticket implies a prior Hello, which implies a selection");
+    // Fresh randomness for every attempt's batches: a resumed tail is as
+    // indistinguishable as a fresh query.
     let mut source = index_source(config, rng);
-    let stream_start = leg.map(|l| l.tracer.now_ns());
-    client.stream_batches(wire, selection, config.batch_size, &mut source, 0)?;
-    let stream_end = leg.map(|l| l.tracer.now_ns());
+    let sent = client.stream_batches(wire, selection, config.batch_size, &mut source, first_seq)?;
     let (sum, decrypt) = client.receive_result(wire)?;
-    if let (Some(l), Some(s), Some(e)) = (leg, stream_start, stream_end) {
-        l.record_phases(s, e, decrypt);
-    }
-    Ok(sum)
+    Ok(Attempt {
+        sum,
+        first_seq,
+        sent,
+        decrypt,
+    })
 }
 
 /// Runs one private selected-sum query over a stream transport built by
@@ -328,27 +362,16 @@ where
     S: Read + Write,
     F: FnMut(u32) -> Result<StreamWire<S>, ProtocolError>,
 {
-    let raw = run_stream_query_raw(connect, client, select, config, rng, None, None)?;
-    let sum = raw
-        .sum
-        .to_u128()
-        .ok_or_else(|| ProtocolError::Config("sum exceeds 128 bits".into()))?;
-    Ok(TcpQueryOutcome {
-        sum,
-        n: raw.n,
-        selected: raw.selected,
-        traffic: raw.traffic,
-        retry: raw.retry,
-        resumed_attempts: raw.resumed_attempts,
-        attempt_payload_bytes: raw.attempt_payload_bytes,
-    })
+    run_stream_query_raw(connect, client, select, config, rng, None, None)?.into_outcome()
 }
 
-/// The engine under [`run_stream_query_with_resume`]: same retry/resume
-/// loop, but the sum stays a full-width [`Uint`] and an optional
-/// [`PresetQuery`] skips size discovery. Shard legs use both: blinded
-/// partials don't fit `u128`, and the fan-out engine already knows each
-/// shard's size and local selection.
+/// The client's one attempt loop, under every query path: plain and
+/// traced single-server queries, shard legs and the chaos harnesses.
+/// The sum stays a full-width [`Uint`] (blinded shard partials don't
+/// fit `u128`), an optional [`PresetQuery`] skips size discovery (the
+/// fan-out engine already knows each shard's size and local selection),
+/// and an optional [`QueryTrace`] records the successful attempt's
+/// phases. Without one the loop emits nothing.
 pub(crate) fn run_stream_query_raw<S, F>(
     connect: &mut F,
     client: &SumClient,
@@ -356,7 +379,7 @@ pub(crate) fn run_stream_query_raw<S, F>(
     config: &TcpQueryConfig,
     rng: &mut dyn RngCore,
     preset: Option<PresetQuery>,
-    leg: Option<&LegTrace<'_>>,
+    trace: Option<&QueryTrace<'_>>,
 ) -> Result<RawQueryOutcome, ProtocolError>
 where
     S: Read + Write,
@@ -385,22 +408,33 @@ where
             select.len(),
         ),
     };
+    let obs = trace.and_then(|t| t.obs);
     let mut retry = RetryStats::default();
     let mut attempt_payload_bytes = Vec::new();
     loop {
         retry.attempts += 1;
+        if let Some(obs) = obs {
+            obs.retry_attempts.inc();
+        }
         let outcome = match connect(retry.attempts) {
-            Ok(mut wire) => {
-                let r = resumable_attempt(&mut wire, client, select, config, rng, &mut state, leg);
+            Ok(mut inner) => {
+                if let Some(obs) = obs {
+                    inner.set_metrics(obs.wire.clone());
+                }
+                let mut wire = TimedWire::new(inner);
+                let r = resumable_attempt(&mut wire, client, select, config, rng, &mut state);
                 attempt_payload_bytes.push(wire.stats().payload_bytes_sent);
-                r.map(|sum| (sum, wire.stats()))
+                r.map(|attempt| (attempt, wire.blocked(), wire.stats()))
             }
             Err(e) => Err(e),
         };
         match outcome {
-            Ok((sum, traffic)) => {
+            Ok((attempt, comm, traffic)) => {
+                if let Some(trace) = trace {
+                    trace.record(&attempt, comm);
+                }
                 return Ok(RawQueryOutcome {
-                    sum,
+                    sum: attempt.sum,
                     n: state.n.unwrap_or(0),
                     selected,
                     traffic,
@@ -410,7 +444,11 @@ where
                 });
             }
             Err(e) => {
-                if !retryable(&e) || retry.attempts >= config.retry.max_attempts.max(1) {
+                let retryable = retryable(&e);
+                if let (true, Some(obs)) = (retryable, obs) {
+                    obs.retry_failures.inc();
+                }
+                if !retryable || retry.attempts >= config.retry.max_attempts.max(1) {
                     return Err(e);
                 }
                 let delay = config.retry.delay_for(retry.attempts - 1, rng);
@@ -433,38 +471,12 @@ fn tcp_connector<'a>(
     }
 }
 
-/// Runs one private selected-sum query over TCP, without retry.
-///
-/// # Errors
-/// Connection, transport, and protocol failures.
-pub fn run_tcp_query(
-    addr: &str,
-    client: &SumClient,
-    select: &[usize],
-    config: &TcpQueryConfig,
-    rng: &mut dyn RngCore,
-) -> Result<TcpQueryOutcome, ProtocolError> {
-    let single = TcpQueryConfig {
-        retry: RetryPolicy {
-            max_attempts: 1,
-            ..config.retry
-        },
-        ..config.clone()
-    };
-    run_stream_query_with_resume(
-        &mut tcp_connector(addr, config),
-        client,
-        select,
-        &single,
-        rng,
-    )
-}
-
 /// Runs one private selected-sum query over TCP, retrying on transient
-/// transport failures according to `config.retry`. A retry resumes from
-/// the server's last acknowledged batch when its checkpoint survived,
-/// and re-issues the **whole query** (fresh encryption — idempotent,
-/// see the module docs) otherwise.
+/// transport failures according to `config.retry` (one attempt under
+/// [`RetryPolicy::none`]). A retry resumes from the server's last
+/// acknowledged batch when its checkpoint survived, and re-issues the
+/// **whole query** (fresh encryption — idempotent, see the module docs)
+/// otherwise.
 ///
 /// # Errors
 /// The final attempt's error when every attempt fails, or immediately
@@ -485,83 +497,23 @@ pub fn run_tcp_query_with_retry(
     )
 }
 
-/// One *instrumented* query attempt: like [`attempt`], but over a
-/// [`TimedWire`] (so time blocked on the socket is measured), with wire
-/// byte counters attached, and — on success — the client-side phases
-/// recorded into `obs` histograms and emitted as spans through `tracer`:
-/// one `encrypt_batch` span per batch (tagged [`Phase::ClientEncrypt`]
-/// with its batch id), one `wire_blocked` span ([`Phase::Comm`]), one
-/// `decrypt` span ([`Phase::ClientDecrypt`]).
-fn attempt_observed(
-    addr: &str,
-    client: &SumClient,
-    select: &[usize],
-    config: &TcpQueryConfig,
-    rng: &mut dyn RngCore,
-    obs: &QueryObs,
-    tracer: &Tracer,
-) -> Result<(u128, usize, TrafficStats), ProtocolError> {
-    let mut inner = TcpWire::connect(addr)?;
-    inner.set_metrics(obs.wire.clone());
-    inner.set_read_timeout(config.read_timeout)?;
-    inner.set_write_timeout(config.write_timeout)?;
-    let mut wire = TimedWire::new(inner);
-
-    wire.send(SizeRequest.encode()?)?;
-    let n = SizeReply::decode(&wire.recv()?)?.n as usize;
-    let selection = Selection::from_indices(n, select)?;
-
-    let mut source = index_source(config, rng);
-    let sent = client.send_query_traced(
-        &mut wire,
-        &selection,
-        config.batch_size,
-        &mut source,
-        config.trace,
-    )?;
-    let (sum, decrypt) = client.receive_result(&mut wire)?;
-    let comm = wire.blocked();
-
-    // Record the paper's client-side phases from the same Durations the
-    // span bridge will sum, so a /metrics scrape and a reconstructed
-    // RunReport agree exactly (not just within timer noise).
-    for (batch, elapsed) in sent.per_batch_encrypt.iter().enumerate() {
-        obs.client_encrypt.record_duration(*elapsed);
-        let end_ns = tracer.now_ns();
-        let dur_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        tracer.record_span(SpanRecord {
-            name: "encrypt_batch".to_string(),
-            phase: Some(Phase::ClientEncrypt),
-            session: None,
-            batch: Some(batch as u64),
-            start_ns: end_ns.saturating_sub(dur_ns),
-            end_ns,
-            trace: None,
-        });
-    }
-    obs.comm.record_duration(comm);
-    tracer.record_phase_total("wire_blocked", Phase::Comm, None, comm);
-    obs.client_decrypt.record_duration(decrypt);
-    tracer.record_phase_total("decrypt", Phase::ClientDecrypt, None, decrypt);
-
-    let sum = sum
-        .to_u128()
-        .ok_or_else(|| ProtocolError::Config("sum exceeds 128 bits".into()))?;
-    Ok((sum, n, wire.get_ref().stats()))
-}
-
 /// Runs one private selected-sum query over TCP with full telemetry:
-/// retries as [`run_tcp_query_with_retry`] does, records the paper's
-/// client-side phase decomposition into `obs`, and reconstructs a
-/// [`RunReport`] from the spans of the successful attempt via
-/// [`PhaseTotals`].
+/// the same attempt loop as [`run_tcp_query_with_retry`] — resume
+/// first — that also counts every attempt and retryable failure in
+/// `obs`, attaches `obs`'s wire counters to every connection, and
+/// records the paper's client-side phases into `obs`'s histograms and
+/// spans (PROTOCOL.md §9.1). It reconstructs a [`RunReport`] from
+/// those spans via [`PhaseTotals`].
 ///
-/// The report's `client_encrypt`, `comm`, and `client_decrypt` come
-/// from this client's own spans. `server_compute` is zero unless the
-/// collector behind `obs` also receives the server's spans (loopback
-/// deployments sharing a collector get all four components; across a
-/// real network the server's compute is invisible to the client and is
-/// folded into `comm`, which measures total time blocked on the wire).
+/// The phases and the report cover the **successful** attempt only, as
+/// [`TcpQueryOutcome::traffic`] does: failed attempts emit no phase
+/// spans. The report's `client_encrypt`, `comm`, and `client_decrypt`
+/// come from this client's own spans. `server_compute` is zero unless
+/// the collector behind `obs` also receives the server's spans
+/// (loopback deployments sharing a collector get all four components;
+/// across a real network the server's compute is invisible to the
+/// client and is folded into `comm`, which measures total time blocked
+/// on the wire).
 ///
 /// # Errors
 /// As [`run_tcp_query_with_retry`].
@@ -580,58 +532,41 @@ pub fn run_tcp_query_observed(
         Arc::clone(&ring) as Arc<dyn Collector>,
         Arc::clone(obs.collector()),
     ])));
-    let mut retry = RetryStats::default();
-    loop {
-        retry.attempts += 1;
-        obs.retry_attempts.inc();
-        match attempt_observed(addr, client, select, config, rng, obs, &tracer) {
-            Ok((sum, n, traffic)) => {
-                let mut report = RunReport {
-                    variant: Variant::Batched,
-                    n,
-                    selected: select.len(),
-                    key_bits: client.keypair().public.key_bits(),
-                    link: format!("tcp:{addr}"),
-                    client_offline: Duration::ZERO,
-                    client_encrypt: Duration::ZERO,
-                    server_compute: Duration::ZERO,
-                    comm: Duration::ZERO,
-                    client_decrypt: Duration::ZERO,
-                    pipelined_total: None,
-                    bytes_to_server: traffic.payload_bytes_sent,
-                    bytes_to_client: traffic.payload_bytes_received,
-                    messages: traffic.messages_sent + traffic.messages_received,
-                    result: sum,
-                };
-                PhaseTotals::from_spans(ring.spans().iter()).apply(&mut report);
-                // The observed path keeps its span accounting simple by
-                // re-issuing in full on retry, so it never resumes.
-                let attempt_payload_bytes = vec![traffic.payload_bytes_sent];
-                let outcome = TcpQueryOutcome {
-                    sum,
-                    n,
-                    selected: select.len(),
-                    traffic,
-                    retry,
-                    resumed_attempts: 0,
-                    attempt_payload_bytes,
-                };
-                return Ok((outcome, report));
-            }
-            Err(e) => {
-                let give_up = !retryable(&e) || retry.attempts >= config.retry.max_attempts.max(1);
-                if retryable(&e) {
-                    obs.retry_failures.inc();
-                }
-                if give_up {
-                    return Err(e);
-                }
-                let delay = config.retry.delay_for(retry.attempts - 1, rng);
-                retry.delays.push(delay);
-                config.clock.sleep(delay);
-            }
-        }
-    }
+    let trace = QueryTrace {
+        tracer: &tracer,
+        session: None,
+        obs: Some(obs),
+    };
+    let outcome = run_stream_query_raw(
+        &mut tcp_connector(addr, config),
+        client,
+        select,
+        config,
+        rng,
+        None,
+        Some(&trace),
+    )?
+    .into_outcome()?;
+    let traffic = &outcome.traffic;
+    let mut report = RunReport {
+        variant: Variant::Batched,
+        n: outcome.n,
+        selected: outcome.selected,
+        key_bits: client.keypair().public.key_bits(),
+        link: format!("tcp:{addr}"),
+        client_offline: Duration::ZERO,
+        client_encrypt: Duration::ZERO,
+        server_compute: Duration::ZERO,
+        comm: Duration::ZERO,
+        client_decrypt: Duration::ZERO,
+        pipelined_total: None,
+        bytes_to_server: traffic.payload_bytes_sent,
+        bytes_to_client: traffic.payload_bytes_received,
+        messages: traffic.messages_sent + traffic.messages_received,
+        result: outcome.sum,
+    };
+    PhaseTotals::from_spans(ring.spans().iter()).apply(&mut report);
+    Ok((outcome, report))
 }
 
 #[cfg(test)]
@@ -659,14 +594,12 @@ mod tests {
         let (addr, t) = serve_one(vec![10, 20, 30, 40]);
         let mut rng = StdRng::seed_from_u64(1);
         let client = SumClient::generate(128, &mut rng).unwrap();
-        let out = run_tcp_query(
-            &addr.to_string(),
-            &client,
-            &[1, 3],
-            &TcpQueryConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let config = TcpQueryConfig {
+            retry: RetryPolicy::none(),
+            ..TcpQueryConfig::default()
+        };
+        let out = run_tcp_query_with_retry(&addr.to_string(), &client, &[1, 3], &config, &mut rng)
+            .unwrap();
         assert_eq!(out.sum, 60);
         assert_eq!(out.n, 4);
         assert_eq!(out.selected, 2);
@@ -688,7 +621,12 @@ mod tests {
             },
             ..TcpQueryConfig::default()
         };
-        let err = run_tcp_query("127.0.0.1:1", &client, &[0], &config, &mut rng).unwrap_err();
+        let single = TcpQueryConfig {
+            retry: RetryPolicy::none(),
+            ..config.clone()
+        };
+        let err =
+            run_tcp_query_with_retry("127.0.0.1:1", &client, &[0], &single, &mut rng).unwrap_err();
         assert!(matches!(
             err,
             ProtocolError::Transport(TransportError::Io(_))
@@ -793,6 +731,99 @@ mod tests {
         assert_eq!(merged.comm, report.comm);
         assert_eq!(merged.client_decrypt, report.client_decrypt);
         assert_eq!(merged.server_compute, stats.compute);
+    }
+
+    #[test]
+    fn traced_query_resumes_and_records_only_the_successful_attempt() {
+        use pps_obs::Registry;
+        use pps_transport::{Fault, FaultSchedule, FaultyStream};
+        use std::net::TcpStream;
+
+        // 12 rows in batches of 2: six batches, every other row selected.
+        let values: Vec<u64> = (0..12).map(|i| i * 3 + 1).collect();
+        let select: Vec<usize> = (0..12).step_by(2).collect();
+        let expected: u128 = select.iter().map(|&i| u128::from(values[i])).sum();
+        let db = Arc::new(Database::new(values).unwrap());
+        let server = TcpServer::bind(db, "127.0.0.1:0", FoldStrategy::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let server_thread = std::thread::spawn(move || server.serve(Some(2)));
+
+        let mut rng = StdRng::seed_from_u64(23);
+        let client = SumClient::generate(128, &mut rng).unwrap();
+        let config = TcpQueryConfig {
+            batch_size: 2,
+            read_timeout: Some(Duration::from_secs(10)),
+            retry: RetryPolicy {
+                max_attempts: 3,
+                // Long enough for the server to park the dead session
+                // before the resume arrives.
+                base_delay: Duration::from_millis(200),
+                max_delay: Duration::from_millis(200),
+            },
+            ..TcpQueryConfig::default()
+        };
+        // Attempt 1's writes: 0 = SizeRequest, 1 = Hello, 2–4 = batches
+        // 0–2; it dies on its fourth batch.
+        let mut connect = |attempt: u32| {
+            let stream = TcpStream::connect(addr)
+                .map_err(|e| ProtocolError::Transport(TransportError::Io(e.to_string())))?;
+            stream
+                .set_read_timeout(config.read_timeout)
+                .map_err(|e| ProtocolError::Transport(TransportError::Io(e.to_string())))?;
+            let schedule = match attempt {
+                1 => FaultSchedule::new().on_write(5, Fault::Disconnect),
+                _ => FaultSchedule::new(),
+            };
+            Ok(FaultyStream::wire(stream, schedule))
+        };
+        let ring = Arc::new(RingCollector::new(64));
+        let obs = QueryObs::with_collector(
+            Arc::new(Registry::new()),
+            Arc::clone(&ring) as Arc<dyn Collector>,
+        );
+        let tracer = Tracer::new(Arc::clone(obs.collector()));
+        let trace = QueryTrace {
+            tracer: &tracer,
+            session: None,
+            obs: Some(&obs),
+        };
+        let out = run_stream_query_raw(
+            &mut connect,
+            &client,
+            &select,
+            &config,
+            &mut rng,
+            None,
+            Some(&trace),
+        )
+        .unwrap();
+        server_thread.join().unwrap();
+
+        assert_eq!(out.sum.to_u128(), Some(expected));
+        assert_eq!(out.retry.attempts, 2);
+        assert_eq!(out.resumed_attempts, 1, "resumed, not re-issued");
+        let [first, second] = out.attempt_payload_bytes[..] else {
+            panic!("two attempts: {:?}", out.attempt_payload_bytes);
+        };
+        assert!(second < first, "the resume re-sent only the tail");
+
+        let spans = ring.spans();
+        let named = |name: &str| spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(named("wire_blocked"), 1);
+        assert_eq!(named("decrypt"), 1);
+        let batches: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.name == "encrypt_batch")
+            .filter_map(|s| s.batch)
+            .collect();
+        assert_eq!(
+            batches,
+            vec![3, 4, 5],
+            "only the batches attempt 2 streamed"
+        );
+        assert_eq!(obs.client_encrypt.count(), 3);
+        assert_eq!(obs.retry_attempts.get(), 2);
+        assert_eq!(obs.retry_failures.get(), 1);
     }
 
     #[test]

@@ -383,11 +383,6 @@ impl ShutdownHandle {
         self.wake.1.notify_all();
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
 }
 
 /// Default bound on the [`Admission::Queue`] admission queue. Beyond
@@ -455,24 +450,12 @@ impl TcpServer {
 
     /// Replaces the server's time source: session deadlines and the
     /// admission queue's deadline checks read this clock.
-    /// The default is the real clock; the deterministic simulator
-    /// injects a [`VirtualClock`](pps_obs::VirtualClock) shared with
-    /// every other component of the scenario. Note the resumption
-    /// table keeps its own clock — pair this with
-    /// [`TcpServer::with_resumption_table`] to virtualize TTLs too.
+    /// The default is the real clock; a test or simulator can inject a
+    /// [`VirtualClock`](pps_obs::VirtualClock) shared with every other
+    /// component it drives. The resumption table keeps its own clock.
     #[must_use]
     pub fn with_clock(mut self, clock: pps_obs::SharedClock) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// Replaces the whole resumption table (rather than just its bounds
-    /// as [`TcpServer::with_resumption`] does), so a caller can install
-    /// a [`SessionTable::deterministic`] one with seeded IDs and a
-    /// virtual TTL clock.
-    #[must_use]
-    pub fn with_resumption_table(mut self, table: SessionTable) -> Self {
-        self.resumption = table;
         self
     }
 
@@ -556,11 +539,6 @@ impl TcpServer {
     pub fn with_session_fault_hook(mut self, hook: impl Fn(usize) + Send + Sync + 'static) -> Self {
         self.fault_hook = Some(Arc::new(hook));
         self
-    }
-
-    /// The live resumption table (exposed for tests and diagnostics).
-    pub fn session_table(&self) -> &SessionTable {
-        &self.resumption
     }
 
     /// The bound address (the actual port, when bound to port 0).
@@ -1200,7 +1178,7 @@ mod tests {
             TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::default()).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = server.shutdown_handle().unwrap();
-        assert!(!handle.is_shutdown());
+        assert!(!handle.flag.load(Ordering::SeqCst));
 
         let server_thread = std::thread::spawn(move || server.serve(None));
         // A real session completes while the server runs unbounded.
@@ -1211,7 +1189,7 @@ mod tests {
         let stats = server_thread.join().unwrap();
         assert_eq!(stats.sessions, 1);
         assert_eq!(stats.failed, 0);
-        assert!(handle.is_shutdown());
+        assert!(handle.flag.load(Ordering::SeqCst));
         // Idempotent: a second call is a no-op, not a hang.
         handle.shutdown();
     }
@@ -1308,7 +1286,7 @@ mod tests {
         let stats = server.serve(Some(1));
         client.join().unwrap();
         assert_eq!(stats.failed, 1);
-        assert_eq!(server.session_table().len(), 1, "parked on disconnect");
+        assert_eq!(server.resumption.len(), 1, "parked on disconnect");
     }
 
     /// Satellite regression: the active-session gauge must return to

@@ -7,8 +7,8 @@
 //! * [`chaos`] — scaffolding for real-socket chaos tests: the canonical
 //!   48-row database, selection, expected plaintext sum, retry configs,
 //!   and a fault-schedule query driver over real TCP;
-//! * campaign helpers — run a named simulator scenario, assert a
-//!   campaign is bit-reproducible, and run the CI matrix.
+//! * campaign helpers — run a named simulator scenario and assert a
+//!   campaign is bit-reproducible.
 
 use crate::run::{run_campaign, CampaignReport};
 use crate::scenario::Scenario;
@@ -58,18 +58,6 @@ pub fn assert_reproducible(
     );
     assert_eq!(a.events, b.events);
     Ok(a)
-}
-
-/// Runs every registry scenario at a reduced population, returning all
-/// reports (CI's `sim-matrix` step).
-///
-/// # Errors
-/// The first scenario-construction failure.
-pub fn run_matrix(seed: u64, population: usize) -> Result<Vec<CampaignReport>, SimError> {
-    Scenario::registry()
-        .into_iter()
-        .map(|scenario| run_campaign(&scenario.with_population(population), seed))
-        .collect()
 }
 
 /// Fixtures for protocol-level failure-injection tests.

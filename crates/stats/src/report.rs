@@ -75,15 +75,6 @@ impl StatsReport {
     pub fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
     }
-
-    /// Sample (Bessel-corrected) variance; `None` when count < 2.
-    pub fn sample_variance(&self) -> Option<f64> {
-        let c = self.count? as f64;
-        if c < 2.0 {
-            return None;
-        }
-        self.variance().map(|v| v * c / (c - 1.0))
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +91,6 @@ mod tests {
         let r = report(4, 10, 1 + 4 + 9 + 16);
         assert_eq!(r.mean(), Some(2.5));
         assert!((r.variance().unwrap() - 1.25).abs() < 1e-12);
-        assert!((r.sample_variance().unwrap() - 5.0 / 3.0).abs() < 1e-12);
         assert!((r.std_dev().unwrap() - 1.25f64.sqrt()).abs() < 1e-12);
     }
 
@@ -124,7 +114,6 @@ mod tests {
     fn single_row_variance_zero_sample_none() {
         let r = report(1, 7, 49);
         assert_eq!(r.variance(), Some(0.0));
-        assert!(r.sample_variance().is_none());
     }
 
     #[test]

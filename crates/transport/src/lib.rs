@@ -39,7 +39,7 @@ pub use error::TransportError;
 pub use faulty::{Fault, FaultSchedule, FaultyStream, FaultyWire, ScriptedStream};
 pub use frame::{Frame, FRAME_MAGIC, HEADER_LEN, MAX_PAYLOAD};
 pub use obs::{TimedWire, WireMetrics};
-pub use pipeline::{pipeline_makespan, uniform_pipeline_makespan};
+pub use pipeline::pipeline_makespan;
 pub use profile::LinkProfile;
 pub use retry::{RetryPolicy, RetryStats};
 pub use tcp::{StreamWire, TcpWire};

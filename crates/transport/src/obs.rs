@@ -89,48 +89,21 @@ impl WireMetrics {
 /// is noise next to a socket round trip.
 pub struct TimedWire<W> {
     inner: W,
-    send_blocked: Duration,
-    recv_blocked: Duration,
+    blocked: Duration,
 }
 
 impl<W> TimedWire<W> {
-    /// Wraps `inner` with zeroed stopwatches.
+    /// Wraps `inner` with a zeroed stopwatch.
     pub fn new(inner: W) -> Self {
         TimedWire {
             inner,
-            send_blocked: Duration::ZERO,
-            recv_blocked: Duration::ZERO,
+            blocked: Duration::ZERO,
         }
     }
 
-    /// Total time blocked in `send` so far.
-    pub fn send_blocked(&self) -> Duration {
-        self.send_blocked
-    }
-
-    /// Total time blocked in `recv` so far.
-    pub fn recv_blocked(&self) -> Duration {
-        self.recv_blocked
-    }
-
-    /// Total time blocked on the wire (send + recv).
+    /// Total time blocked on the wire (send + recv) so far.
     pub fn blocked(&self) -> Duration {
-        self.send_blocked + self.recv_blocked
-    }
-
-    /// Shared access to the wrapped wire.
-    pub fn get_ref(&self) -> &W {
-        &self.inner
-    }
-
-    /// Exclusive access to the wrapped wire (e.g. to arm deadlines).
-    pub fn get_mut(&mut self) -> &mut W {
-        &mut self.inner
-    }
-
-    /// Unwraps, discarding the stopwatches.
-    pub fn into_inner(self) -> W {
-        self.inner
+        self.blocked
     }
 }
 
@@ -138,14 +111,14 @@ impl<W: Wire> Wire for TimedWire<W> {
     fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
         let start = Instant::now();
         let result = self.inner.send(frame);
-        self.send_blocked += start.elapsed();
+        self.blocked += start.elapsed();
         result
     }
 
     fn recv(&mut self) -> Result<Frame, TransportError> {
         let start = Instant::now();
         let result = self.inner.recv();
-        self.recv_blocked += start.elapsed();
+        self.blocked += start.elapsed();
         result
     }
 
@@ -197,24 +170,21 @@ mod tests {
         });
         let _ = b.recv().unwrap();
         assert!(
-            b.recv_blocked() >= Duration::from_millis(40),
+            b.blocked() >= Duration::from_millis(40),
             "recv blocked across the peer's sleep: {:?}",
-            b.recv_blocked()
+            b.blocked()
         );
-        assert_eq!(b.blocked(), b.send_blocked() + b.recv_blocked());
         let a = sender.join().unwrap();
-        assert!(a.send_blocked() < Duration::from_millis(40));
-        assert_eq!(a.into_inner().stats().messages_sent, 1);
+        assert!(a.blocked() < Duration::from_millis(40));
+        assert_eq!(a.stats().messages_sent, 1);
     }
 
     #[test]
     fn timed_wire_times_failures_too() {
-        let (_a, b) = TcpWire::pair_loopback().unwrap();
+        let (_a, mut b) = TcpWire::pair_loopback().unwrap();
+        b.set_read_timeout(Some(Duration::from_millis(40))).unwrap();
         let mut b = TimedWire::new(b);
-        b.get_mut()
-            .set_read_timeout(Some(Duration::from_millis(40)))
-            .unwrap();
         assert_eq!(b.recv(), Err(TransportError::TimedOut));
-        assert!(b.recv_blocked() >= Duration::from_millis(30));
+        assert!(b.blocked() >= Duration::from_millis(30));
     }
 }

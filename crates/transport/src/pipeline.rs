@@ -52,13 +52,6 @@ pub fn pipeline_makespan(stage_times: &[Vec<Duration>]) -> Duration {
     prev[items - 1]
 }
 
-/// Convenience for uniform pipelines: `k` identical items through stages
-/// with per-item times `per_item[s]`.
-pub fn uniform_pipeline_makespan(per_item: &[Duration], items: usize) -> Duration {
-    let stages: Vec<Vec<Duration>> = per_item.iter().map(|&t| vec![t; items]).collect();
-    pipeline_makespan(&stages)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,7 +64,7 @@ mod tests {
     fn empty_is_zero() {
         assert_eq!(pipeline_makespan(&[]), Duration::ZERO);
         assert_eq!(pipeline_makespan(&[vec![], vec![]]), Duration::ZERO);
-        assert_eq!(uniform_pipeline_makespan(&[ms(5)], 0), Duration::ZERO);
+        assert_eq!(pipeline_makespan(&[vec![]]), Duration::ZERO);
     }
 
     #[test]
@@ -90,7 +83,7 @@ mod tests {
     fn balanced_pipeline_formula() {
         // k items, S stages, all times t: makespan = (k + S - 1) · t.
         for (k, s) in [(10usize, 3usize), (100, 3), (5, 5)] {
-            let t = uniform_pipeline_makespan(&vec![ms(7); s], k);
+            let t = pipeline_makespan(&vec![vec![ms(7); k]; s]);
             assert_eq!(t, ms(7 * (k as u64 + s as u64 - 1)), "k={k} s={s}");
         }
     }
@@ -99,7 +92,7 @@ mod tests {
     fn bottleneck_stage_dominates() {
         // Stage 2 is 10x slower: makespan ≈ k · t_bottleneck for large k.
         let k = 1000;
-        let t = uniform_pipeline_makespan(&[ms(1), ms(10), ms(1)], k);
+        let t = pipeline_makespan(&[ms(1), ms(10), ms(1)].map(|t| vec![t; k]));
         let bottleneck_total = ms(10 * k as u64);
         assert!(t >= bottleneck_total);
         assert!(

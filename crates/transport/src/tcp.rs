@@ -33,7 +33,6 @@ use pps_obs::{real_clock, SharedClock};
 use crate::error::TransportError;
 use crate::frame::Frame;
 use crate::obs::WireMetrics;
-use crate::retry::{RetryPolicy, RetryStats};
 use crate::wire::{TrafficStats, Wire};
 
 /// A framed, blocking wire over any byte stream (see [`TcpWire`]).
@@ -52,9 +51,6 @@ pub struct StreamWire<S> {
     /// Optional shared counters (frames, bytes, timeouts) — see
     /// [`StreamWire::set_metrics`].
     metrics: Option<WireMetrics>,
-    /// Distributed trace context attached to this connection — see
-    /// [`StreamWire::set_trace`].
-    trace: Option<pps_obs::TraceContext>,
 }
 
 impl<S: std::fmt::Debug> std::fmt::Debug for StreamWire<S> {
@@ -83,7 +79,6 @@ impl<S> StreamWire<S> {
             recv_deadline: None,
             clock: real_clock(),
             metrics: None,
-            trace: None,
         }
     }
 
@@ -101,21 +96,6 @@ impl<S> StreamWire<S> {
     /// survive the wire; stats die with it.
     pub fn set_metrics(&mut self, metrics: WireMetrics) {
         self.metrics = Some(metrics);
-    }
-
-    /// Attaches the distributed trace context this connection serves
-    /// (PROTOCOL.md §9.4). The transport itself never reads it — frames
-    /// are unchanged — it is a per-connection slot where the protocol
-    /// layer parks the context (the client before the handshake, the
-    /// server once the handshake reveals it) so instrumentation on
-    /// either side of the wire object can retrieve it uniformly.
-    pub fn set_trace(&mut self, trace: pps_obs::TraceContext) {
-        self.trace = Some(trace);
-    }
-
-    /// The trace context attached with [`StreamWire::set_trace`].
-    pub fn trace(&self) -> Option<pps_obs::TraceContext> {
-        self.trace
     }
 
     /// Shared access to the underlying stream.
@@ -147,52 +127,6 @@ impl StreamWire<TcpStream> {
         let stream = TcpStream::connect(addr).map_err(|e| classify_io(&e))?;
         stream.set_nodelay(true).map_err(|e| classify_io(&e))?;
         Ok(Self::new(stream))
-    }
-
-    /// Connects with retry: on failure, sleeps according to `policy`'s
-    /// exponential backoff (jitter drawn deterministically from `rng`)
-    /// and tries again, up to `policy.max_attempts` total attempts.
-    ///
-    /// Returns the wire plus the [`RetryStats`] describing how many
-    /// attempts were made and the exact backoff sequence slept.
-    ///
-    /// # Errors
-    /// The error of the final attempt when every attempt fails.
-    pub fn connect_with_retry(
-        addr: &str,
-        policy: &RetryPolicy,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<(Self, RetryStats), TransportError> {
-        Self::connect_with_retry_on(addr, policy, rng, &*real_clock())
-    }
-
-    /// [`StreamWire::connect_with_retry`] with the backoff slept on an
-    /// injected [`Clock`](pps_obs::Clock) — tests and simulators pass a
-    /// virtual clock so the schedule is asserted, not waited out.
-    ///
-    /// # Errors
-    /// The error of the final attempt when every attempt fails.
-    pub fn connect_with_retry_on(
-        addr: &str,
-        policy: &RetryPolicy,
-        rng: &mut dyn rand::RngCore,
-        clock: &dyn pps_obs::Clock,
-    ) -> Result<(Self, RetryStats), TransportError> {
-        let mut stats = RetryStats::default();
-        loop {
-            stats.attempts += 1;
-            match Self::connect(addr) {
-                Ok(wire) => return Ok((wire, stats)),
-                Err(e) => {
-                    if stats.attempts >= policy.max_attempts.max(1) {
-                        return Err(e);
-                    }
-                    let delay = policy.delay_for(stats.attempts - 1, rng);
-                    stats.delays.push(delay);
-                    clock.sleep(delay);
-                }
-            }
-        }
     }
 
     /// Creates a connected pair over an ephemeral loopback port: binds a
@@ -325,8 +259,6 @@ impl<S> StreamWire<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn loopback_round_trip() {
@@ -419,46 +351,6 @@ mod tests {
         // Port 1 on loopback is essentially never listening.
         let r = TcpWire::connect("127.0.0.1:1");
         assert!(matches!(r, Err(TransportError::Io(_))));
-    }
-
-    #[test]
-    fn connect_with_retry_gives_up_after_max_attempts() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(4),
-        };
-        let start = std::time::Instant::now();
-        let err = TcpWire::connect_with_retry("127.0.0.1:1", &policy, &mut rng).unwrap_err();
-        assert!(matches!(err, TransportError::Io(_)));
-        // Two sleeps happened (after attempts 1 and 2), never a third.
-        assert!(start.elapsed() < Duration::from_secs(2));
-    }
-
-    #[test]
-    fn connect_with_retry_succeeds_once_listener_appears() {
-        // Reserve a port, free it, start the listener only after a delay:
-        // the first attempt must fail, a later one succeed.
-        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = probe.local_addr().unwrap();
-        drop(probe);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(120));
-            let listener = TcpListener::bind(addr).unwrap();
-            listener.accept().map(|_| ()).unwrap();
-        });
-        let mut rng = StdRng::seed_from_u64(12);
-        let policy = RetryPolicy {
-            max_attempts: 8,
-            base_delay: Duration::from_millis(40),
-            max_delay: Duration::from_millis(200),
-        };
-        let (_wire, stats) =
-            TcpWire::connect_with_retry(&addr.to_string(), &policy, &mut rng).unwrap();
-        assert!(stats.attempts > 1, "first attempt hit a closed port");
-        assert_eq!(stats.delays.len(), stats.attempts as usize - 1);
-        t.join().unwrap();
     }
 
     #[test]

@@ -9,7 +9,6 @@ use pps_cli::{
     load_values, run_keygen, run_multiclient_sim, run_query, run_server, QueryOptions, ServeOptions,
 };
 use pps_obs::JsonValue;
-use pps_protocol::FoldStrategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,11 +26,10 @@ fn free_addr() -> String {
     addr
 }
 
-fn spawn_server(values: Vec<u64>, addr: String, sessions: usize, fold: FoldStrategy) {
+fn spawn_server(values: Vec<u64>, addr: String, sessions: usize) {
     spawn_server_opts(
         values,
         addr,
-        fold,
         ServeOptions {
             max_sessions: Some(sessions),
             ..ServeOptions::default()
@@ -39,11 +37,11 @@ fn spawn_server(values: Vec<u64>, addr: String, sessions: usize, fold: FoldStrat
     );
 }
 
-fn spawn_server_opts(values: Vec<u64>, addr: String, fold: FoldStrategy, opts: ServeOptions) {
+fn spawn_server_opts(values: Vec<u64>, addr: String, opts: ServeOptions) {
     let server_addr = addr.clone();
     std::thread::spawn(move || {
         let mut log = Vec::new();
-        run_server(values, &server_addr, fold, &opts, &mut log).unwrap();
+        run_server(values, &server_addr, &opts, &mut log).unwrap();
     });
     // Wait for the listener to come up.
     for _ in 0..100 {
@@ -65,12 +63,7 @@ fn serve_and_query_round_trip() {
     let addr = free_addr();
     // The probe connection in spawn_server consumes one session slot, so
     // allow two.
-    spawn_server(
-        vec![100, 200, 300, 400, 500],
-        addr.clone(),
-        2,
-        FoldStrategy::Incremental,
-    );
+    spawn_server(vec![100, 200, 300, 400, 500], addr.clone(), 2);
 
     let mut rng = StdRng::seed_from_u64(1);
     let opts = QueryOptions {
@@ -88,7 +81,7 @@ fn serve_and_query_round_trip() {
 #[test]
 fn precomputed_server_agrees() {
     let addr = free_addr();
-    spawn_server((1..=50).collect(), addr.clone(), 2, FoldStrategy::default());
+    spawn_server((1..=50).collect(), addr.clone(), 2);
     let mut rng = StdRng::seed_from_u64(2);
     let opts = QueryOptions {
         key_bits: 128,
@@ -109,7 +102,7 @@ fn stored_key_query() {
     run_keygen(128, &key_path, &mut rng).unwrap();
 
     let addr = free_addr();
-    spawn_server(vec![7, 11, 13], addr.clone(), 2, FoldStrategy::Incremental);
+    spawn_server(vec![7, 11, 13], addr.clone(), 2);
     let opts = QueryOptions {
         key_bits: 0,
         key_file: Some(key_path.to_string_lossy().into_owned()),
@@ -123,7 +116,7 @@ fn stored_key_query() {
 #[test]
 fn out_of_range_selection_fails_cleanly() {
     let addr = free_addr();
-    spawn_server(vec![1, 2, 3], addr.clone(), 2, FoldStrategy::Incremental);
+    spawn_server(vec![1, 2, 3], addr.clone(), 2);
     let mut rng = StdRng::seed_from_u64(4);
     let opts = QueryOptions {
         key_bits: 128,
@@ -161,7 +154,6 @@ fn sharded_query_round_trip() {
             spawn_server_opts(
                 (lo..lo + 10).collect(),
                 addr.clone(),
-                FoldStrategy::default(),
                 ServeOptions {
                     max_sessions: Some(2),
                     shard_only: true,
@@ -202,7 +194,6 @@ fn traced_sharded_query_emits_merged_timeline_json() {
         spawn_server_opts(
             (lo..lo + 10).collect(),
             addr.clone(),
-            FoldStrategy::default(),
             ServeOptions {
                 shard_only: true,
                 metrics_addr: Some(obs_addr.clone()),
@@ -303,7 +294,7 @@ fn value_file_to_server_pipeline() {
     let values = load_values(&data).unwrap();
 
     let addr = free_addr();
-    spawn_server(values, addr.clone(), 2, FoldStrategy::Incremental);
+    spawn_server(values, addr.clone(), 2);
     let mut rng = StdRng::seed_from_u64(6);
     let opts = QueryOptions {
         key_bits: 128,

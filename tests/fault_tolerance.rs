@@ -53,7 +53,7 @@ fn slow_loris_is_evicted_while_healthy_client_is_served() {
     // to defeat any per-read timeout, so only the whole-session
     // deadline can evict it. Meanwhile a healthy client on a second
     // connection must complete unharmed.
-    let server = TcpServer::bind(db4(), "127.0.0.1:0", FoldStrategy::Incremental)
+    let server = TcpServer::bind(db4(), "127.0.0.1:0", FoldStrategy::default())
         .unwrap()
         .with_limits(SessionLimits {
             read_timeout: Some(Duration::from_millis(250)),
@@ -117,7 +117,7 @@ fn desync_over_tcp_fails_cleanly_and_server_keeps_going() {
     // Garbage where a frame header should be: the session must die with
     // a surfaced error (not a hang, not a misparse), the stats must
     // count it, and the next connection must be served normally.
-    let server = TcpServer::bind(db4(), "127.0.0.1:0", FoldStrategy::Incremental).unwrap();
+    let server = TcpServer::bind(db4(), "127.0.0.1:0", FoldStrategy::default()).unwrap();
     let addr = server.local_addr().unwrap();
 
     let vandal = std::thread::spawn(move || {
@@ -196,7 +196,7 @@ fn retry_recovers_from_first_connect_refusal_with_deterministic_backoff() {
         // Bind only once the first attempt has failed (its backoff
         // sleep signals `go`), then release the client.
         go_rx.recv().unwrap();
-        let server = TcpServer::bind(db4(), &addr.to_string(), FoldStrategy::Incremental).unwrap();
+        let server = TcpServer::bind(db4(), &addr.to_string(), FoldStrategy::default()).unwrap();
         ready_tx.send(()).unwrap();
         server.serve(Some(1))
     });
@@ -305,7 +305,7 @@ fn queued_admission_under_load_serves_every_client() {
     // Queue mode, everybody gets the right answer, and the concurrency
     // cap shows up as zero refusals.
     use pps_protocol::Admission;
-    let server = TcpServer::bind(db4(), "127.0.0.1:0", FoldStrategy::Incremental)
+    let server = TcpServer::bind(db4(), "127.0.0.1:0", FoldStrategy::default())
         .unwrap()
         .with_admission(2, Admission::Queue);
     let addr = server.local_addr().unwrap();
@@ -339,7 +339,7 @@ fn full_queue_refuses_promptly_while_accept_loop_stays_live() {
     // Under the old accept-thread-blocking admission the probe would not
     // even be accepted until the staller finished.
     use pps_protocol::Admission;
-    let server = TcpServer::bind(db4(), "127.0.0.1:0", FoldStrategy::Incremental)
+    let server = TcpServer::bind(db4(), "127.0.0.1:0", FoldStrategy::default())
         .unwrap()
         .with_admission(1, Admission::Queue)
         .with_queue_capacity(2)
@@ -412,14 +412,7 @@ fn graceful_shutdown_drains_and_reports() {
             max_concurrent: Some(4),
             ..ServeOptions::default()
         };
-        run_server(
-            vec![7, 11, 13],
-            &addr.to_string(),
-            FoldStrategy::Incremental,
-            &opts,
-            &mut log,
-        )
-        .unwrap();
+        run_server(vec![7, 11, 13], &addr.to_string(), &opts, &mut log).unwrap();
         String::from_utf8(log).unwrap()
     });
     // Wait for the listener, then query while the server is alive.

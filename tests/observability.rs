@@ -284,7 +284,7 @@ fn live_metrics_reconcile_with_span_bridged_reports() {
 fn server_wire_counters_match_client_traffic() {
     let registry = Arc::new(Registry::new());
     let db = Arc::new(Database::new(vec![10, 20, 30, 40]).unwrap());
-    let server = TcpServer::bind(db, "127.0.0.1:0", FoldStrategy::Incremental)
+    let server = TcpServer::bind(db, "127.0.0.1:0", FoldStrategy::default())
         .unwrap()
         .with_observability(ServerObs::new(Arc::clone(&registry)));
     let addr = server.local_addr().unwrap();

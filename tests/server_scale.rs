@@ -81,7 +81,7 @@ fn ten_thousand_sessions_with_two_thousand_held_open() {
     let server = TcpServer::bind(
         Arc::new(Database::new(db_rows).unwrap()),
         "127.0.0.1:0",
-        FoldStrategy::Incremental,
+        FoldStrategy::default(),
     )
     .unwrap();
     let addr = server.local_addr().unwrap();

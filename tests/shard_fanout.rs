@@ -15,7 +15,7 @@ use std::time::Duration;
 use pps_bignum::Uint;
 use pps_obs::{MetricsServer, Registry};
 use pps_protocol::{
-    run_sharded_query, run_sharded_query_with, run_tcp_query, Database, FoldStrategy,
+    run_sharded_query, run_sharded_query_with, run_tcp_query_with_retry, Database, FoldStrategy,
     ProtocolError, ServerObs, ShardObs, ShardQueryConfig, SumClient, TcpQueryConfig, TcpServer,
 };
 use pps_transport::{Fault, FaultSchedule, FaultyStream, RetryPolicy, StreamWire, TransportError};
@@ -301,7 +301,7 @@ fn shard_worker_rejects_plain_queries() {
 
     let mut rng = StdRng::seed_from_u64(73);
     let client = SumClient::generate(128, &mut rng).unwrap();
-    let err = run_tcp_query(
+    let err = run_tcp_query_with_retry(
         &addr.to_string(),
         &client,
         &[0, 1],
@@ -309,6 +309,7 @@ fn shard_worker_rejects_plain_queries() {
             batch_size: BATCH,
             read_timeout: Some(Duration::from_secs(5)),
             write_timeout: Some(Duration::from_secs(5)),
+            retry: RetryPolicy::none(),
             ..TcpQueryConfig::default()
         },
         &mut rng,

@@ -162,6 +162,33 @@ fn traced_sharded_query_assembles_one_cross_process_timeline() {
         "one client leg envelope per shard: {client_spans:?}"
     );
 
+    // Each leg's client spans are PROTOCOL.md §9.1's set, tagged with
+    // the leg index: one `encrypt_batch` per batch (two batches of two
+    // over a leg's four rows), one `wire_blocked`, one `decrypt`.
+    for leg in 0..K as u64 {
+        let leg_spans: Vec<&pps_obs::SpanRecord> = tq
+            .timeline
+            .entries
+            .iter()
+            .filter(|e| e.process == 0)
+            .filter_map(|e| match &e.record {
+                Record::Span(s) if s.session == Some(leg) && s.name != "shard_leg" => Some(s),
+                _ => None,
+            })
+            .collect();
+        let mut batches: Vec<u64> = leg_spans
+            .iter()
+            .filter(|s| s.name == "encrypt_batch")
+            .filter_map(|s| s.batch)
+            .collect();
+        batches.sort_unstable();
+        assert_eq!(batches, vec![0, 1], "leg {leg}: {leg_spans:?}");
+        let named = |name: &str| leg_spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(named("wire_blocked"), 1, "leg {leg}");
+        assert_eq!(named("decrypt"), 1, "leg {leg}");
+        assert_eq!(leg_spans.len(), 4, "leg {leg}: nothing else");
+    }
+
     // Server-side structure: each leg contributed its session envelope
     // and its fold work (the server_compute phase total).
     for leg in 0..K {
