@@ -7,8 +7,9 @@
 //!   `r^N mod N²` per element on one core (the paper's client as written,
 //!   and the path of anyone holding only `N`);
 //! * **keypair** — `PaillierKeypair::encrypt` per element on one core,
-//!   the `SumClient` path: the same ciphertexts, with `r^N` built from
-//!   the secret factors by the CRT;
+//!   the `SumClient` path: ciphertexts distributed as the public path's,
+//!   with `r^N` drawn from the secret factors by a fixed-base comb per
+//!   prime and the CRT;
 //! * **parallel** — `encrypt_batch_parallel` across all host cores;
 //! * **pool** — §3.3 preprocessing: a `RandomizerPool` filled offline
 //!   (sequentially), then the cheap online `(1+mN)·r^N` multiply per

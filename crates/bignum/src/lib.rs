@@ -63,5 +63,5 @@ pub use crt::{crt_combine, Crt2};
 pub use error::BignumError;
 pub use montgomery::{MontElem, Montgomery};
 pub use mul::KARATSUBA_THRESHOLD;
-pub use multiexp_plan::{FixedExponentPlan, SessionFold};
+pub use multiexp_plan::{FixedBaseComb, FixedExponentPlan, SessionFold};
 pub use uint::{Uint, LIMB_BITS};

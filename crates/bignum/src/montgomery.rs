@@ -340,7 +340,7 @@ fn unit_product<K: Kernel>(kr: &mut K, values: &[Uint]) -> K::Elem {
 
 /// Inverse of an odd `x` modulo 2^64, by Newton–Hensel lifting
 /// (5 iterations double the valid bits from 5 to 64+).
-fn inv_mod_2_64(x: u64) -> u64 {
+pub(crate) fn inv_mod_2_64(x: u64) -> u64 {
     debug_assert!(x & 1 == 1);
     let mut inv = x; // correct to 3 bits (x * x ≡ 1 mod 8 for odd x)
     for _ in 0..5 {

@@ -193,8 +193,8 @@ mod tests {
         // Same primes, g = N + 1: the optimized secret key must decrypt
         // general-scheme ciphertexts and vice versa.
         let mut r = rng();
-        let p = Uint::generate_prime(&mut r, 64).unwrap();
-        let q = Uint::generate_prime(&mut r, 64).unwrap();
+        let p = Uint::generate_prime_with_large_factor(&mut r, 64).unwrap();
+        let q = Uint::generate_prime_with_large_factor(&mut r, 64).unwrap();
         let optimized = PaillierKeypair::from_primes(p.clone(), q.clone()).unwrap();
         let n = &p * &q;
         let general = GeneralPaillier::from_primes_and_g(p, q, n.add_u64(1)).unwrap();
@@ -226,8 +226,8 @@ mod tests {
         // optimized) can be multiplied together and still decrypt to the
         // sum — they are literally the same group.
         let mut r = rng();
-        let p = Uint::generate_prime(&mut r, 64).unwrap();
-        let q = Uint::generate_prime(&mut r, 64).unwrap();
+        let p = Uint::generate_prime_with_large_factor(&mut r, 64).unwrap();
+        let q = Uint::generate_prime_with_large_factor(&mut r, 64).unwrap();
         let optimized = PaillierKeypair::from_primes(p.clone(), q.clone()).unwrap();
         let n = &p * &q;
         let general = GeneralPaillier::from_primes_and_g(p, q, n.add_u64(1)).unwrap();

@@ -88,8 +88,10 @@ impl PaillierSecretKey {
     /// # Errors
     /// [`CryptoError::Decode`] on structural problems;
     /// [`CryptoError::KeyGeneration`] if a factor is not prime (the
-    /// key owner's CRT encryption is correct only for primes) or the
-    /// primes do not form a valid keypair.
+    /// key owner's CRT encryption is correct only for primes), the
+    /// primes do not form a valid keypair, or a prime's `s − 1` does not
+    /// factor (a key written before keygen drew `s = 2·k·s′ + 1` may
+    /// not; re-key it).
     pub fn keypair_from_bytes(bytes: &[u8]) -> Result<PaillierKeypair, CryptoError> {
         let rest = bytes
             .strip_prefix(SECRET_MAGIC)
@@ -164,6 +166,21 @@ mod tests {
         // primality test keeps it out of a loaded key.
         let (p, q) = (Uint::from_u64(65_537), Uint::from_u64(15));
         assert!(PaillierKeypair::from_primes(p.clone(), q.clone()).is_ok());
+        let mut bytes = SECRET_MAGIC.to_vec();
+        put_uint(&mut bytes, &p);
+        put_uint(&mut bytes, &q);
+        assert!(matches!(
+            PaillierSecretKey::keypair_from_bytes(&bytes),
+            Err(CryptoError::KeyGeneration(_))
+        ));
+    }
+
+    #[test]
+    fn unfactorable_prime_is_refused_on_import() {
+        // 68 756 181 653 is prime, but its p − 1 = 4 · 131 101 · 131 113
+        // leaves a composite cofactor above the trial bound: a key from
+        // before keygen drew p = 2·k·p′ + 1 can look like this.
+        let (p, q) = (Uint::from_u64(68_756_181_653), Uint::from_u64(65_539));
         let mut bytes = SECRET_MAGIC.to_vec();
         put_uint(&mut bytes, &p);
         put_uint(&mut bytes, &q);

@@ -4,10 +4,14 @@
 //! A single 128-bit keypair is generated once (key generation dominates
 //! runtime) and shared across all cases.
 //!
-//! The parity cases check the key owner's CRT sampler
-//! (`PaillierKeypair::encrypt`) against the public-key path it replaces:
-//! equal ciphertexts and equal RNG end states from equally seeded RNGs.
+//! The key-owner cases check `PaillierKeypair::encrypt`, whose comb
+//! sampler draws each randomizer `r^N mod N²` from the factors: its
+//! draws cover the `N`-th residues uniformly, its ciphertexts decrypt and
+//! keep both homomorphisms, and its parallel batches keep the public
+//! path's chunk and seed layout. Its ciphertexts are distributed as the
+//! public path's, not equal to them.
 
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use pps_bignum::Uint;
@@ -24,10 +28,10 @@ fn keypair() -> &'static PaillierKeypair {
     })
 }
 
-/// One key per shape the parity cases cover: 64 to 512 bits, odd and
+/// One key per shape the key-owner cases cover: 64 to 512 bits, odd and
 /// even widths, one- and multi-limb factors, the fixed 65 537 · 65 539
-/// key of the unit tests, and a toy 7 · 11 key whose draws hit a factor
-/// about one time in five, so the rejection loop runs.
+/// key of the unit tests, and a toy 7 · 11 key whose 60 `N`-th residues
+/// can be listed.
 fn parity_keys() -> &'static [PaillierKeypair] {
     static KEYS: OnceLock<Vec<PaillierKeypair>> = OnceLock::new();
     KEYS.get_or_init(|| {
@@ -49,42 +53,86 @@ fn plaintext(kp: &PaillierKeypair, m: u64) -> Uint {
 }
 
 #[test]
-fn keypair_encrypt_rejects_out_of_range_after_the_same_draws() {
-    for kp in parity_keys() {
-        let n = kp.public.n();
-        let (mut owner, mut public) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
-        assert!(matches!(
-            kp.encrypt(n, &mut owner),
-            Err(CryptoError::PlaintextOutOfRange)
-        ));
-        assert!(kp.public.encrypt(n, &mut public).is_err());
-        assert_eq!(
-            owner.next_u64(),
-            public.next_u64(),
-            "{} bits",
-            kp.public.key_bits()
+fn keypair_sampler_covers_the_n_th_residues_uniformly() {
+    // For N = 7 · 11, r ↦ r^N mod N² maps Z*_N onto 60 residues, each
+    // hit once; E(0) is the randomizer itself. 60 000 draws must land on
+    // exactly those 60, each 1 000 times in expectation (σ ≈ 31).
+    let kp = parity_keys().last().unwrap();
+    assert_eq!(kp.public.n(), &Uint::from_u64(77));
+    let n_squared = kp.public.n_squared();
+    let residues: Vec<Uint> = (1..77u64)
+        .filter(|r| r % 7 != 0 && r % 11 != 0)
+        .map(|r| Uint::from_u64(r).mod_pow(kp.public.n(), n_squared).unwrap())
+        .collect();
+    let mut counts: HashMap<Uint, usize> = residues.iter().map(|x| (x.clone(), 0)).collect();
+    assert_eq!(counts.len(), 60, "the N-th power map is one to one on Z*_N");
+    let mut rng = StdRng::seed_from_u64(0x6000);
+    for _ in 0..60_000 {
+        let drawn = kp.encrypt(&Uint::zero(), &mut rng).unwrap().raw().clone();
+        *counts
+            .get_mut(&drawn)
+            .expect("a draw off the N-th residues") += 1;
+    }
+    for (residue, &count) in &counts {
+        assert!(
+            (850..=1150).contains(&count),
+            "{residue:?} drawn {count} times"
         );
     }
 }
 
 #[test]
-fn keypair_parallel_batches_are_bit_identical() {
+fn keypair_encrypt_refuses_out_of_range_before_any_draw() {
+    for kp in parity_keys() {
+        let n = kp.public.n();
+        let (mut used, mut fresh) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        for m in [n.clone(), n.add_u64(1)] {
+            assert!(matches!(
+                kp.encrypt(&m, &mut used),
+                Err(CryptoError::PlaintextOutOfRange)
+            ));
+        }
+        let batch = [Uint::one(), n.clone()];
+        assert!(matches!(
+            kp.encrypt_batch_parallel(&batch, 1, &mut used),
+            Err(CryptoError::PlaintextOutOfRange)
+        ));
+        // The refused encryptions drew nothing from the caller's RNG;
+        // the batch drew only its one chunk seed.
+        let bits = kp.public.key_bits();
+        let mut chunk = [0u8; 32];
+        fresh.fill_bytes(&mut chunk);
+        assert_eq!(used.next_u64(), fresh.next_u64(), "{bits} bits");
+    }
+}
+
+#[test]
+fn keypair_parallel_batches_reproduce_the_chunk_layout() {
+    // The layout of `oversubscribed_threads_preserve_the_ciphertext_stream`
+    // on the public path: up to `threads` chunks of at least four, one
+    // stream-split seed each, every chunk encrypted in order from its
+    // own stream.
     for kp in parity_keys() {
         let ms: Vec<Uint> = (0..13u64)
             .map(|i| plaintext(kp, i * 0x9e37_79b9 + 1))
             .collect();
         for threads in [1usize, 2, 4] {
-            let (mut owner, mut public) = (StdRng::seed_from_u64(17), StdRng::seed_from_u64(17));
-            let got = kp.encrypt_batch_parallel(&ms, threads, &mut owner).unwrap();
-            let want = kp
-                .public
-                .encrypt_batch_parallel(&ms, threads, &mut public)
-                .unwrap();
+            let wanted = threads.min(ms.len() / 4).max(1);
+            let mut seeds = StdRng::seed_from_u64(17);
+            let mut want = Vec::new();
+            for chunk in ms.chunks(ms.len().div_ceil(wanted)) {
+                let mut seed = [0u8; 32];
+                seeds.fill_bytes(&mut seed);
+                let mut stream = StdRng::from_seed(seed);
+                want.extend(chunk.iter().map(|m| kp.encrypt(m, &mut stream).unwrap()));
+            }
+            let mut rng = StdRng::seed_from_u64(17);
+            let got = kp.encrypt_batch_parallel(&ms, threads, &mut rng).unwrap();
             let bits = kp.public.key_bits();
             assert_eq!(got, want, "{bits} bits, {threads} threads");
             assert_eq!(
-                owner.next_u64(),
-                public.next_u64(),
+                rng.next_u64(),
+                seeds.next_u64(),
                 "{bits} bits, {threads} threads"
             );
             for (ct, m) in got.iter().zip(&ms) {
@@ -98,15 +146,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn keypair_encrypt_is_bit_identical(m in any::<u64>(), seed in any::<u64>()) {
+    fn keypair_ciphertexts_round_trip_and_stay_homomorphic(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        k in any::<u32>(),
+        seed in any::<u64>(),
+    ) {
         for kp in parity_keys() {
-            let m = plaintext(kp, m);
-            let (mut owner, mut public) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-            let got = kp.encrypt(&m, &mut owner).unwrap();
-            let want = kp.public.encrypt(&m, &mut public).unwrap();
-            prop_assert_eq!((kp.public.key_bits(), &got), (kp.public.key_bits(), &want));
-            prop_assert_eq!(owner.next_u64(), public.next_u64());
-            prop_assert_eq!(kp.secret.decrypt(&got).unwrap(), m);
+            let n = kp.public.n();
+            let (a, b) = (plaintext(kp, a), plaintext(kp, b));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ea = kp.encrypt(&a, &mut rng).unwrap();
+            let eb = kp.encrypt(&b, &mut rng).unwrap();
+            let bits = kp.public.key_bits();
+            prop_assert_eq!((bits, kp.secret.decrypt(&ea).unwrap()), (bits, a.clone()));
+            let sum = kp.public.add(&ea, &eb).unwrap();
+            prop_assert_eq!(kp.secret.decrypt(&sum).unwrap(), a.mod_add(&b, n).unwrap());
+            let k = Uint::from_u64(u64::from(k));
+            let scaled = kp.public.mul_plain(&ea, &k).unwrap();
+            prop_assert_eq!(kp.secret.decrypt(&scaled).unwrap(), a.mod_mul(&k, n).unwrap());
         }
     }
 }

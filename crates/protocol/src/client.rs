@@ -19,8 +19,8 @@ use crate::messages::{Hello, IndexBatch, MsgType, Product};
 /// Where the client's encrypted index weights come from.
 ///
 /// The fresh sources encrypt with the querier's keypair
-/// ([`PaillierKeypair::encrypt`]): the same ciphertexts as the public
-/// key's encryption, with `r^N` built from the secret factors.
+/// ([`PaillierKeypair::encrypt`]): ciphertexts distributed as the public
+/// key's encryption's, with `r^N` drawn from the secret factors.
 pub enum IndexSource<'a> {
     /// Encrypt each weight online with fresh randomness (§3.1; the cost
     /// the paper identifies as the bottleneck).
@@ -93,6 +93,9 @@ pub struct ClientSendStats {
     pub encrypt: Duration,
     /// Per-batch preparation times, for the pipeline model.
     pub per_batch_encrypt: Vec<Duration>,
+    /// When each batch's preparation began, so a trace can place its
+    /// span where it ran.
+    pub per_batch_start: Vec<Instant>,
     /// Per-batch encoded payload sizes in bytes.
     pub per_batch_bytes: Vec<usize>,
 }
@@ -187,6 +190,7 @@ impl SumClient {
             let elapsed = start.elapsed();
             stats.encrypt += elapsed;
             stats.per_batch_encrypt.push(elapsed);
+            stats.per_batch_start.push(start);
             stats.per_batch_bytes.push(frame.encoded_len());
             wire.send(frame)?;
         }

@@ -53,8 +53,9 @@ impl CostModel {
     ///
     /// The measurement times [`PaillierPublicKey::encrypt`], the paper's
     /// per-encryption algorithm (a full-width `r^N mod N²`). The querier
-    /// encrypts with its keypair's faster CRT sampler, so the rescaled
-    /// columns show that gain instead of absorbing it into the factor.
+    /// encrypts with its keypair's faster comb sampler, so the rescaled
+    /// columns show that gain instead of absorbing it into the factor;
+    /// Figs. 2–3 also print the paper's algorithm at this measured time.
     pub fn paper_cpp(key: &PaillierPublicKey, rng: &mut dyn RngCore) -> Self {
         let measured = measure_encrypt_secs(key, rng);
         CostModel {

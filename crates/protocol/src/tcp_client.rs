@@ -33,7 +33,7 @@
 
 use std::io::{Read, Write};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pps_bignum::Uint;
 use pps_obs::{Collector, Phase, RingCollector, SpanRecord, TeeCollector, TraceContext, Tracer};
@@ -180,22 +180,28 @@ pub(crate) struct QueryTrace<'a> {
 impl QueryTrace<'_> {
     /// Records the successful attempt: one `encrypt_batch` span per
     /// batch it streamed ([`Phase::ClientEncrypt`], tagged with the
-    /// batch's sequence number), `wire_blocked` ([`Phase::Comm`], the
-    /// time blocked on socket send/recv) and `decrypt`
+    /// batch's sequence number, placed where that batch's encryption ran
+    /// on the tracer's clock), `wire_blocked` ([`Phase::Comm`], the time
+    /// blocked on socket send/recv) and `decrypt`
     /// ([`Phase::ClientDecrypt`]). The histograms read the same
     /// `Duration`s, so a `/metrics` scrape and a span-bridged
     /// [`RunReport`] agree exactly, not just within timer noise.
     fn record(&self, attempt: &Attempt, comm: Duration) {
-        for (seq, elapsed) in (attempt.first_seq..).zip(&attempt.sent.per_batch_encrypt) {
-            let end_ns = self.tracer.now_ns();
-            let dur_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        // One reading of both clocks carries each batch's start onto the
+        // tracer's timeline: as long before now as it began.
+        let (now, now_ns) = (Instant::now(), self.tracer.now_ns());
+        let sent = &attempt.sent;
+        let batches = sent.per_batch_encrypt.iter().zip(&sent.per_batch_start);
+        for (seq, (elapsed, started)) in (attempt.first_seq..).zip(batches) {
+            let start_ns = now_ns.saturating_sub(ns(now.duration_since(*started)));
             self.tracer.record_span(SpanRecord {
                 name: "encrypt_batch".to_string(),
                 phase: Some(Phase::ClientEncrypt),
                 session: self.session,
                 batch: Some(seq),
-                start_ns: end_ns.saturating_sub(dur_ns),
-                end_ns,
+                start_ns,
+                end_ns: start_ns.saturating_add(ns(*elapsed)),
                 trace: None, // stamped by the tracer's context
             });
         }
@@ -731,6 +737,53 @@ mod tests {
         assert_eq!(merged.comm, report.comm);
         assert_eq!(merged.client_decrypt, report.client_decrypt);
         assert_eq!(merged.server_compute, stats.compute);
+    }
+
+    #[test]
+    fn encryption_spans_sit_where_each_batch_ran() {
+        use pps_obs::Registry;
+
+        // Eight rows in batches of two: four encryption spans, in
+        // sequence order, each ending before the next begins and before
+        // the decryption starts, each exactly its batch's duration.
+        let db = Arc::new(Database::new((1..=8).collect()).unwrap());
+        let server = TcpServer::bind(db, "127.0.0.1:0", FoldStrategy::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let server_thread = std::thread::spawn(move || server.serve(Some(1)));
+        let ring = Arc::new(RingCollector::new(64));
+        let obs = QueryObs::with_collector(
+            Arc::new(Registry::new()),
+            Arc::clone(&ring) as Arc<dyn Collector>,
+        );
+        let mut rng = StdRng::seed_from_u64(29);
+        let client = SumClient::generate(256, &mut rng).unwrap();
+        let config = TcpQueryConfig {
+            batch_size: 2,
+            ..TcpQueryConfig::default()
+        };
+        let (out, report) = run_tcp_query_observed(
+            &addr.to_string(),
+            &client,
+            &[0, 3, 4, 7],
+            &config,
+            &mut rng,
+            &obs,
+        )
+        .unwrap();
+        server_thread.join().unwrap();
+        assert_eq!(out.sum, 1 + 4 + 5 + 8);
+
+        let spans = ring.spans();
+        let encrypts: Vec<_> = spans.iter().filter(|s| s.name == "encrypt_batch").collect();
+        let seqs: Vec<u64> = encrypts.iter().filter_map(|s| s.batch).collect();
+        assert_eq!(seqs, [0, 1, 2, 3]);
+        for pair in encrypts.windows(2) {
+            assert!(pair[0].end_ns <= pair[1].start_ns, "{pair:?} overlap");
+        }
+        let decrypt = spans.iter().find(|s| s.name == "decrypt").unwrap();
+        assert!(encrypts.iter().all(|s| s.end_ns <= decrypt.start_ns));
+        let total: u64 = encrypts.iter().map(|s| s.end_ns - s.start_ns).sum();
+        assert_eq!(u128::from(total), report.client_encrypt.as_nanos());
     }
 
     #[test]

@@ -89,4 +89,13 @@ fn fig3_verdict_note_present() {
     let mut h = harness();
     let t = figures::fig3(&mut h, &[20]);
     assert!(t.notes.iter().any(|n| n.contains("verdict")));
+    // One verdict on the paper's algorithm, one on this system.
+    for line in ["paper's algorithm", "this system"] {
+        assert!(
+            t.notes
+                .iter()
+                .any(|n| n.contains("verdict") && n.contains(line)),
+            "no verdict for {line}"
+        );
+    }
 }
