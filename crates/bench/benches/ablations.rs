@@ -44,8 +44,9 @@ fn ablation_reduction_strategy(c: &mut Criterion) {
 /// Encryption-scheme ablation: g = N+1 (one modpow) vs general g (two).
 fn ablation_generator_choice(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
-    let p = Uint::generate_prime(&mut rng, 256).unwrap();
-    let q = Uint::generate_prime(&mut rng, 256).unwrap();
+    // Keygen's primes: the keypair's randomizer needs the factors of s − 1.
+    let p = Uint::generate_prime_with_large_factor(&mut rng, 256).unwrap();
+    let q = Uint::generate_prime_with_large_factor(&mut rng, 256).unwrap();
     let optimized = PaillierKeypair::from_primes(p.clone(), q.clone()).unwrap();
     let n = &p * &q;
     let general = GeneralPaillier::from_primes_and_g(p, q, n.add_u64(1)).unwrap();

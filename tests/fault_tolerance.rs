@@ -7,7 +7,7 @@
 
 use std::io::{Read as IoRead, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use pps_protocol::messages::{HelloAck, MsgType};
@@ -25,8 +25,15 @@ fn db4() -> Arc<Database> {
 
 /// Runs one healthy query and returns the sum.
 fn healthy_query(addr: SocketAddr, select: &[usize], seed: u64) -> u128 {
+    healthy_query_after(&Barrier::new(1), addr, select, seed)
+}
+
+/// [`healthy_query`], connecting once every party to `start` holds its
+/// key.
+fn healthy_query_after(start: &Barrier, addr: SocketAddr, select: &[usize], seed: u64) -> u128 {
     let mut rng = StdRng::seed_from_u64(seed);
     let client = SumClient::generate(128, &mut rng).unwrap();
+    start.wait();
     let out = run_tcp_query_with_retry(
         &addr.to_string(),
         &client,
@@ -311,9 +318,15 @@ fn queued_admission_under_load_serves_every_client() {
     let addr = server.local_addr().unwrap();
 
     let clients = std::thread::spawn(move || {
+        // Every client holds its key before any connects, so the eight
+        // sessions arrive together however long each keygen takes.
+        let start = Barrier::new(8);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
-                .map(|i| scope.spawn(move || healthy_query(addr, &[0, 3], 40 + i)))
+                .map(|i| {
+                    let start = &start;
+                    scope.spawn(move || healthy_query_after(start, addr, &[0, 3], 40 + i))
+                })
                 .collect();
             handles
                 .into_iter()
