@@ -32,7 +32,7 @@ fn bench_encrypt_pooled(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut pool = BitEncryptionPool::new(kp.public.clone());
-                pool.fill(0, 64, &mut rng).unwrap();
+                pool.fill(&kp, 0, 64, 1, &mut rng).unwrap();
                 pool
             },
             |mut pool| {

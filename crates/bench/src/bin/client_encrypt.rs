@@ -3,33 +3,33 @@
 //!
 //! Five strategies over the same batch of 0/1 index plaintexts:
 //!
-//! * **sequential** — `PaillierPublicKey::encrypt_batch`, one fresh
-//!   `r^N mod N²` per element on one core (the paper's client as written,
-//!   and the path of anyone holding only `N`);
+//! * **sequential** — `PaillierPublicKey::encrypt` per element on one
+//!   core: one fresh `r^N mod N²` exponentiation each, the paper's
+//!   client as written and the path of anyone holding only `N`;
 //! * **keypair** — `PaillierKeypair::encrypt` per element on one core,
 //!   the `SumClient` path: ciphertexts distributed as the public path's,
 //!   with `r^N` drawn from the secret factors by a fixed-base comb per
 //!   prime and the CRT;
-//! * **parallel** — `encrypt_batch_parallel` across all host cores;
+//! * **parallel** — `PaillierKeypair::encrypt_batch_parallel` across
+//!   all host cores;
 //! * **pool** — §3.3 preprocessing: a `RandomizerPool` filled offline
-//!   (sequentially), then the cheap online `(1+mN)·r^N` multiply per
-//!   element; fill and online phases are timed separately;
-//! * **parallel pool fill** — the same offline fill via
-//!   `RandomizerPool::fill_parallel` across all host cores.
+//!   through the keypair on one worker, then the cheap online
+//!   `(1+mN)·r^N` multiply per element; fill and online phases are
+//!   timed separately;
+//! * **parallel pool fill** — the same offline fill across all host
+//!   cores.
 //!
 //! Results land in `BENCH_client_encrypt.json` (repo root, or
 //! `--out PATH`), serialized through `pps_obs::JsonValue` — the
 //! workspace's one JSON writer (no serde). Alongside the per-`n` rows,
-//! the file carries per-worker-chunk and pool-fill latency histograms
-//! (recorded through `EncryptMetrics`/`PoolMetrics` while the sweep
-//! runs) and, for the smallest `n`, a full loopback `RunReport` rendered
-//! with `RunReport::to_json` — the paper's four-component decomposition
-//! in the same schema the CLI's `--trace json` prints.
+//! the file carries, for the smallest `n`, a full loopback `RunReport`
+//! rendered with `RunReport::to_json` — the paper's four-component
+//! decomposition in the same schema the CLI's `--trace json` prints.
 //!
-//! The JSON records `host_parallelism` because the headline ≥2× parallel
-//! speedup only applies on a multi-core host — on a single-core box the
-//! parallel paths fall back to the sequential code and the speedup
-//! honestly reports ≈1×.
+//! The JSON records `host_parallelism` because the parallel speedups
+//! only apply on a multi-core host — on a single-core box the parallel
+//! paths fall back to the sequential code and the speedup honestly
+//! reports ≈1×.
 //!
 //! ```sh
 //! cargo run --release -p pps-bench --bin client_encrypt
@@ -39,11 +39,8 @@
 use std::time::Instant;
 
 use pps_bignum::Uint;
-use pps_crypto::{
-    host_parallelism, EncryptMetrics, PaillierKeypair, ParallelEncryptor, PoolMetrics,
-    RandomizerPool,
-};
-use pps_obs::{HistogramSnapshot, JsonValue, Registry};
+use pps_crypto::{host_parallelism, PaillierKeypair, RandomizerPool};
+use pps_obs::JsonValue;
 use pps_protocol::{run_batched, Database, Selection, SumClient};
 use pps_transport::LinkProfile;
 use rand::rngs::StdRng;
@@ -134,40 +131,35 @@ fn main() {
     }
 
     let mut rng = StdRng::seed_from_u64(0x2004_c11e);
-    let kp = PaillierKeypair::generate(key_bits, &mut rng).expect("keygen");
-    let key = kp.public.clone();
-    let client = SumClient::new(kp);
-
-    // Latency histograms accumulated across the whole sweep: one sample
-    // per parallel worker chunk, one per pool fill.
-    let registry = Registry::new();
-    let encrypt_metrics = EncryptMetrics::from_registry(&registry);
-    let pool_metrics = PoolMetrics::from_registry(&registry);
-    let parallel_encryptor =
-        ParallelEncryptor::new(key.clone(), threads).with_metrics(encrypt_metrics.clone());
+    let client = SumClient::new(PaillierKeypair::generate(key_bits, &mut rng).expect("keygen"));
+    let owner = client.keypair();
+    let key = &owner.public;
 
     let mut rows = Vec::new();
     for &n in &ns {
         // Alternating 0/1 plaintexts, the shape of a real index vector.
         let ms: Vec<Uint> = (0..n).map(|i| Uint::from_u64((i % 2) as u64)).collect();
 
-        let (seq_cts, sequential_secs) = time(|| key.encrypt_batch(&ms, &mut rng).expect("seq"));
+        let (seq_cts, sequential_secs) = time(|| {
+            ms.iter()
+                .map(|m| key.encrypt(m, &mut rng).expect("seq"))
+                .collect::<Vec<_>>()
+        });
         let (owner_cts, keypair_secs) = time(|| {
             ms.iter()
-                .map(|m| client.keypair().encrypt(m, &mut rng).expect("keypair"))
+                .map(|m| owner.encrypt(m, &mut rng).expect("keypair"))
                 .collect::<Vec<_>>()
         });
         assert_eq!(seq_cts.len(), owner_cts.len());
         let (par_cts, parallel_secs) = time(|| {
-            parallel_encryptor
-                .encrypt_batch(&ms, &mut rng)
+            owner
+                .encrypt_batch_parallel(&ms, threads, &mut rng)
                 .expect("par")
         });
         assert_eq!(seq_cts.len(), par_cts.len());
 
         let mut pool = RandomizerPool::new(key.clone());
-        pool.set_metrics(pool_metrics.clone());
-        let ((), pool_fill_secs) = time(|| pool.fill(n, &mut rng).expect("fill"));
+        let ((), pool_fill_secs) = time(|| pool.fill(owner, n, 1, &mut rng).expect("fill"));
         let (_, pool_online_secs) = time(|| {
             ms.iter()
                 .map(|m| pool.encrypt(m).expect("online"))
@@ -175,9 +167,8 @@ fn main() {
         });
 
         let mut par_pool = RandomizerPool::new(key.clone());
-        par_pool.set_metrics(pool_metrics.clone());
         let ((), parallel_pool_fill_secs) =
-            time(|| par_pool.fill_parallel(n, threads, &mut rng).expect("pfill"));
+            time(|| par_pool.fill(owner, n, threads, &mut rng).expect("pfill"));
         assert_eq!(par_pool.remaining(), n);
 
         let row = Row {
@@ -191,7 +182,7 @@ fn main() {
         };
         println!(
             "n = {:>6}: sequential {:>8.3}s | keypair {:>8.3}s ({:.2}x) | \
-             parallel({} thr) {:>8.3}s ({:.2}x) | \
+             keypair parallel({} thr) {:>8.3}s ({:.2}x) | \
              pool fill {:>8.3}s + online {:>7.3}s | parallel fill {:>8.3}s ({:.2}x)",
             row.n,
             row.sequential_secs,
@@ -199,7 +190,7 @@ fn main() {
             row.sequential_secs / row.keypair_secs.max(1e-9),
             threads,
             row.parallel_secs,
-            row.sequential_secs / row.parallel_secs.max(1e-9),
+            row.keypair_secs / row.parallel_secs.max(1e-9),
             row.pool_fill_secs,
             row.pool_online_secs,
             row.parallel_pool_fill_secs,
@@ -228,14 +219,7 @@ fn main() {
     };
     println!("loopback: {}", loopback.summary());
 
-    let json = render_json(
-        key_bits,
-        threads,
-        &rows,
-        &encrypt_metrics.chunk_seconds.snapshot(),
-        &pool_metrics.fill_seconds.snapshot(),
-        &loopback.to_json(),
-    );
+    let json = render_json(key_bits, threads, &rows, &loopback.to_json());
     std::fs::write(&out_path, &json).expect("write results");
     println!("\nwrote {out_path}");
 }
@@ -252,7 +236,7 @@ fn row_json(r: &Row) -> JsonValue {
         .field("parallel_secs", r.parallel_secs)
         .field(
             "parallel_speedup",
-            r.sequential_secs / r.parallel_secs.max(1e-9),
+            r.keypair_secs / r.parallel_secs.max(1e-9),
         )
         .field("pool_fill_secs", r.pool_fill_secs)
         .field("pool_online_secs", r.pool_online_secs)
@@ -263,26 +247,10 @@ fn row_json(r: &Row) -> JsonValue {
         )
 }
 
-fn histogram_json(h: &HistogramSnapshot) -> JsonValue {
-    JsonValue::object()
-        .field("count", h.count)
-        .field("sum_seconds", JsonValue::seconds(h.sum()))
-        .field("p50_seconds", JsonValue::seconds(h.p50()))
-        .field("p95_seconds", JsonValue::seconds(h.p95()))
-        .field("p99_seconds", JsonValue::seconds(h.p99()))
-}
-
 /// The results file, serialized through the workspace's one JSON writer
 /// (`pps_obs::JsonValue` — the workspace deliberately carries no serde)
 /// and opened with the shared `BENCH_*.json` envelope.
-fn render_json(
-    key_bits: usize,
-    threads: usize,
-    rows: &[Row],
-    chunks: &HistogramSnapshot,
-    fills: &HistogramSnapshot,
-    loopback: &JsonValue,
-) -> String {
+fn render_json(key_bits: usize, threads: usize, rows: &[Row], loopback: &JsonValue) -> String {
     pps_bench::report::envelope(
         "client_encrypt",
         JsonValue::object()
@@ -290,17 +258,13 @@ fn render_json(
             .field("threads", threads)
             .field(
                 "note",
-                "parallel speedups are meaningful only when host_parallelism >= 2; \
-                 on a single-core host the parallel engine falls back to the sequential path",
+                "sequential_secs is the public path, the paper's algorithm; every other \
+                 column runs through the keypair. Parallel speedups (parallel_speedup against \
+                 keypair_secs, pool_fill_speedup against pool_fill_secs) are meaningful only \
+                 when host_parallelism >= 2",
             ),
     )
     .field("rows", JsonValue::array(rows.iter().map(row_json)))
-    .field(
-        "histograms",
-        JsonValue::object()
-            .field("encrypt_chunk_seconds", histogram_json(chunks))
-            .field("pool_fill_seconds", histogram_json(fills)),
-    )
     .field("loopback_report", loopback.clone())
     .render_pretty()
 }

@@ -29,18 +29,6 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
     outer.finalize()
 }
 
-/// Constant-time equality check for MACs and digests.
-pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut acc = 0u8;
-    for (x, y) in a.iter().zip(b.iter()) {
-        acc |= x ^ y;
-    }
-    acc == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,13 +85,5 @@ mod tests {
     fn key_sensitivity() {
         assert_ne!(hmac_sha256(b"k1", b"m"), hmac_sha256(b"k2", b"m"));
         assert_ne!(hmac_sha256(b"k", b"m1"), hmac_sha256(b"k", b"m2"));
-    }
-
-    #[test]
-    fn constant_time_eq() {
-        assert!(ct_eq(b"same", b"same"));
-        assert!(!ct_eq(b"same", b"diff"));
-        assert!(!ct_eq(b"short", b"longer"));
-        assert!(ct_eq(b"", b""));
     }
 }

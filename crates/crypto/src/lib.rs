@@ -7,13 +7,13 @@
 //!   [`PaillierSecretKey`], [`Ciphertext`]) — the additively homomorphic
 //!   encryption scheme the paper's selected-sum protocol is built on,
 //!   with `g = N+1` fast encryption and CRT-accelerated decryption;
+//! * **batch encryption** ([`PaillierKeypair::encrypt_batch_parallel`])
+//!   — the querier's index-vector encryption across cores, with
+//!   deterministic per-chunk CSPRNG streams, attacking the client-side
+//!   bottleneck the paper measures;
 //! * **precomputation pools** ([`BitEncryptionPool`], [`RandomizerPool`])
-//!   — the paper's §3.3 offline-preprocessing optimization, with
-//!   parallel fills and a non-blocking shared wrapper;
-//! * **parallel client engine** ([`ParallelEncryptor`],
-//!   [`PaillierPublicKey::encrypt_batch_parallel`]) — multi-core
-//!   index-vector encryption with deterministic per-worker CSPRNG
-//!   streams, attacking the client-side bottleneck the paper measures;
+//!   — the paper's §3.3 offline-preprocessing optimization, filled
+//!   through the keypair's batch encryption;
 //! * **SHA-256 / HMAC / counter-mode PRG** ([`Sha256`], [`hmac_sha256`],
 //!   [`CtrPrg`]) — support primitives for the garbled-circuit comparator
 //!   and reproducible randomness, verified against FIPS/RFC vectors.
@@ -46,22 +46,18 @@ mod error;
 mod general;
 mod hmac;
 mod keyio;
-mod obs;
 mod paillier;
-mod parallel;
 mod pool;
 mod prg;
 mod sha256;
 
 pub use error::CryptoError;
 pub use general::GeneralPaillier;
-pub use hmac::{ct_eq, hmac_sha256};
-pub use obs::{EncryptMetrics, PoolMetrics};
+pub use hmac::hmac_sha256;
 pub use paillier::{
-    Ciphertext, CiphertextFold, PaillierKeypair, PaillierPublicKey, PaillierSecretKey,
-    DEFAULT_KEY_BITS, MIN_KEY_BITS,
+    host_parallelism, Ciphertext, CiphertextFold, PaillierKeypair, PaillierPublicKey,
+    PaillierSecretKey, DEFAULT_KEY_BITS, MIN_KEY_BITS,
 };
-pub use parallel::{host_parallelism, ParallelEncryptor};
-pub use pool::{BitEncryptionPool, RandomizerPool, SharedBitPool};
+pub use pool::{BitEncryptionPool, RandomizerPool};
 pub use prg::CtrPrg;
 pub use sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};

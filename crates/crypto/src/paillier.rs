@@ -18,7 +18,6 @@
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use pps_bignum::{
     BignumError, Crt2, FixedBaseComb, FixedExponentPlan, Montgomery, SessionFold, Uint,
@@ -50,19 +49,16 @@ fn split_rng_streams(rng: &mut dyn RngCore, chunks: usize) -> Vec<StdRng> {
         .collect()
 }
 
-/// Draws one `r^N mod N²` randomizer from the given stream.
-pub(crate) type Sampler<'a> = dyn Fn(&mut dyn RngCore) -> Result<Uint, CryptoError> + Sync + 'a;
-
 /// One chunk of a parallel batch: its index range and its own stream.
 type ChunkWork<'a, T> =
     dyn Fn(Range<usize>, &mut StdRng) -> Result<Vec<T>, CryptoError> + Sync + 'a;
 
-/// Runs `work` over `len` items in the deterministic layout behind every
-/// parallel batch: up to `threads` contiguous chunks (fewer when a chunk
-/// would hold under [`MIN_ENCRYPTIONS_PER_THREAD`] items), each with its
-/// own stream-split CSPRNG, spread over at most
-/// [`crate::host_parallelism`] scoped workers. `on_chunk`, when given,
-/// receives each chunk's wall time. Results come back in input order.
+/// Runs `work` over `len` items in the deterministic layout behind
+/// [`PaillierKeypair::encrypt_batch_parallel`]: up to `threads`
+/// contiguous chunks (fewer when a chunk would hold under
+/// [`MIN_ENCRYPTIONS_PER_THREAD`] items), each with its own stream-split
+/// CSPRNG, spread over at most [`host_parallelism`] scoped workers.
+/// Results come back in input order.
 ///
 /// Seeds are drawn per *chunk*, before any spawning, so the output
 /// depends only on (rng state, threads, len), never on scheduling or on
@@ -74,7 +70,6 @@ fn run_chunked<T: Send>(
     len: usize,
     threads: usize,
     rng: &mut dyn RngCore,
-    on_chunk: Option<&(dyn Fn(Duration) + Sync)>,
     work: &ChunkWork<'_, T>,
 ) -> Result<Vec<T>, CryptoError> {
     let wanted = threads.max(1).min(len / MIN_ENCRYPTIONS_PER_THREAD).max(1);
@@ -84,23 +79,14 @@ fn run_chunked<T: Send>(
         .map(|start| start..(start + chunk).min(len))
         .collect();
     let mut streams = split_rng_streams(rng, ranges.len());
-    let timed = |range: &Range<usize>, stream: &mut StdRng| {
-        let start = Instant::now();
-        let result = work(range.clone(), stream);
-        if let Some(observe) = on_chunk {
-            observe(start.elapsed());
-        }
-        result
-    };
-    let workers = ranges.len().min(crate::parallel::host_parallelism());
+    let workers = ranges.len().min(host_parallelism());
     let groups: Vec<Result<Vec<Vec<T>>, CryptoError>> = if workers <= 1 {
         vec![ranges
             .iter()
             .zip(streams.iter_mut())
-            .map(|(r, s)| timed(r, s))
+            .map(|(r, s)| work(r.clone(), s))
             .collect()]
     } else {
-        let timed = &timed;
         let per_worker = ranges.len().div_ceil(workers);
         std::thread::scope(|s| {
             let handles: Vec<_> = ranges
@@ -111,7 +97,7 @@ fn run_chunked<T: Send>(
                         group
                             .iter()
                             .zip(group_streams.iter_mut())
-                            .map(|(r, stream)| timed(r, stream))
+                            .map(|(r, stream)| work(r.clone(), stream))
                             .collect()
                     })
                 })
@@ -129,6 +115,14 @@ fn run_chunked<T: Send>(
         }
     }
     Ok(out)
+}
+
+/// Worker threads available on this host (`1` when the query fails):
+/// the most workers a batch encryption spawns.
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 /// Smallest supported modulus size. 512 matches the paper; anything below
@@ -171,8 +165,8 @@ struct PublicInner {
     /// `N/2`, cached for signed decoding.
     half_n: Uint,
     /// The window recoding of the fixed exponent `N`, paid once per key
-    /// and reused by every `r^N` randomizer sampling (and so by every
-    /// pool fill) instead of re-scanning `N`'s bits per call.
+    /// and reused by every public `r^N` randomizer sampling instead of
+    /// re-scanning `N`'s bits per call.
     n_plan: FixedExponentPlan,
 }
 
@@ -405,9 +399,26 @@ impl PaillierKeypair {
         self.public.encrypt_with_randomizer(m, &rn)
     }
 
-    /// [`PaillierPublicKey::encrypt_batch_parallel`] with the key owner's
-    /// sampler: the same chunk layout and stream-split seeds, each chunk
-    /// encrypted as [`PaillierKeypair::encrypt`] would from its stream.
+    /// Encrypts a slice of plaintexts as [`PaillierKeypair::encrypt`]
+    /// would, across up to `threads` scoped worker threads, preserving
+    /// input order. The querier's batch path, and the fill of both §3.3
+    /// pools.
+    ///
+    /// The slice is split into contiguous chunks — the chunk layout and
+    /// per-chunk CSPRNG streams are a pure function of `(ms.len(),
+    /// threads)` and the caller's RNG state (one 32-byte seed drawn per
+    /// chunk, in chunk order), so for a fixed caller RNG state and
+    /// thread count the output is reproducible **on any host**. Each
+    /// chunk encrypts in order from its own stream. Workers share this
+    /// key's Montgomery contexts and comb tables read-only (`Montgomery`
+    /// is `Sync`; see the compile-time audit in `pps_bignum::montgomery`).
+    ///
+    /// The number of OS threads actually spawned is additionally capped
+    /// at [`host_parallelism`], with surplus chunks handed to the
+    /// existing workers in order. Because seeds are bound to chunks, not
+    /// threads, this clamp never changes the ciphertext stream.
+    /// `threads <= 1`, or batches too small to amortize thread spawn,
+    /// run on the calling thread *with the same stream-split seeding*.
     ///
     /// # Errors
     /// As [`PaillierKeypair::encrypt`], on the first failing element.
@@ -417,10 +428,9 @@ impl PaillierKeypair {
         threads: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<Ciphertext>, CryptoError> {
-        self.public
-            .encrypt_chunked(ms, threads, rng, None, &|stream: &mut dyn RngCore| {
-                self.secret.sample_randomizer(stream)
-            })
+        run_chunked(ms.len(), threads, rng, &|range, stream| {
+            ms[range].iter().map(|m| self.encrypt(m, stream)).collect()
+        })
     }
 }
 
@@ -505,10 +515,11 @@ impl PaillierPublicKey {
     }
 
     /// Draws a fresh encryption randomizer `r ∈ Z*_N` and returns
-    /// `r^N mod N²` — the expensive half of an encryption, reusable for
-    /// offline precomputation. The fixed exponent `N` is recoded once
-    /// per key ([`pps_bignum::FixedExponentPlan`]), so each call pays
-    /// only the per-base work.
+    /// `r^N mod N²` — the expensive half of an encryption, for holders
+    /// of only `N` (the key owner draws from its factors instead). The
+    /// fixed exponent `N` is recoded once per key
+    /// ([`pps_bignum::FixedExponentPlan`]), so each call pays only the
+    /// per-base work.
     pub fn sample_randomizer(&self, rng: &mut dyn RngCore) -> Result<Uint, CryptoError> {
         let r = Uint::random_coprime(rng, &self.inner.n)?;
         Ok(self.inner.n_plan.pow(&self.inner.mont, &r))
@@ -533,9 +544,9 @@ impl PaillierPublicKey {
         Ok(())
     }
 
-    /// Encrypts `m` using a precomputed `r^N mod N²` (see
-    /// [`PaillierPublicKey::sample_randomizer`]). This is the fast online
-    /// path of the paper's §3.3 preprocessing optimization.
+    /// Encrypts `m` using a precomputed `r^N mod N²`, such as a
+    /// [`crate::RandomizerPool`]'s. This is the fast online path of the
+    /// paper's §3.3 preprocessing optimization.
     ///
     /// # Errors
     /// [`CryptoError::PlaintextOutOfRange`] when `m >= N`.
@@ -555,118 +566,6 @@ impl PaillierPublicKey {
     /// As [`PaillierPublicKey::encrypt`].
     pub fn encrypt_u64(&self, m: u64, rng: &mut dyn RngCore) -> Result<Ciphertext, CryptoError> {
         self.encrypt(&Uint::from_u64(m), rng)
-    }
-
-    /// Encrypts a slice of plaintexts sequentially with fresh randomness,
-    /// preserving order. The baseline against which
-    /// [`PaillierPublicKey::encrypt_batch_parallel`] is measured.
-    ///
-    /// # Errors
-    /// As [`PaillierPublicKey::encrypt`], on the first failing element.
-    pub fn encrypt_batch(
-        &self,
-        ms: &[Uint],
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<Ciphertext>, CryptoError> {
-        ms.iter().map(|m| self.encrypt(m, rng)).collect()
-    }
-
-    /// Encrypts a slice of plaintexts across up to `threads` scoped
-    /// worker threads, preserving input order.
-    ///
-    /// The slice is split into contiguous chunks — the chunk layout and
-    /// per-chunk CSPRNG streams are a pure function of `(ms.len(),
-    /// threads)` and the caller's RNG state (see the module's
-    /// stream-splitting helper), so for a fixed caller RNG state and
-    /// thread count the output is reproducible **on any host**. Workers
-    /// share this key's Montgomery context for `N²` read-only
-    /// (`Montgomery` is `Sync`; see the compile-time audit in
-    /// `pps_bignum::montgomery`).
-    ///
-    /// The number of OS threads actually spawned is additionally capped
-    /// at [`crate::host_parallelism`] — requesting more threads than
-    /// cores used to *lose* to the sequential path (oversubscribed
-    /// workers fight for the same cores) — with surplus chunks handed to
-    /// the existing workers in order. Because seeds are bound to chunks,
-    /// not threads, this clamp never changes the ciphertext stream.
-    ///
-    /// `threads <= 1`, or batches too small to amortize thread spawn,
-    /// fall back to the sequential path *using the same stream-split
-    /// seeding*, so results for a given `threads` value are identical
-    /// whether or not the fallback triggers.
-    ///
-    /// # Errors
-    /// As [`PaillierPublicKey::encrypt`], on the first failing element.
-    pub fn encrypt_batch_parallel(
-        &self,
-        ms: &[Uint],
-        threads: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<Ciphertext>, CryptoError> {
-        self.encrypt_batch_parallel_observed(ms, threads, rng, None)
-    }
-
-    /// [`PaillierPublicKey::encrypt_batch_parallel`] with an optional
-    /// per-chunk observer: `on_chunk` is called once per worker chunk
-    /// (including the sequential-fallback "chunk") with the wall time
-    /// that chunk took. Ciphertext output is bit-identical with or
-    /// without an observer — timing happens around, never inside, the
-    /// deterministic encryption stream.
-    ///
-    /// # Errors
-    /// As [`PaillierPublicKey::encrypt`], on the first failing element.
-    pub fn encrypt_batch_parallel_observed(
-        &self,
-        ms: &[Uint],
-        threads: usize,
-        rng: &mut dyn RngCore,
-        on_chunk: Option<&(dyn Fn(Duration) + Sync)>,
-    ) -> Result<Vec<Ciphertext>, CryptoError> {
-        self.encrypt_chunked(ms, threads, rng, on_chunk, &|stream: &mut dyn RngCore| {
-            self.sample_randomizer(stream)
-        })
-    }
-
-    /// The chunked encryption behind both parallel paths: `sample` draws
-    /// each `r^N mod N²` (the public exponentiation, or the key owner's
-    /// comb sampler), everything else is shared. A plaintext out of range
-    /// is refused before its draw.
-    pub(crate) fn encrypt_chunked(
-        &self,
-        ms: &[Uint],
-        threads: usize,
-        rng: &mut dyn RngCore,
-        on_chunk: Option<&(dyn Fn(Duration) + Sync)>,
-        sample: &Sampler<'_>,
-    ) -> Result<Vec<Ciphertext>, CryptoError> {
-        run_chunked(ms.len(), threads, rng, on_chunk, &|range, stream| {
-            ms[range]
-                .iter()
-                .map(|m| {
-                    self.check_plaintext(m)?;
-                    self.encrypt_with_randomizer(m, &sample(stream)?)
-                })
-                .collect()
-        })
-    }
-
-    /// Draws `count` precomputed `r^N mod N²` randomizer factors across
-    /// up to `threads` scoped worker threads — the parallel offline
-    /// phase behind [`crate::RandomizerPool::fill_parallel`]. Seeding
-    /// and ordering follow the same deterministic stream-split rules as
-    /// [`PaillierPublicKey::encrypt_batch_parallel`].
-    ///
-    /// # Errors
-    /// As [`PaillierPublicKey::sample_randomizer`].
-    pub fn sample_randomizers_parallel(
-        &self,
-        count: usize,
-        threads: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<Uint>, CryptoError> {
-        run_chunked(count, threads, rng, None, &|range, stream| {
-            range.map(|_| self.sample_randomizer(stream)).collect()
-        })
     }
 
     /// Homomorphic addition: `E(a) ⊞ E(b) = E(a + b mod N)`.
@@ -1272,13 +1171,10 @@ mod tests {
                 let mut seed = [0u8; 32];
                 seed_rng.fill_bytes(&mut seed);
                 let mut stream = StdRng::from_seed(seed);
-                expected.extend(kp.public.encrypt_batch(mc, &mut stream).unwrap());
+                expected.extend(mc.iter().map(|m| kp.encrypt(m, &mut stream).unwrap()));
             }
             let mut r = StdRng::seed_from_u64(99);
-            let got = kp
-                .public
-                .encrypt_batch_parallel(&ms, threads, &mut r)
-                .unwrap();
+            let got = kp.encrypt_batch_parallel(&ms, threads, &mut r).unwrap();
             assert_eq!(got, expected, "threads={threads}");
         }
     }
@@ -1286,28 +1182,23 @@ mod tests {
     #[test]
     fn oversubscribed_threads_spawn_at_most_host_parallelism_workers() {
         use std::collections::HashSet;
-        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Mutex;
-        let kp = small_keypair();
-        let ms: Vec<Uint> = (0..96).map(Uint::from_u64).collect();
-        let ids: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        let chunks = AtomicUsize::new(0);
-        let observer = |_d: std::time::Duration| {
+        let ids = Mutex::new(HashSet::new());
+        let chunks = run_chunked(96, 1024, &mut rng(), &|range, _stream| {
             ids.lock().unwrap().insert(std::thread::current().id());
-            chunks.fetch_add(1, Ordering::SeqCst);
-        };
-        let mut r = rng();
-        kp.public
-            .encrypt_batch_parallel_observed(&ms, 1024, &mut r, Some(&observer))
-            .unwrap();
-        // 1024 requested threads clamp to 24 chunks (96 / 4): the chunk
-        // layout — and so the seeded stream — survives the worker clamp.
-        assert_eq!(chunks.load(Ordering::SeqCst), 24);
+            Ok(vec![range])
+        })
+        .unwrap();
+        // 1024 requested threads clamp to 24 chunks (96 / 4), returned
+        // in input order: the chunk layout — and so the seeded stream —
+        // survives the worker clamp.
+        let want: Vec<Range<usize>> = (0..24).map(|i| 4 * i..4 * i + 4).collect();
+        assert_eq!(chunks, want);
         let distinct = ids.lock().unwrap().len();
         assert!(
-            distinct <= crate::parallel::host_parallelism().max(1),
+            distinct <= host_parallelism(),
             "spawned {distinct} workers on a {}-way host",
-            crate::parallel::host_parallelism()
+            host_parallelism()
         );
     }
 
@@ -1327,13 +1218,15 @@ mod tests {
         let sequential = best(&|| {
             let mut r = rng();
             let start = std::time::Instant::now();
-            kp.public.encrypt_batch(&ms, &mut r).unwrap();
+            for m in &ms {
+                kp.encrypt(m, &mut r).unwrap();
+            }
             start.elapsed()
         });
         let oversubscribed = best(&|| {
             let mut r = rng();
             let start = std::time::Instant::now();
-            kp.public.encrypt_batch_parallel(&ms, 1024, &mut r).unwrap();
+            kp.encrypt_batch_parallel(&ms, 1024, &mut r).unwrap();
             start.elapsed()
         });
         assert!(

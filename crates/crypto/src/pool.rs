@@ -1,6 +1,6 @@
 //! Offline precomputation pools — the paper's §3.3 optimization.
 //!
-//! The client's bottleneck is the `r^N mod N²` exponentiation inside each
+//! The client's bottleneck is the randomizer `r^N mod N²` inside each
 //! index encryption. §3.3 observes the client can do this *offline*: even
 //! before knowing which indices will be 0 and which 1, it encrypts "a
 //! large number of 0s and a large number of 1s to use later", then the
@@ -15,25 +15,33 @@
 //!   *any* plaintext online at the cost of one cheap multiplication
 //!   (a generalization useful for weighted queries).
 //!
-//! Both have thread-safe wrappers so a background thread can keep filling
-//! while the protocol drains.
+//! Both fill through the querier's own batch encryption,
+//! [`PaillierKeypair::encrypt_batch_parallel`], so a fill costs what
+//! encrypting the same vector online costs. A zero's ciphertext
+//! `E(0; r) = r^N mod N²` is its randomizer, so the randomizer pool
+//! fills with encryptions of zero.
 
 use std::collections::VecDeque;
 
-use parking_lot::Mutex;
 use pps_bignum::Uint;
 use rand::RngCore;
 
 use crate::error::CryptoError;
-use crate::obs::PoolMetrics;
-use crate::paillier::{Ciphertext, PaillierPublicKey};
+use crate::paillier::{Ciphertext, PaillierKeypair, PaillierPublicKey};
+
+/// Refuses to fill a pool bound to `key` from another key's keypair.
+fn check_key(key: &PaillierPublicKey, keypair: &PaillierKeypair) -> Result<(), CryptoError> {
+    if &keypair.public != key {
+        return Err(CryptoError::KeyMismatch);
+    }
+    Ok(())
+}
 
 /// Pool of precomputed encryptions of the bits 0 and 1.
 pub struct BitEncryptionPool {
     key: PaillierPublicKey,
     zeros: VecDeque<Ciphertext>,
     ones: VecDeque<Ciphertext>,
-    metrics: Option<PoolMetrics>,
 }
 
 impl BitEncryptionPool {
@@ -43,62 +51,31 @@ impl BitEncryptionPool {
             key,
             zeros: VecDeque::new(),
             ones: VecDeque::new(),
-            metrics: None,
         }
     }
 
-    /// Attaches shared [`PoolMetrics`]: every take counts a hit or a
-    /// miss, every fill records its duration.
-    pub fn set_metrics(&mut self, metrics: PoolMetrics) {
-        self.metrics = Some(metrics);
-    }
-
-    /// Precomputes `n_zeros` encryptions of 0 and `n_ones` of 1 (the
-    /// offline phase). Thin wrapper over
-    /// [`BitEncryptionPool::fill_parallel`] with one worker.
+    /// Precomputes `n_zeros` encryptions of 0, then `n_ones` of 1 (the
+    /// offline phase), each batch through
+    /// [`PaillierKeypair::encrypt_batch_parallel`] on up to `threads`
+    /// workers.
     ///
     /// # Errors
-    /// Propagates encryption errors.
+    /// [`CryptoError::KeyMismatch`] when `keypair` is not the pool's key;
+    /// otherwise propagates encryption errors.
     pub fn fill(
         &mut self,
-        n_zeros: usize,
-        n_ones: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<(), CryptoError> {
-        self.fill_parallel(n_zeros, n_ones, 1, rng)
-    }
-
-    /// Parallel offline phase: the `E(0)` and `E(1)` batches are each
-    /// encrypted across up to `threads` scoped worker threads (see
-    /// [`PaillierPublicKey::encrypt_batch_parallel`]), then spliced in
-    /// with one reserve + extend per queue.
-    ///
-    /// # Errors
-    /// Propagates encryption errors.
-    pub fn fill_parallel(
-        &mut self,
+        keypair: &PaillierKeypair,
         n_zeros: usize,
         n_ones: usize,
         threads: usize,
         rng: &mut dyn RngCore,
     ) -> Result<(), CryptoError> {
-        let start = std::time::Instant::now();
-        let (zeros, ones) = precompute_bits(&self.key, n_zeros, n_ones, threads, rng)?;
-        self.append(zeros, ones);
-        if let Some(metrics) = &self.metrics {
-            metrics.on_fill(start.elapsed());
-        }
-        Ok(())
-    }
-
-    /// Splices already-encrypted ciphertexts into the pool — the cheap
-    /// half of a fill, used by [`SharedBitPool::fill`] to keep the
-    /// expensive half outside its lock.
-    pub fn append(&mut self, zeros: Vec<Ciphertext>, ones: Vec<Ciphertext>) {
-        self.zeros.reserve(zeros.len());
+        check_key(&self.key, keypair)?;
+        let zeros = keypair.encrypt_batch_parallel(&vec![Uint::zero(); n_zeros], threads, rng)?;
+        let ones = keypair.encrypt_batch_parallel(&vec![Uint::one(); n_ones], threads, rng)?;
         self.zeros.extend(zeros);
-        self.ones.reserve(ones.len());
         self.ones.extend(ones);
+        Ok(())
     }
 
     /// Takes a precomputed encryption of `bit` (the online phase).
@@ -111,23 +88,14 @@ impl BitEncryptionPool {
         } else {
             (&mut self.zeros, "zero")
         };
-        let result = queue
+        queue
             .pop_front()
-            .ok_or(CryptoError::PoolExhausted { pool: name });
-        if let Some(metrics) = &self.metrics {
-            metrics.on_take(result.is_ok());
-        }
-        result
+            .ok_or(CryptoError::PoolExhausted { pool: name })
     }
 
     /// Remaining `(zeros, ones)` counts.
     pub fn remaining(&self) -> (usize, usize) {
         (self.zeros.len(), self.ones.len())
-    }
-
-    /// The key this pool encrypts under.
-    pub fn key(&self) -> &PaillierPublicKey {
-        &self.key
     }
 }
 
@@ -136,7 +104,6 @@ impl BitEncryptionPool {
 pub struct RandomizerPool {
     key: PaillierPublicKey,
     randomizers: VecDeque<Uint>,
-    metrics: Option<PoolMetrics>,
 }
 
 impl RandomizerPool {
@@ -145,47 +112,27 @@ impl RandomizerPool {
         RandomizerPool {
             key,
             randomizers: VecDeque::new(),
-            metrics: None,
         }
     }
 
-    /// Attaches shared [`PoolMetrics`] — see
-    /// [`BitEncryptionPool::set_metrics`].
-    pub fn set_metrics(&mut self, metrics: PoolMetrics) {
-        self.metrics = Some(metrics);
-    }
-
-    /// Precomputes `count` randomizer factors (the offline phase). Thin
-    /// wrapper over [`RandomizerPool::fill_parallel`] with one worker —
-    /// one `reserve` plus a bulk extend, never per-element `push_back`
-    /// through the sequential sampler.
+    /// Precomputes `count` randomizer factors (the offline phase): the
+    /// encryptions of `count` zeros through
+    /// [`PaillierKeypair::encrypt_batch_parallel`] on up to `threads`
+    /// workers.
     ///
     /// # Errors
-    /// Propagates sampling errors.
-    pub fn fill(&mut self, count: usize, rng: &mut dyn RngCore) -> Result<(), CryptoError> {
-        self.fill_parallel(count, 1, rng)
-    }
-
-    /// Parallel offline phase: `r^N` factors are computed across up to
-    /// `threads` scoped worker threads (see
-    /// [`PaillierPublicKey::sample_randomizers_parallel`]), then spliced
-    /// in with one reserve + extend.
-    ///
-    /// # Errors
-    /// Propagates sampling errors.
-    pub fn fill_parallel(
+    /// [`CryptoError::KeyMismatch`] when `keypair` is not the pool's key;
+    /// otherwise propagates encryption errors.
+    pub fn fill(
         &mut self,
+        keypair: &PaillierKeypair,
         count: usize,
         threads: usize,
         rng: &mut dyn RngCore,
     ) -> Result<(), CryptoError> {
-        let start = std::time::Instant::now();
-        let rns = self.key.sample_randomizers_parallel(count, threads, rng)?;
-        self.randomizers.reserve(rns.len());
-        self.randomizers.extend(rns);
-        if let Some(metrics) = &self.metrics {
-            metrics.on_fill(start.elapsed());
-        }
+        check_key(&self.key, keypair)?;
+        let zeros = keypair.encrypt_batch_parallel(&vec![Uint::zero(); count], threads, rng)?;
+        self.randomizers.extend(zeros.into_iter().map(|ct| ct.0));
         Ok(())
     }
 
@@ -195,11 +142,10 @@ impl RandomizerPool {
     /// [`CryptoError::PoolExhausted`] when empty;
     /// [`CryptoError::PlaintextOutOfRange`] when `m >= N`.
     pub fn encrypt(&mut self, m: &Uint) -> Result<Ciphertext, CryptoError> {
-        let rn = self.randomizers.pop_front();
-        if let Some(metrics) = &self.metrics {
-            metrics.on_take(rn.is_some());
-        }
-        let rn = rn.ok_or(CryptoError::PoolExhausted { pool: "randomizer" })?;
+        let rn = self
+            .randomizers
+            .pop_front()
+            .ok_or(CryptoError::PoolExhausted { pool: "randomizer" })?;
         self.key.encrypt_with_randomizer(m, &rn)
     }
 
@@ -209,106 +155,11 @@ impl RandomizerPool {
     }
 }
 
-/// Encrypts `n_zeros` zeros and `n_ones` ones without touching any pool
-/// state — the expensive, lock-free half of a bit-pool fill.
-fn precompute_bits(
-    key: &PaillierPublicKey,
-    n_zeros: usize,
-    n_ones: usize,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<(Vec<Ciphertext>, Vec<Ciphertext>), CryptoError> {
-    let zeros = key.encrypt_batch_parallel(&vec![Uint::zero(); n_zeros], threads, rng)?;
-    let ones = key.encrypt_batch_parallel(&vec![Uint::one(); n_ones], threads, rng)?;
-    Ok((zeros, ones))
-}
-
-/// Thread-safe wrapper over [`BitEncryptionPool`], for concurrent
-/// fill/drain across threads (e.g. a producer thread topping the pool up
-/// while the client streams batches).
-///
-/// Fills compute every ciphertext **outside** the mutex and lock only to
-/// splice results in, so a large background fill never starves
-/// concurrent [`SharedBitPool::take`] callers — holding the lock across
-/// each `r^N` modpow would block the online phase for the whole offline
-/// phase's duration.
-pub struct SharedBitPool {
-    /// Kept outside the mutex so fills can encrypt without locking.
-    key: PaillierPublicKey,
-    inner: Mutex<BitEncryptionPool>,
-}
-
-impl SharedBitPool {
-    /// Wraps a pool for shared use.
-    pub fn new(pool: BitEncryptionPool) -> Self {
-        SharedBitPool {
-            key: pool.key().clone(),
-            inner: Mutex::new(pool),
-        }
-    }
-
-    /// Thread-safe [`BitEncryptionPool::take`].
-    ///
-    /// # Errors
-    /// As the wrapped method.
-    pub fn take(&self, bit: bool) -> Result<Ciphertext, CryptoError> {
-        self.inner.lock().take(bit)
-    }
-
-    /// Thread-safe fill: ciphertexts are computed with the mutex
-    /// released, which only protects the final splice-in.
-    ///
-    /// # Errors
-    /// Propagates encryption errors.
-    pub fn fill(
-        &self,
-        n_zeros: usize,
-        n_ones: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<(), CryptoError> {
-        self.fill_parallel(n_zeros, n_ones, 1, rng)
-    }
-
-    /// Thread-safe parallel fill: as [`SharedBitPool::fill`], with the
-    /// precomputation itself spread across up to `threads` workers.
-    ///
-    /// # Errors
-    /// Propagates encryption errors.
-    pub fn fill_parallel(
-        &self,
-        n_zeros: usize,
-        n_ones: usize,
-        threads: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<(), CryptoError> {
-        let start = std::time::Instant::now();
-        let (zeros, ones) = precompute_bits(&self.key, n_zeros, n_ones, threads, rng)?;
-        let mut inner = self.inner.lock();
-        inner.append(zeros, ones);
-        if let Some(metrics) = &inner.metrics {
-            metrics.on_fill(start.elapsed());
-        }
-        Ok(())
-    }
-
-    /// Thread-safe [`BitEncryptionPool::set_metrics`].
-    pub fn set_metrics(&self, metrics: PoolMetrics) {
-        self.inner.lock().set_metrics(metrics);
-    }
-
-    /// Thread-safe [`BitEncryptionPool::remaining`].
-    pub fn remaining(&self) -> (usize, usize) {
-        self.inner.lock().remaining()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paillier::PaillierKeypair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
 
     fn keypair() -> PaillierKeypair {
         let mut rng = StdRng::seed_from_u64(31);
@@ -320,7 +171,7 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(32);
         let mut pool = BitEncryptionPool::new(kp.public.clone());
-        pool.fill(3, 3, &mut rng).unwrap();
+        pool.fill(&kp, 3, 3, 1, &mut rng).unwrap();
         assert_eq!(pool.remaining(), (3, 3));
         let z = pool.take(false).unwrap();
         let o = pool.take(true).unwrap();
@@ -334,7 +185,7 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(33);
         let mut pool = BitEncryptionPool::new(kp.public.clone());
-        pool.fill(1, 0, &mut rng).unwrap();
+        pool.fill(&kp, 1, 0, 1, &mut rng).unwrap();
         assert!(pool.take(false).is_ok());
         assert!(matches!(
             pool.take(false),
@@ -353,7 +204,7 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(34);
         let mut pool = BitEncryptionPool::new(kp.public.clone());
-        pool.fill(0, 10, &mut rng).unwrap();
+        pool.fill(&kp, 0, 10, 1, &mut rng).unwrap();
         let mut seen = Vec::new();
         for _ in 0..10 {
             let c = pool.take(true).unwrap();
@@ -367,7 +218,7 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(35);
         let mut pool = RandomizerPool::new(kp.public.clone());
-        pool.fill(4, &mut rng).unwrap();
+        pool.fill(&kp, 4, 1, &mut rng).unwrap();
         for m in [0u64, 7, 123_456, u32::MAX as u64] {
             let ct = pool.encrypt(&Uint::from_u64(m)).unwrap();
             assert_eq!(kp.secret.decrypt(&ct).unwrap(), Uint::from_u64(m));
@@ -380,19 +231,27 @@ mod tests {
 
     #[test]
     fn fill_parallel_decrypts_correctly_any_thread_count() {
+        // No pool draws the public `r^N`: at every thread count a fill
+        // holds, bit for bit, what the keypair's batch returns for the
+        // same plaintexts and seed.
         let kp = keypair();
-        for threads in [1usize, 2, 3, 8] {
-            let mut rng = StdRng::seed_from_u64(40 + threads as u64);
+        for threads in [0usize, 1, 2, 3, 8] {
+            let seed = 40 + threads as u64;
             let mut pool = BitEncryptionPool::new(kp.public.clone());
-            pool.fill_parallel(5, 7, threads, &mut rng).unwrap();
+            pool.fill(&kp, 5, 7, threads, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
             assert_eq!(pool.remaining(), (5, 7));
-            for _ in 0..5 {
-                let z = pool.take(false).unwrap();
-                assert_eq!(kp.secret.decrypt(&z).unwrap(), Uint::zero());
-            }
-            for _ in 0..7 {
-                let o = pool.take(true).unwrap();
-                assert_eq!(kp.secret.decrypt(&o).unwrap(), Uint::one());
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (bit, len) in [(false, 5), (true, 7)] {
+                let m = Uint::from_u64(bit.into());
+                let want = kp
+                    .encrypt_batch_parallel(&vec![m.clone(); len], threads, &mut rng)
+                    .unwrap();
+                for ct in &want {
+                    let got = pool.take(bit).unwrap();
+                    assert_eq!(&got, ct, "threads={threads}");
+                    assert_eq!(kp.secret.decrypt(&got).unwrap(), m);
+                }
             }
         }
     }
@@ -400,126 +259,45 @@ mod tests {
     #[test]
     fn randomizer_fill_parallel_encrypts() {
         let kp = keypair();
-        for threads in [1usize, 4] {
-            let mut rng = StdRng::seed_from_u64(50 + threads as u64);
+        for threads in [0usize, 1, 4] {
+            let seed = 50 + threads as u64;
             let mut pool = RandomizerPool::new(kp.public.clone());
-            pool.fill_parallel(6, threads, &mut rng).unwrap();
+            pool.fill(&kp, 6, threads, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
             assert_eq!(pool.remaining(), 6);
-            for m in 0..6u64 {
-                let ct = pool.encrypt(&Uint::from_u64(m)).unwrap();
-                assert_eq!(kp.secret.decrypt(&ct).unwrap(), Uint::from_u64(m));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let zeros = kp
+                .encrypt_batch_parallel(&vec![Uint::zero(); 6], threads, &mut rng)
+                .unwrap();
+            for (m, zero) in (0..6u64).map(Uint::from_u64).zip(&zeros) {
+                // E(m; r) = E(0; r)·(1 + mN): each pooled factor is the
+                // keypair's encryption of zero from the same seed.
+                let ct = pool.encrypt(&m).unwrap();
+                assert_eq!(
+                    ct,
+                    kp.public.add_plain(zero, &m).unwrap(),
+                    "threads={threads}"
+                );
+                assert_eq!(kp.secret.decrypt(&ct).unwrap(), m);
             }
         }
     }
 
     #[test]
-    fn shared_fill_does_not_block_concurrent_take() {
-        // A slow background fill (512-bit key, hundreds of modpows) must
-        // not hold the mutex: a take() of an already-pooled ciphertext
-        // has to complete while the fill is still computing.
-        let mut rng = StdRng::seed_from_u64(60);
-        let kp = PaillierKeypair::generate(512, &mut rng).unwrap();
-        let mut pool = BitEncryptionPool::new(kp.public.clone());
-        pool.fill(1, 1, &mut rng).unwrap();
-        let shared = Arc::new(SharedBitPool::new(pool));
-
-        let filler = Arc::clone(&shared);
-        let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let started_flag = Arc::clone(&started);
-        let handle = std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(61);
-            started_flag.store(true, std::sync::atomic::Ordering::SeqCst);
-            filler.fill(400, 400, &mut rng).unwrap();
-        });
-        while !started.load(std::sync::atomic::Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        // Give the fill a head start so it is genuinely mid-computation.
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let take_started = std::time::Instant::now();
-        shared.take(true).expect("pre-filled ciphertext available");
-        let take_latency = take_started.elapsed();
-        let fill_was_still_running = !handle.is_finished();
-        handle.join().unwrap();
-        assert!(
-            fill_was_still_running,
-            "fill finished before take — grow the fill size so the test discriminates"
-        );
-        assert!(
-            take_latency < std::time::Duration::from_millis(100),
-            "take blocked for {take_latency:?} behind an in-flight fill"
-        );
-        let (z, o) = shared.remaining();
-        assert_eq!((z, o), (401, 400), "fill spliced in after the take");
-    }
-
-    #[test]
-    fn pool_metrics_count_hits_misses_and_fills() {
-        use pps_obs::Registry;
+    fn fill_under_another_key_is_refused() {
         let kp = keypair();
-        let mut rng = StdRng::seed_from_u64(70);
-        let registry = Registry::new();
-        let metrics = crate::obs::PoolMetrics::from_registry(&registry);
-
-        let mut pool = BitEncryptionPool::new(kp.public.clone());
-        pool.set_metrics(metrics.clone());
-        pool.fill(2, 1, &mut rng).unwrap();
-        assert!(pool.take(false).is_ok()); // hit
-        assert!(pool.take(true).is_ok()); // hit
-        assert!(pool.take(true).is_err()); // miss
-        assert_eq!(metrics.hits.get(), 2);
-        assert_eq!(metrics.misses.get(), 1);
-        assert_eq!(metrics.fill_seconds.count(), 1);
-
-        // The randomizer pool feeds the same shared counters.
-        let mut rpool = RandomizerPool::new(kp.public.clone());
-        rpool.set_metrics(metrics.clone());
-        rpool.fill(1, &mut rng).unwrap();
-        assert!(rpool.encrypt(&Uint::zero()).is_ok()); // hit
-        assert!(rpool.encrypt(&Uint::zero()).is_err()); // miss
-        assert_eq!(metrics.hits.get(), 3);
-        assert_eq!(metrics.misses.get(), 2);
-        assert_eq!(metrics.fill_seconds.count(), 2);
-
-        // And the shared wrapper's out-of-lock fill still records.
-        let mut inner = BitEncryptionPool::new(kp.public.clone());
-        inner.set_metrics(metrics.clone());
-        let shared = SharedBitPool::new(inner);
-        shared.fill(1, 0, &mut rng).unwrap();
-        assert!(shared.take(false).is_ok());
-        assert_eq!(metrics.hits.get(), 4);
-        assert_eq!(metrics.fill_seconds.count(), 3);
-
-        let text = registry.render_prometheus();
-        assert!(text.contains("pps_pool_hits_total 4"));
-        assert!(text.contains("pps_pool_misses_total 2"));
-        assert!(text.contains("pps_pool_fill_seconds_count 3"));
-    }
-
-    #[test]
-    fn shared_pool_across_threads() {
-        let kp = keypair();
-        let mut rng = StdRng::seed_from_u64(36);
-        let mut pool = BitEncryptionPool::new(kp.public.clone());
-        pool.fill(50, 50, &mut rng).unwrap();
-        let shared = Arc::new(SharedBitPool::new(pool));
-
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let mut got = 0;
-                    for j in 0..25 {
-                        if shared.take((i + j) % 2 == 0).is_ok() {
-                            got += 1;
-                        }
-                    }
-                    got
-                })
-            })
-            .collect();
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        let (z, o) = shared.remaining();
-        assert_eq!(total + z + o, 100, "every ciphertext taken exactly once");
+        let other = PaillierKeypair::generate(128, &mut StdRng::seed_from_u64(36)).unwrap();
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut bits = BitEncryptionPool::new(kp.public.clone());
+        let mut randomizers = RandomizerPool::new(kp.public.clone());
+        assert_eq!(
+            bits.fill(&other, 1, 1, 1, &mut rng).unwrap_err(),
+            CryptoError::KeyMismatch
+        );
+        assert_eq!(
+            randomizers.fill(&other, 1, 1, &mut rng).unwrap_err(),
+            CryptoError::KeyMismatch
+        );
+        assert_eq!((bits.remaining(), randomizers.remaining()), ((0, 0), 0));
     }
 }

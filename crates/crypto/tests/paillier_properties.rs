@@ -109,7 +109,7 @@ fn keypair_encrypt_refuses_out_of_range_before_any_draw() {
 #[test]
 fn keypair_parallel_batches_reproduce_the_chunk_layout() {
     // The layout of `oversubscribed_threads_preserve_the_ciphertext_stream`
-    // on the public path: up to `threads` chunks of at least four, one
+    // at every parity key: up to `threads` chunks of at least four, one
     // stream-split seed each, every chunk encrypted in order from its
     // own stream.
     for kp in parity_keys() {

@@ -113,11 +113,6 @@ pub fn bits_to_u128(bits: &[bool]) -> u128 {
         .fold(0u128, |acc, (i, &b)| acc | ((b as u128) << i))
 }
 
-/// Converts the low `width` bits of `v` into a little-endian bit vector.
-pub fn u128_to_bits(v: u128, width: usize) -> Vec<bool> {
-    (0..width).map(|i| (v >> i) & 1 == 1).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,10 +130,11 @@ mod tests {
     #[test]
     fn bit_codecs() {
         assert_eq!(bits_to_u128(&[true, false, true]), 0b101);
-        assert_eq!(u128_to_bits(0b101, 3), vec![true, false, true]);
-        assert_eq!(u128_to_bits(0, 4), vec![false; 4]);
-        let v = 0xdead_beefu128;
-        assert_eq!(bits_to_u128(&u128_to_bits(v, 64)), v);
+        assert_eq!(bits_to_u128(&[false; 4]), 0);
+        assert_eq!(bits_to_u128(&[]), 0);
+        let mut top = vec![false; 128];
+        top[127] = true;
+        assert_eq!(bits_to_u128(&top), 1 << 127);
     }
 
     #[test]

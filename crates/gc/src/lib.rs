@@ -50,7 +50,7 @@ mod ot;
 mod run;
 
 pub use builder::{pack_selected_sum_garbler_values, selected_sum_circuit, CircuitBuilder};
-pub use circuit::{bits_to_u128, u128_to_bits, Circuit, Gate, GateOp, WireId};
+pub use circuit::{bits_to_u128, Circuit, Gate, GateOp, WireId};
 pub use error::GcError;
 pub use freexor::{evaluate_free_xor, garble_free_xor, FreeXorCircuit};
 pub use garble::{evaluate, garble, GarbledCircuit, GarblerSecrets, Label, WirePair, LABEL_LEN};

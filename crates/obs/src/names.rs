@@ -4,9 +4,9 @@
 //! `_total` suffix on counters, `_seconds` suffix on duration
 //! histograms, and labels reserved for low-cardinality dimensions (the
 //! only label in use is `phase`). Centralizing them here keeps the
-//! transport, crypto, protocol, CLI, and bench layers agreeing on what
-//! each series means — and gives PROTOCOL.md §9 a single source of
-//! truth to document.
+//! transport, protocol, CLI, and bench layers agreeing on what each
+//! series means — and gives PROTOCOL.md §9 a single source of truth to
+//! document.
 
 /// Per-phase runtime histogram; labelled `phase` with one of
 /// [`Phase::label`](crate::Phase::label)'s values. This is the
@@ -70,16 +70,6 @@ pub const SHARD_RESUMES_TOTAL: &str = "pps_shard_resumes_total";
 
 /// Server-side fold (homomorphic accumulation) time per batch.
 pub const FOLD_SECONDS: &str = "pps_fold_seconds";
-
-/// Pool takes served from precomputed ciphertexts.
-pub const POOL_HITS_TOTAL: &str = "pps_pool_hits_total";
-/// Pool takes that fell back to an on-demand encryption.
-pub const POOL_MISSES_TOTAL: &str = "pps_pool_misses_total";
-/// Duration of pool fill operations (sequential or parallel).
-pub const POOL_FILL_SECONDS: &str = "pps_pool_fill_seconds";
-
-/// Duration of one worker chunk inside a parallel encrypt.
-pub const ENCRYPT_CHUNK_SECONDS: &str = "pps_encrypt_chunk_seconds";
 
 /// Info-style gauge, always `1`, whose labels identify the build: the
 /// crate `version` and the protocol frame `magic` this binary speaks.

@@ -45,42 +45,31 @@ pub enum IndexSource<'a> {
 }
 
 impl IndexSource<'_> {
-    fn produce(
-        &mut self,
-        keypair: &PaillierKeypair,
-        weight: u64,
-    ) -> Result<Ciphertext, ProtocolError> {
-        match self {
-            IndexSource::Fresh(rng) => Ok(keypair.encrypt(&Uint::from_u64(weight), *rng)?),
-            IndexSource::FreshParallel { rng, threads } => Ok(keypair
-                .encrypt_batch_parallel(&[Uint::from_u64(weight)], *threads, *rng)?
-                .pop()
-                .expect("one ciphertext per plaintext")),
-            IndexSource::BitPool(pool) => match weight {
-                0 => Ok(pool.take(false)?),
-                1 => Ok(pool.take(true)?),
-                _ => Err(ProtocolError::Crypto(CryptoError::PlaintextOutOfRange)),
-            },
-            IndexSource::RandomizerPool(pool) => Ok(pool.encrypt(&Uint::from_u64(weight))?),
-        }
-    }
-
     /// Produces the ciphertexts for one whole batch, in order. For
     /// [`IndexSource::FreshParallel`] the batch is encrypted across
     /// worker threads in one call — this is where the §3.2 pipeline
     /// (batches overlap the wire) composes with intra-batch parallelism;
-    /// the other sources fall back to the per-weight path.
+    /// the other sources go weight by weight.
     fn produce_batch(
         &mut self,
         keypair: &PaillierKeypair,
         weights: &[u64],
     ) -> Result<Vec<Ciphertext>, ProtocolError> {
+        let ms = || weights.iter().map(|&w| Uint::from_u64(w));
         match self {
+            IndexSource::Fresh(rng) => ms().map(|m| Ok(keypair.encrypt(&m, *rng)?)).collect(),
             IndexSource::FreshParallel { rng, threads } => {
-                let ms: Vec<Uint> = weights.iter().map(|&w| Uint::from_u64(w)).collect();
-                Ok(keypair.encrypt_batch_parallel(&ms, *threads, *rng)?)
+                Ok(keypair.encrypt_batch_parallel(&ms().collect::<Vec<_>>(), *threads, *rng)?)
             }
-            _ => weights.iter().map(|&w| self.produce(keypair, w)).collect(),
+            IndexSource::BitPool(pool) => weights
+                .iter()
+                .map(|&w| match w {
+                    0 => Ok(pool.take(false)?),
+                    1 => Ok(pool.take(true)?),
+                    _ => Err(ProtocolError::Crypto(CryptoError::PlaintextOutOfRange)),
+                })
+                .collect(),
+            IndexSource::RandomizerPool(pool) => ms().map(|m| Ok(pool.encrypt(&m)?)).collect(),
         }
     }
 }
@@ -305,7 +294,7 @@ mod tests {
         let db = Database::new(vec![100, 200, 300]).unwrap();
         let sel = Selection::from_bits(&[false, true, true]);
         let mut pool = BitEncryptionPool::new(c.keypair().public.clone());
-        pool.fill(2, 2, &mut rng).unwrap();
+        pool.fill(c.keypair(), 2, 2, 1, &mut rng).unwrap();
         let mut src = IndexSource::BitPool(&mut pool);
         assert_eq!(drive(&c, &db, &sel, 3, &mut src).to_u64(), Some(500));
     }
@@ -315,9 +304,12 @@ mod tests {
         let c = client();
         let mut rng = StdRng::seed_from_u64(94);
         let mut pool = BitEncryptionPool::new(c.keypair().public.clone());
-        pool.fill(1, 1, &mut rng).unwrap();
+        pool.fill(c.keypair(), 1, 1, 1, &mut rng).unwrap();
         let mut src = IndexSource::BitPool(&mut pool);
-        assert!(src.produce(c.keypair(), 7).is_err());
+        assert!(matches!(
+            src.produce_batch(c.keypair(), &[1, 7]),
+            Err(ProtocolError::Crypto(CryptoError::PlaintextOutOfRange))
+        ));
     }
 
     #[test]
@@ -327,7 +319,7 @@ mod tests {
         let db = Database::new(vec![10, 20, 30]).unwrap();
         let sel = Selection::weighted(vec![2, 0, 5]);
         let mut pool = RandomizerPool::new(c.keypair().public.clone());
-        pool.fill(3, &mut rng).unwrap();
+        pool.fill(c.keypair(), 3, 1, &mut rng).unwrap();
         let mut src = IndexSource::RandomizerPool(&mut pool);
         assert_eq!(drive(&c, &db, &sel, 3, &mut src).to_u64(), Some(170));
     }

@@ -314,7 +314,7 @@ pub fn run_weighted(
     let config = RunConfig::unbatched(link);
     let start = Instant::now();
     let mut pool = RandomizerPool::new(client.keypair().public.clone());
-    pool.fill(selection.len(), rng)?;
+    pool.fill(client.keypair(), selection.len(), 1, rng)?;
     let offline = start.elapsed();
     let mut source = IndexSource::RandomizerPool(&mut pool);
     run_private(
@@ -338,7 +338,7 @@ fn fill_pool_for(
     let zeros = selection.len() - ones;
     let start = Instant::now();
     let mut pool = BitEncryptionPool::new(client.keypair().public.clone());
-    pool.fill(zeros, ones, rng)?;
+    pool.fill(client.keypair(), zeros, ones, 1, rng)?;
     Ok((pool, start.elapsed()))
 }
 

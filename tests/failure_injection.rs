@@ -197,7 +197,7 @@ fn pool_exhaustion_is_an_error() {
     use pps_crypto::BitEncryptionPool;
     let (_, client, mut rng) = setup();
     let mut pool = BitEncryptionPool::new(client.keypair().public.clone());
-    pool.fill(1, 1, &mut rng).unwrap();
+    pool.fill(client.keypair(), 1, 1, 1, &mut rng).unwrap();
     let sel = Selection::from_bits(&[true, true, false, false]); // needs 2 ones, 2 zeros
     let (mut cw, _sw) = SimLink::pair(LinkProfile::gigabit_lan());
     let mut source = pps::protocol::IndexSource::BitPool(&mut pool);
