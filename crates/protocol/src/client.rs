@@ -18,9 +18,10 @@ use crate::messages::{Hello, IndexBatch, MsgType, Product};
 
 /// Where the client's encrypted index weights come from.
 ///
-/// The fresh sources encrypt with the querier's keypair
-/// ([`PaillierKeypair::encrypt`]): ciphertexts distributed as the public
-/// key's encryption's, with `r^N` drawn from the secret factors.
+/// Every source encrypts with the querier's keypair
+/// ([`PaillierKeypair::encrypt`]), online or, for the pools, in their
+/// offline fill: ciphertexts distributed as the public key's
+/// encryption's, with `r^N` drawn from the secret factors.
 pub enum IndexSource<'a> {
     /// Encrypt each weight online with fresh randomness (§3.1; the cost
     /// the paper identifies as the bottleneck).
